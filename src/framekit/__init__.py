@@ -74,7 +74,6 @@ from .instances import (
     parseval_frame,
     random_frame,
     random_positive_operator,
-    spectral_function,
 )
 from .kframes import (
     AtomicReport,
@@ -104,6 +103,7 @@ from .operators import (
     positive_definite_bounds,
     pseudo_inverse,
     range_basis,
+    spectral_function,
 )
 from .serialize import (
     dump_json,
@@ -141,8 +141,8 @@ __all__ = [
     # operators
     "Tolerances", "DEFAULT_TOL", "OperatorBounds", "as_vector", "as_operator",
     "operator_norm", "hermitian_part", "is_hermitian", "positive_definite_bounds",
-    "operator_sqrt", "pseudo_inverse", "numerical_rank", "range_basis",
-    "operator_leq", "inverse_bounds",
+    "operator_sqrt", "spectral_function", "pseudo_inverse", "numerical_rank",
+    "range_basis", "operator_leq", "inverse_bounds",
     # frames
     "FrameSequence", "FrameBounds", "synthesis", "analysis", "frame_operator",
     "frame_bounds",
@@ -160,8 +160,8 @@ __all__ = [
     "controlled_richardson_solve", "cg_solve",
     # instances
     "INSTANCE_KINDS", "haar_unitary", "frame_with_spectrum", "random_frame",
-    "parseval_frame", "random_positive_operator", "spectral_function",
-    "commuting_triple", "deficient_pair", "c3_example", "generate_instance",
+    "parseval_frame", "random_positive_operator", "commuting_triple",
+    "deficient_pair", "c3_example", "generate_instance",
     # bench
     "CONTROLLER_STRATEGIES", "CSV_COLUMNS", "BenchRow", "controller_for",
     "run_benchmark", "rows_to_csv",

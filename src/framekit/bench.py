@@ -36,7 +36,14 @@ from .controlled import Controller, identity_controller, make_controller
 from .errors import InvalidParametersError, NotPositiveDefiniteError, ToolkitError
 from .frames import frame_operator
 from .instances import generate_instance
-from .operators import DEFAULT_TOL, Tolerances, hermitian_part, positive_definite_bounds
+from .operators import (
+    DEFAULT_TOL,
+    Tolerances,
+    _apply_spectrum,
+    _spectrum_bounds,
+    hermitian_part,
+    positive_definite_bounds,
+)
 from .solvers import SolverConfig, controlled_richardson_solve, richardson_solve
 
 __all__ = [
@@ -91,7 +98,7 @@ def controller_for(strategy: str, S, tol: Tolerances = DEFAULT_TOL) -> Controlle
         w, Q = np.linalg.eigh(hermitian_part(S))
         if w[0] <= 0:
             raise NotPositiveDefiniteError("exact-inverse controller needs a positive definite S")
-        return make_controller(hermitian_part((Q * (1.0 / w)) @ Q.conj().T), tol)
+        return make_controller(_apply_spectrum(w, Q, lambda v: 1.0 / v), tol)
     if strategy == "jacobi":
         diag = np.diag(S).real
         if np.any(diag <= 0):
@@ -110,7 +117,7 @@ def _run_cell(index, kind, dim, cond_target, trial, controller, config, tol):
     try:
         frame, _, _ = generate_instance(kind, dim, count, cond_target, seed=seed, tol=tol)
         S = frame_operator(frame)
-        bounds = positive_definite_bounds(S, tol)
+        bounds = _spectrum_bounds(frame._spectrum, tol)
         rng = np.random.default_rng(seed + 1_000_003)
         g = rng.normal(size=dim) + 1j * rng.normal(size=dim)
 

@@ -31,7 +31,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from .bench import CONTROLLER_STRATEGIES, run_benchmark, rows_to_csv
-from .controlled import controlled_kframe_check, identity_controller, make_controller
+from .controlled import controlled_kframe_check, make_controller
 from .errors import (
     InvalidParametersError,
     NotPositiveDefiniteError,
@@ -41,7 +41,7 @@ from .errors import (
 from .frames import FrameSequence, frame_bounds, frame_operator, synthesis
 from .instances import INSTANCE_KINDS, c3_example, generate_instance
 from .kframes import interchange_dual, kframe_check
-from .operators import DEFAULT_TOL, Tolerances, positive_definite_bounds
+from .operators import DEFAULT_TOL, OperatorBounds, Tolerances
 from .serialize import (
     frame_to_obj,
     load_frame,
@@ -49,6 +49,7 @@ from .serialize import (
     load_vector,
     operator_to_obj,
     save_frame,
+    save_operator,
     save_vector,
     vector_to_obj,
 )
@@ -208,19 +209,19 @@ def cmd_dual(args) -> int:
         frame_f = FrameSequence(np.asarray(K, dtype=np.complex128) @ frame_g.matrix)
 
     # Reconstruction residuals on range(K): f = sum <f,h_n> f_n = sum <f,f_n> h_n.
-    rng = np.random.default_rng(args.seed)
-    dim = frame_g.dim
-    worst_dual_side = 0.0
-    worst_frame_side = 0.0
-    for _ in range(args.samples):
-        f = np.asarray(K, dtype=np.complex128) @ (rng.normal(size=dim) + 1j * rng.normal(size=dim))
-        norm = np.linalg.norm(f)
-        if norm == 0.0:
-            continue
-        rec1 = synthesis(frame_f, dual.matrix.conj().T @ f)
-        rec2 = synthesis(dual, frame_f.matrix.conj().T @ f)
-        worst_dual_side = max(worst_dual_side, float(np.linalg.norm(f - rec1) / norm))
-        worst_frame_side = max(worst_frame_side, float(np.linalg.norm(f - rec2) / norm))
+    # Probe s is K (parts[s, 0] + i parts[s, 1]): the draws of one loop over the
+    # samples, taken at once.  Zero probes are skipped.
+    parts = np.random.default_rng(args.seed).normal(size=(max(args.samples, 0), 2, frame_g.dim))
+    F = np.asarray(K, dtype=np.complex128) @ (parts[:, 0] + 1j * parts[:, 1]).T
+    norms = np.linalg.norm(F, axis=0)
+    F, norms = F[:, norms > 0.0], norms[norms > 0.0]
+
+    def worst(A, B):
+        """Largest relative residual of ``f -> A B* f`` over the probes."""
+        return float(np.max(np.linalg.norm(F - A @ (B.conj().T @ F), axis=0) / norms, initial=0.0))
+
+    worst_dual_side = worst(frame_f.matrix, dual.matrix)
+    worst_frame_side = worst(dual.matrix, frame_f.matrix)
 
     save_frame(dual, args.out)
     exit_code = EXIT_OK
@@ -253,9 +254,6 @@ def cmd_solve(args) -> int:
             "the frame operator is singular: this solver inverts S on the whole space "
             "and does not solve restricted systems on range(K)"
         )
-    S = frame_operator(frame)
-    bounds = positive_definite_bounds(S, tol)
-
     config = SolverConfig(
         relaxation=args.relaxation,
         residual_tol=args.residual_tol,
@@ -267,7 +265,8 @@ def cmd_solve(args) -> int:
         inputs["c"] = args.c
         f, trace = controlled_richardson_solve(frame, ctrl, g, config, tol=tol)
     else:
-        f, trace = richardson_solve(S, g, bounds, config, tol)
+        bounds = OperatorBounds(fb.lower, fb.upper)
+        f, trace = richardson_solve(frame_operator(frame), g, bounds, config, tol)
 
     save_vector(f, args.out)
     exit_code = EXIT_OK if trace.converged else EXIT_NOT_CONVERGED
@@ -392,12 +391,8 @@ def cmd_gen(args) -> int:
     k_path = f"{args.out_prefix}-k.json"
     c_path = f"{args.out_prefix}-c.json"
     save_frame(frame, frame_path)
-    with open(k_path, "w", encoding="utf-8") as handle:
-        json.dump(operator_to_obj(K), handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    with open(c_path, "w", encoding="utf-8") as handle:
-        json.dump(operator_to_obj(ctrl.matrix), handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    save_operator(K, k_path)
+    save_operator(ctrl.matrix, c_path)
 
     outputs = [frame_path, k_path, c_path]
     exit_code = EXIT_OK

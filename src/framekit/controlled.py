@@ -12,29 +12,26 @@ is a generalized eigenvalue problem for the pencil ``(C S, K C K*)`` on
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .errors import (
-    CommutationError,
-    NonHermitianComparisonError,
-    NonRealFormError,
-)
+from .errors import CommutationError, NonRealFormError
 from .frames import FrameSequence, frame_operator
-from .kframes import _pencil_minimum
+from .kframes import _lower_verdict
 from .operators import (
     DEFAULT_TOL,
     OperatorBounds,
     Tolerances,
+    _apply_spectrum,
+    _checked_hermitian,
+    _spectrum_bounds,
     as_operator,
     as_vector,
     hermitian_part,
     is_hermitian,
     operator_leq,
-    operator_norm,
-    positive_definite_bounds,
-    range_basis,
 )
 
 __all__ = [
@@ -56,46 +53,54 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Controller:
-    """A certified positive invertible operator with cached spectral kin.
+    """A certified positive invertible operator with one cached eigendecomposition.
 
-    ``sqrt``, ``inv`` and ``inv_sqrt`` are assembled from one eigendecomposition
-    so they commute with ``matrix`` to rounding and stay mutually consistent.
-    ``bounds`` are the extreme eigenvalues.
+    ``_eigh`` holds the ascending eigenpairs ``(w, Q)`` of ``matrix``.
+    ``bounds`` are the extreme eigenvalues, and ``sqrt``, ``inv`` and
+    ``inv_sqrt`` are built from the same eigenpairs on first use, so they
+    commute with ``matrix`` to rounding and stay mutually consistent.
     """
 
     matrix: np.ndarray
-    sqrt: np.ndarray
-    inv: np.ndarray
-    inv_sqrt: np.ndarray
-    bounds: OperatorBounds
+    _eigh: tuple = field(repr=False, compare=False)
 
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
 
     @property
+    def bounds(self) -> OperatorBounds:
+        w = self._eigh[0]
+        return OperatorBounds(float(w[0]), float(w[-1]))
+
+    @property
     def condition(self) -> float:
         return self.bounds.condition
 
+    @cached_property
+    def sqrt(self) -> np.ndarray:
+        return _apply_spectrum(*self._eigh, np.sqrt)
+
+    @cached_property
+    def inv(self) -> np.ndarray:
+        return _apply_spectrum(*self._eigh, lambda w: 1.0 / w)
+
+    @cached_property
+    def inv_sqrt(self) -> np.ndarray:
+        return _apply_spectrum(*self._eigh, lambda w: 1.0 / np.sqrt(w))
+
 
 def make_controller(C, tol: Tolerances = DEFAULT_TOL) -> Controller:
-    """Validate ``C`` as Hermitian positive definite and cache its roots."""
+    """Validate ``C`` as Hermitian positive definite from one eigendecomposition."""
     M = as_operator(C)
-    bounds = positive_definite_bounds(M, tol)
-    w, Q = np.linalg.eigh(hermitian_part(M))
-    Qh = Q.conj().T
-    return Controller(
-        matrix=M,
-        sqrt=hermitian_part((Q * np.sqrt(w)) @ Qh),
-        inv=hermitian_part((Q * (1.0 / w)) @ Qh),
-        inv_sqrt=hermitian_part((Q * (1.0 / np.sqrt(w))) @ Qh),
-        bounds=bounds,
-    )
+    w, Q = np.linalg.eigh(_checked_hermitian(M, tol))
+    _spectrum_bounds(w, tol)          # raises unless positive definite
+    return Controller(M, (w, Q))
 
 
 def identity_controller(dim: int) -> Controller:
     eye = np.eye(dim, dtype=np.complex128)
-    return Controller(matrix=eye, sqrt=eye, inv=eye, inv_sqrt=eye, bounds=OperatorBounds(1.0, 1.0))
+    return Controller(eye, (np.ones(dim), eye))
 
 
 def commutes(ctrl: Controller, K, tol: Tolerances = DEFAULT_TOL) -> bool:
@@ -120,9 +125,8 @@ def controlled_form(frame: FrameSequence, ctrl: Controller, f, tol: Tolerances =
     theory does not apply to the pair.
     """
     v = as_vector(f, dim=frame.dim)
-    S = frame_operator(frame)
-    value = complex(np.vdot(v, ctrl.matrix @ (S @ v)))
-    limit = tol.rel_eq * ctrl.bounds.upper * operator_norm(S) * float(np.vdot(v, v).real)
+    value = complex(np.vdot(v, ctrl.matrix @ (frame_operator(frame) @ v)))
+    limit = tol.rel_eq * ctrl.bounds.upper * float(frame._spectrum[-1]) * float(np.vdot(v, v).real)
     if abs(value.imag) > max(limit, np.finfo(float).tiny):
         raise NonRealFormError(
             f"form has imaginary part {value.imag:.3e} beyond the admissible {limit:.3e}; "
@@ -149,8 +153,14 @@ class ControlledReport:
     vacuous: bool
 
 
-def _require_real_product(frame: FrameSequence, ctrl: Controller, tol: Tolerances) -> np.ndarray:
-    L = controlled_operator(frame, ctrl)
+def _require_real_product(ctrl: Controller, S, tol: Tolerances) -> np.ndarray:
+    """``C S``, refused with :class:`NonRealFormError` unless it is Hermitian.
+
+    The one Hermiticity check on ``C S``: the controlled verdict, the
+    controlled solve and the interchange identity go through it, and the
+    Loewner comparisons leave the check to :func:`operator_leq`.
+    """
+    L = ctrl.matrix @ S
     if not is_hermitian(L, tol):
         defect = np.linalg.norm(L - L.conj().T) / max(1.0, np.linalg.norm(L))
         raise NonRealFormError(
@@ -173,21 +183,13 @@ def controlled_kframe_check(frame: FrameSequence, K, ctrl: Controller, tol: Tole
     Kop = as_operator(K, dim=frame.dim)
     if not commutes(ctrl, Kop, tol):
         raise CommutationError("controller does not commute with K within tolerance")
-    L = _require_real_product(frame, ctrl, tol)
-    upper = float(np.linalg.eigvalsh(hermitian_part(L))[-1])
-    Q = range_basis(Kop, tol)
-    rank = Q.shape[1]
-    if rank == 0:
-        return ControlledReport(
-            commutes_with_k=True, form_is_real=True, is_controlled_kframe=True,
-            lower_opt=0.0, upper_opt=upper, rank_k=0, vacuous=True,
-        )
-    weight = Kop @ ctrl.matrix @ Kop.conj().T          # <weight f, f> = ||C^(1/2) K* f||^2
-    lower, _ = _pencil_minimum(hermitian_part(L), weight, Q)
-    verdict = lower > tol.psd_slack * max(1.0, upper)
+    Lh = hermitian_part(_require_real_product(ctrl, frame_operator(frame), tol))
+    upper = float(np.linalg.eigvalsh(Lh)[-1])
+    # <K C K* f, f> = ||C^(1/2) K* f||^2
+    rank, lower, _, verdict = _lower_verdict(Lh, Kop, upper, tol, C=ctrl.matrix)
     return ControlledReport(
-        commutes_with_k=True, form_is_real=True, is_controlled_kframe=bool(verdict),
-        lower_opt=lower, upper_opt=upper, rank_k=rank, vacuous=False,
+        commutes_with_k=True, form_is_real=True, is_controlled_kframe=verdict,
+        lower_opt=lower, upper_opt=upper, rank_k=rank, vacuous=rank == 0,
     )
 
 
@@ -195,16 +197,11 @@ def controlled_operator_inequality(frame: FrameSequence, K, ctrl: Controller, A:
     """Operator-inequality verdict: ``A * C K K* <= C S`` in the Loewner order.
 
     Both sides must be Hermitian — true whenever ``C`` commutes with ``K`` and
-    with ``S`` — otherwise the comparison is refused.
+    with ``S`` — otherwise :func:`operator_leq` refuses the comparison.
     """
     Kop = as_operator(K, dim=frame.dim)
     left = A * (ctrl.matrix @ Kop @ Kop.conj().T)
-    right = controlled_operator(frame, ctrl)
-    if not is_hermitian(left, tol) or not is_hermitian(right, tol):
-        raise NonHermitianComparisonError(
-            "A * C K K* and C S must both be Hermitian for the Loewner comparison"
-        )
-    return operator_leq(hermitian_part(left), hermitian_part(right), tol)
+    return operator_leq(left, controlled_operator(frame, ctrl), tol)
 
 
 def sandwich_inequality_check(frame: FrameSequence, K, ctrl: Controller, A: float, B: float, tol: Tolerances = DEFAULT_TOL) -> bool:
@@ -217,29 +214,24 @@ def sandwich_inequality_check(frame: FrameSequence, K, ctrl: Controller, A: floa
     """
     Kop = as_operator(K, dim=frame.dim)
     L = controlled_operator(frame, ctrl)
-    if not is_hermitian(L, tol):
-        raise NonHermitianComparisonError("C S must be Hermitian for the sandwich comparison")
-    Lh = hermitian_part(L)
     weight = hermitian_part(Kop @ ctrl.matrix @ Kop.conj().T)
     eye = np.eye(frame.dim, dtype=np.complex128)
-    return operator_leq(A * weight, Lh, tol) and operator_leq(Lh, B * eye, tol)
+    return operator_leq(A * weight, L, tol) and operator_leq(L, B * eye, tol)
 
 
 def bounds_to_kframe(A: float, B: float, ctrl: Controller) -> tuple[float, float]:
     """Transfer controlled bounds ``(A, B)`` to uncontrolled K-frame bounds.
 
-    Returns ``(A / ||C^{1/2}||^2, B * ||C^{-1/2}||^2)`` using the operator
-    norms of the cached roots.  The upper transfer is always valid.  The lower
-    transfer divides by ``lambda_max(C)``, so it is a valid (not optimal)
-    lower K-frame bound whenever ``lambda_max(C) >= 1``; the commuting-family
-    generator normalizes controllers to satisfy that, and callers supplying
-    their own controllers with ``||C|| < 1`` should rescale first — scaling
-    ``C`` never changes the controlled verdict.
+    Returns ``(A / ||C^{1/2}||^2, B * ||C^{-1/2}||^2)``, read off the
+    controller's spectrum as ``||C^{1/2}||^2 = lambda_max(C)`` and
+    ``||C^{-1/2}||^2 = 1 / lambda_min(C)``.  The upper transfer is always
+    valid.  The lower transfer divides by ``lambda_max(C)``, so it is a valid
+    (not optimal) lower K-frame bound whenever ``lambda_max(C) >= 1``; the
+    commuting-family generator normalizes controllers to satisfy that, and
+    callers supplying their own controllers with ``||C|| < 1`` should rescale
+    first — scaling ``C`` never changes the controlled verdict.
     """
-    return (
-        A / operator_norm(ctrl.sqrt) ** 2,
-        B * operator_norm(ctrl.inv_sqrt) ** 2,
-    )
+    return (A / ctrl.bounds.upper, B / ctrl.bounds.lower)
 
 
 def bounds_to_controlled(
@@ -251,12 +243,13 @@ def bounds_to_controlled(
 ) -> tuple[float, float]:
     """Transfer K-frame bounds ``(A', B')`` to controlled bounds ``(A', B' * ||C||)``.
 
-    Pass ``K`` to have the commutation hypothesis checked; the arithmetic
-    itself needs only the controller.
+    ``||C|| = lambda_max(C)`` is read off the controller's spectrum.  Pass
+    ``K`` to have the commutation hypothesis checked; the arithmetic itself
+    needs only the controller.
     """
     if K is not None and not commutes(ctrl, K, tol):
         raise CommutationError("controller does not commute with K within tolerance")
-    return (A_prime, B_prime * operator_norm(ctrl.matrix))
+    return (A_prime, B_prime * ctrl.bounds.upper)
 
 
 def interchange_identity_check(frame: FrameSequence, ctrl: Controller, tol: Tolerances = DEFAULT_TOL) -> bool:
@@ -270,9 +263,5 @@ def interchange_identity_check(frame: FrameSequence, ctrl: Controller, tol: Tole
     neither sum defines a controlled frame expression.
     """
     S = frame_operator(frame)
-    L = ctrl.matrix @ S
-    if not is_hermitian(L, tol):
-        raise NonRealFormError("C S is not Hermitian; the interchange identity is not applicable")
-    defect = np.linalg.norm(L - S @ ctrl.matrix)
-    scale = np.linalg.norm(ctrl.matrix) * np.linalg.norm(S)
-    return bool(defect <= tol.rel_eq * max(1.0, scale))
+    _require_real_product(ctrl, S, tol)
+    return commutes(ctrl, S, tol)

@@ -10,11 +10,12 @@ settle is whether the lower bound clears zero.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .errors import DimensionMismatchError, InvalidParametersError
-from .operators import DEFAULT_TOL, Tolerances, as_vector, hermitian_part
+from .errors import DimensionMismatchError, InvalidParametersError, NotPositiveDefiniteError
+from .operators import DEFAULT_TOL, Tolerances, _spectrum_bounds, as_vector, hermitian_part
 
 __all__ = [
     "FrameSequence",
@@ -28,7 +29,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class FrameSequence:
-    """A finite vector family in ``C^d``, held as a ``d x n`` synthesis matrix."""
+    """A finite vector family in ``C^d``, held as a ``d x n`` synthesis matrix.
+
+    The frame operator and its ascending spectrum are computed on first use
+    and cached read-only, so every check on one family shares them.
+    """
 
     matrix: np.ndarray
 
@@ -58,6 +63,18 @@ class FrameSequence:
     @property
     def count(self) -> int:
         return self.matrix.shape[1]
+
+    @cached_property
+    def _operator(self) -> np.ndarray:
+        S = hermitian_part(self.matrix @ self.matrix.conj().T)
+        S.setflags(write=False)
+        return S
+
+    @cached_property
+    def _spectrum(self) -> np.ndarray:
+        w = np.linalg.eigvalsh(self._operator)
+        w.setflags(write=False)
+        return w
 
 
 @dataclass(frozen=True)
@@ -94,8 +111,11 @@ def analysis(frame: FrameSequence, f) -> np.ndarray:
 
 
 def frame_operator(frame: FrameSequence) -> np.ndarray:
-    """``S = T T*``, acting as ``S f = sum_n <f, f_n> f_n``."""
-    return hermitian_part(frame.matrix @ frame.matrix.conj().T)
+    """``S = T T*``, acting as ``S f = sum_n <f, f_n> f_n``.
+
+    The array is cached on ``frame`` and read-only; copy it before writing.
+    """
+    return frame._operator
 
 
 def frame_bounds(frame: FrameSequence, tol: Tolerances = DEFAULT_TOL) -> FrameBounds:
@@ -106,8 +126,9 @@ def frame_bounds(frame: FrameSequence, tol: Tolerances = DEFAULT_TOL) -> FrameBo
     ``lambda_min(S)``; otherwise the report is Bessel-only.  Both extremes are
     attained by the corresponding eigenvectors, so the bounds are tight.
     """
-    w = np.linalg.eigvalsh(frame_operator(frame))
-    upper = float(w[-1])
-    if w[0] > tol.psd_slack * max(abs(w[0]), abs(w[-1])) and w[0] > 0.0:
-        return FrameBounds(upper=upper, lower=float(w[0]))
-    return FrameBounds(upper=upper, lower=None)
+    w = frame._spectrum
+    try:
+        lower = _spectrum_bounds(w, tol).lower
+    except NotPositiveDefiniteError:
+        lower = None
+    return FrameBounds(upper=float(w[-1]), lower=lower)

@@ -26,7 +26,7 @@ import numpy as np
 from .controlled import Controller, identity_controller, make_controller
 from .errors import InvalidParametersError
 from .frames import FrameSequence, frame_operator
-from .operators import DEFAULT_TOL, Tolerances, hermitian_part
+from .operators import DEFAULT_TOL, Tolerances, hermitian_part, spectral_function
 
 __all__ = [
     "INSTANCE_KINDS",
@@ -35,7 +35,7 @@ __all__ = [
     "random_frame",
     "parseval_frame",
     "random_positive_operator",
-    "spectral_function",
+    "spectral_function",  # defined in framekit.operators, re-exported here
     "commuting_triple",
     "deficient_pair",
     "c3_example",
@@ -92,12 +92,6 @@ def random_positive_operator(rng: np.random.Generator, dim: int, spread=(0.5, 4.
     Q = haar_unitary(rng, dim)
     w = rng.uniform(spread[0], spread[1], size=dim)
     return hermitian_part((Q * w) @ Q.conj().T)
-
-
-def spectral_function(op, fn, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """Apply ``fn`` to the eigenvalues of a Hermitian operator."""
-    w, Q = np.linalg.eigh(hermitian_part(np.asarray(op, dtype=np.complex128)))
-    return hermitian_part((Q * fn(w)) @ Q.conj().T)
 
 
 def commuting_triple(

@@ -90,6 +90,24 @@ def _pencil_minimum(S, KK, Q):
     return float(vals[0]), direction
 
 
+def _lower_verdict(S, Kop, upper: float, tol: Tolerances, C=None):
+    """Lower-bound tail shared by the plain and the controlled verdict.
+
+    Minimizes the pencil ``(S, K C K*)`` on ``range(K)`` (``C = I`` when
+    omitted) and returns ``(rank, lower, witness, verdict)``.  Rank zero is
+    the vacuous case ``(0, 0.0, None, True)``; otherwise the verdict is
+    whether ``lower`` clears ``psd_slack * max(1, upper)``.
+    """
+    Q = range_basis(Kop, tol)
+    rank = Q.shape[1]
+    if rank == 0:
+        return 0, 0.0, None, True
+    Kh = Kop.conj().T
+    weight = Kop @ Kh if C is None else Kop @ C @ Kh
+    lower, witness = _pencil_minimum(S, weight, Q)
+    return rank, lower, witness, bool(lower > tol.psd_slack * max(1.0, upper))
+
+
 def kframe_check(frame: FrameSequence, K, tol: Tolerances = DEFAULT_TOL) -> KFrameReport:
     """Decide the K-frame property and certify optimal constants.
 
@@ -100,21 +118,11 @@ def kframe_check(frame: FrameSequence, K, tol: Tolerances = DEFAULT_TOL) -> KFra
     families are always Bessel.
     """
     Kop = as_operator(K, dim=frame.dim)
-    S = frame_operator(frame)
-    spectrum = np.linalg.eigvalsh(S)
-    upper = float(spectrum[-1])
-    Q = range_basis(Kop, tol)
-    rank = Q.shape[1]
-    if rank == 0:
-        return KFrameReport(
-            is_bessel=True, is_kframe=True, lower_opt=0.0, upper_opt=upper,
-            rank_k=0, vacuous=True, witness=None,
-        )
-    lower, witness = _pencil_minimum(S, Kop @ Kop.conj().T, Q)
-    verdict = lower > tol.psd_slack * max(1.0, upper)
+    upper = float(frame._spectrum[-1])
+    rank, lower, witness, verdict = _lower_verdict(frame_operator(frame), Kop, upper, tol)
     return KFrameReport(
-        is_bessel=True, is_kframe=bool(verdict), lower_opt=lower, upper_opt=upper,
-        rank_k=rank, vacuous=False, witness=witness,
+        is_bessel=True, is_kframe=verdict, lower_opt=lower, upper_opt=upper,
+        rank_k=rank, vacuous=rank == 0, witness=witness,
     )
 
 

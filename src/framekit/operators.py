@@ -20,6 +20,7 @@ from .errors import (
     DimensionMismatchError,
     IndefiniteOperatorError,
     InvalidParametersError,
+    NonHermitianComparisonError,
     NotHermitianError,
     NotPositiveDefiniteError,
 )
@@ -35,6 +36,7 @@ __all__ = [
     "hermitian_part",
     "positive_definite_bounds",
     "operator_sqrt",
+    "spectral_function",
     "pseudo_inverse",
     "numerical_rank",
     "range_basis",
@@ -145,6 +147,31 @@ def is_hermitian(T, tol: Tolerances = DEFAULT_TOL) -> bool:
     return bool(defect <= tol.rel_eq * max(1.0, np.linalg.norm(M)))
 
 
+def _checked_hermitian(T, tol: Tolerances) -> np.ndarray:
+    """``hermitian_part(T)``, refused unless ``T`` is Hermitian within tolerance."""
+    M = as_operator(T)
+    if not is_hermitian(M, tol):
+        raise NotHermitianError("operator is not Hermitian within tolerance")
+    return hermitian_part(M)
+
+
+def _spectrum_bounds(w, tol: Tolerances) -> OperatorBounds:
+    """``(w[0], w[-1])`` of an ascending spectrum once ``w[0]`` clears the
+    positivity slack ``psd_slack * max|w|``; the package's one positivity rule."""
+    scale = float(max(abs(w[0]), abs(w[-1])))
+    if w[0] <= 0.0 or w[0] <= tol.psd_slack * scale:
+        raise NotPositiveDefiniteError(
+            f"smallest eigenvalue {w[0]:.6e} does not clear the positivity slack "
+            f"{tol.psd_slack * scale:.3e}"
+        )
+    return OperatorBounds(float(w[0]), float(w[-1]))
+
+
+def _apply_spectrum(w, Q, fn) -> np.ndarray:
+    """``Q diag(fn(w)) Q*`` for the eigenpairs ``(w, Q)`` of a Hermitian operator."""
+    return hermitian_part((Q * fn(w)) @ Q.conj().T)
+
+
 def positive_definite_bounds(T, tol: Tolerances = DEFAULT_TOL) -> OperatorBounds:
     """Certify ``T`` as Hermitian positive definite and return optimal bounds.
 
@@ -160,17 +187,7 @@ def positive_definite_bounds(T, tol: Tolerances = DEFAULT_TOL) -> OperatorBounds
     NotPositiveDefiniteError
         If the smallest eigenvalue does not clear ``psd_slack * ||T||``.
     """
-    M = as_operator(T)
-    if not is_hermitian(M, tol):
-        raise NotHermitianError("operator is not Hermitian within tolerance")
-    w = np.linalg.eigvalsh(hermitian_part(M))
-    scale = float(max(abs(w[0]), abs(w[-1])))
-    if w[0] <= 0.0 or w[0] <= tol.psd_slack * scale:
-        raise NotPositiveDefiniteError(
-            f"smallest eigenvalue {w[0]:.6e} does not clear the positivity slack "
-            f"{tol.psd_slack * scale:.3e}"
-        )
-    return OperatorBounds(float(w[0]), float(w[-1]))
+    return _spectrum_bounds(np.linalg.eigvalsh(_checked_hermitian(T, tol)), tol)
 
 
 def operator_sqrt(T, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
@@ -180,17 +197,18 @@ def operator_sqrt(T, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     and clamped to zero; anything more negative raises.  For positive definite
     input the root is invertible with condition number ``sqrt(M / m)``.
     """
-    M = as_operator(T)
-    if not is_hermitian(M, tol):
-        raise NotHermitianError("operator is not Hermitian within tolerance")
-    w, Q = np.linalg.eigh(hermitian_part(M))
+    w, Q = np.linalg.eigh(_checked_hermitian(T, tol))
     scale = float(max(abs(w[0]), abs(w[-1])))
     if w[0] < -tol.psd_slack * scale:
         raise IndefiniteOperatorError(
             f"eigenvalue {w[0]:.6e} is below the clamping window -{tol.psd_slack * scale:.3e}"
         )
-    root = (Q * np.sqrt(np.clip(w, 0.0, None))) @ Q.conj().T
-    return hermitian_part(root)
+    return _apply_spectrum(w, Q, lambda v: np.sqrt(np.clip(v, 0.0, None)))
+
+
+def spectral_function(op, fn, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+    """Apply ``fn`` to the eigenvalues of a Hermitian operator."""
+    return _apply_spectrum(*np.linalg.eigh(hermitian_part(np.asarray(op, dtype=np.complex128))), fn)
 
 
 def _validated_rectangular(U) -> np.ndarray:
@@ -243,12 +261,13 @@ def operator_leq(T1, T2, tol: Tolerances = DEFAULT_TOL) -> bool:
 
     True iff ``lambda_min(T2 - T1) >= -psd_slack * max(1, ||T1||, ||T2||)``.
     Both operands must be Hermitian; comparing non-Hermitian operators is a
-    category error, not a numerical question.
+    category error, not a numerical question, and raises
+    :class:`NonHermitianComparisonError`.
     """
     A = as_operator(T1)
     B = as_operator(T2, dim=A.shape[0])
     if not is_hermitian(A, tol) or not is_hermitian(B, tol):
-        raise NotHermitianError("Loewner comparison requires Hermitian operands")
+        raise NonHermitianComparisonError("Loewner comparison requires Hermitian operands")
     gap = float(np.linalg.eigvalsh(hermitian_part(B) - hermitian_part(A))[0])
     slack = tol.psd_slack * max(1.0, operator_norm(A), operator_norm(B))
     return bool(gap >= -slack)

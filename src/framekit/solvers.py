@@ -23,12 +23,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .controlled import Controller, commutes
+from .controlled import Controller, _require_real_product, commutes
 from .errors import (
     CommutationError,
     IndefiniteOperatorError,
     InvalidParametersError,
-    NonRealFormError,
     NotHermitianError,
 )
 from .frames import FrameSequence, frame_operator
@@ -38,7 +37,6 @@ from .operators import (
     Tolerances,
     as_operator,
     as_vector,
-    hermitian_part,
     is_hermitian,
     positive_definite_bounds,
 )
@@ -124,6 +122,35 @@ def _coerce_bounds(bounds) -> OperatorBounds:
     return OperatorBounds(lower, upper)
 
 
+def _richardson(S, rhs, lam: float, config: SolverConfig, C=None, kappa: float = 1.0):
+    """The one Richardson loop: ``f += lam * (C r)`` with ``r = rhs - S f``.
+
+    ``C=None`` is the plain iteration.  Residuals are always those of
+    ``S f = rhs``; ``kappa`` is passed through to the trace.
+    """
+    norm_g = float(np.linalg.norm(rhs))
+    if norm_g == 0.0:
+        return np.zeros_like(rhs), ConvergenceTrace(0, [], True, 0.0, kappa_report=kappa)
+
+    f = np.zeros_like(rhs)
+    r = rhs.copy()                 # residual of the zero iterate
+    residuals: list[float] = []
+    converged = False
+    for _ in range(config.max_iter):
+        f = f + lam * (r if C is None else C @ r)
+        r = rhs - S @ f            # exact residual of the new iterate
+        res = float(np.linalg.norm(r)) / norm_g
+        residuals.append(res)
+        if res <= config.residual_tol:
+            converged = True
+            break
+    return f, ConvergenceTrace(len(residuals), residuals, converged, _empirical_rate(residuals), kappa_report=kappa)
+
+
+def _relaxation(config: SolverConfig, bounds: OperatorBounds) -> float:
+    return config.relaxation if config.relaxation is not None else 2.0 / (bounds.lower + bounds.upper)
+
+
 def richardson_solve(op, g, bounds, config: SolverConfig = SolverConfig(), tol: Tolerances = DEFAULT_TOL):
     """Solve ``Op f = g`` by relaxed Richardson iteration.
 
@@ -148,26 +175,7 @@ def richardson_solve(op, g, bounds, config: SolverConfig = SolverConfig(), tol: 
     rhs = as_vector(g, dim=Op.shape[0])
     if not is_hermitian(Op, tol):
         raise NotHermitianError("Richardson iteration requires a Hermitian operator")
-    certified = _coerce_bounds(bounds)
-    lam = config.relaxation if config.relaxation is not None else 2.0 / (certified.lower + certified.upper)
-
-    norm_g = float(np.linalg.norm(rhs))
-    if norm_g == 0.0:
-        return np.zeros_like(rhs), ConvergenceTrace(0, [], True, 0.0)
-
-    f = np.zeros_like(rhs)
-    r = rhs.copy()                 # residual of the zero iterate
-    residuals: list[float] = []
-    converged = False
-    for _ in range(config.max_iter):
-        f = f + lam * r
-        r = rhs - Op @ f           # exact residual of the new iterate
-        res = float(np.linalg.norm(r)) / norm_g
-        residuals.append(res)
-        if res <= config.residual_tol:
-            converged = True
-            break
-    return f, ConvergenceTrace(len(residuals), residuals, converged, _empirical_rate(residuals))
+    return _richardson(Op, rhs, _relaxation(config, _coerce_bounds(bounds)), config)
 
 
 def controlled_richardson_solve(
@@ -192,30 +200,8 @@ def controlled_richardson_solve(
     rhs = as_vector(g, dim=frame.dim)
     if K is not None and not commutes(ctrl, K, tol):
         raise CommutationError("controller does not commute with K within tolerance")
-    L = ctrl.matrix @ S
-    if not is_hermitian(L, tol):
-        raise NonRealFormError("C S is not Hermitian; the controlled solve is not well-posed")
-    certified = positive_definite_bounds(hermitian_part(L), tol)
-    lam = config.relaxation if config.relaxation is not None else 2.0 / (certified.lower + certified.upper)
-
-    norm_g = float(np.linalg.norm(rhs))
-    kappa = ctrl.condition
-    if norm_g == 0.0:
-        return np.zeros_like(rhs), ConvergenceTrace(0, [], True, 0.0, kappa_report=kappa)
-
-    f = np.zeros_like(rhs)
-    r = rhs.copy()
-    residuals: list[float] = []
-    converged = False
-    for _ in range(config.max_iter):
-        f = f + lam * (ctrl.matrix @ r)    # preconditioned update direction
-        r = rhs - S @ f                    # residual of the original system
-        res = float(np.linalg.norm(r)) / norm_g
-        residuals.append(res)
-        if res <= config.residual_tol:
-            converged = True
-            break
-    return f, ConvergenceTrace(len(residuals), residuals, converged, _empirical_rate(residuals), kappa_report=kappa)
+    certified = positive_definite_bounds(_require_real_product(ctrl, S, tol), tol)
+    return _richardson(S, rhs, _relaxation(config, certified), config, C=ctrl.matrix, kappa=ctrl.condition)
 
 
 def cg_solve(op, g, config: SolverConfig = SolverConfig(), tol: Tolerances = DEFAULT_TOL):

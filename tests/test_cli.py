@@ -174,6 +174,37 @@ def test_dual_of_parseval_frame_with_identity_k(tmp_path, capsys):
     np.testing.assert_allclose(load_frame(out).matrix, G.matrix, atol=1e-12)
 
 
+def test_dual_residuals_match_the_per_sample_loop(tmp_path, capsys):
+    # A near-Parseval G accepted under a loose --tol-rel leaves residuals of
+    # about 1e-4, so the reported maxima depend on which probes were drawn.
+    # The per-sample loop below is the reference; the command draws all
+    # samples at once, so only the summation order of the products differs.
+    rng = np.random.default_rng(12)
+    G = parseval_frame(rng, 5, 9).matrix + 1e-4 * rng.normal(size=(5, 9))
+    K = np.diag([1.0, 2.0, 0.0, 0.5, 0.0]).astype(complex)
+    g_path = _write_frame(tmp_path / "g.json", G)
+    k_path = _write_operator(tmp_path / "k.json", K)
+    out = tmp_path / "dual.json"
+    code = main(["dual", "--g", g_path, "--k", k_path, "--out", str(out), "--tol-rel", "1e-2",
+                 "--samples", "40", "--seed", "7", "--json", "--deterministic"])
+    rec = _json_report(capsys)["reconstruction"]
+    assert code == 0
+
+    from framekit import load_frame
+
+    H, F = load_frame(out).matrix, K @ G
+    draws = np.random.default_rng(7)
+    worst_dual_side = worst_frame_side = 0.0
+    for _ in range(40):
+        f = K @ (draws.normal(size=5) + 1j * draws.normal(size=5))
+        norm = np.linalg.norm(f)
+        worst_dual_side = max(worst_dual_side, np.linalg.norm(f - F @ (H.conj().T @ f)) / norm)
+        worst_frame_side = max(worst_frame_side, np.linalg.norm(f - H @ (F.conj().T @ f)) / norm)
+    assert worst_dual_side > 1e-6 and worst_frame_side > 1e-6
+    np.testing.assert_allclose(rec["max_rel_residual_coefficients_in_dual"], worst_dual_side, rtol=1e-9)
+    np.testing.assert_allclose(rec["max_rel_residual_coefficients_in_frame"], worst_frame_side, rtol=1e-9)
+
+
 def test_dual_refuses_non_factoring_family(tmp_path, capsys):
     # a non-Parseval G cannot give K = F G* with the default F = {K g_n}
     rng = np.random.default_rng(11)

@@ -52,6 +52,21 @@ def test_make_controller_caches_consistent_roots():
     np.testing.assert_allclose(ctrl.condition, w[-1] / w[0], rtol=1e-12)
 
 
+def test_make_controller_runs_one_decomposition(monkeypatch):
+    C = random_positive_operator(np.random.default_rng(41), 6)
+    calls = []
+    for name in ("eig", "eigh", "eigvals", "eigvalsh", "svd", "qr", "cholesky"):
+        def counted(*args, _name=name, _original=getattr(np.linalg, name), **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+    ctrl = make_controller(C)
+    assert calls == ["eigh"]
+    # bounds and roots are read off the same eigenpairs
+    ctrl.bounds, ctrl.sqrt, ctrl.inv, ctrl.inv_sqrt
+    assert calls == ["eigh"]
+
+
 def test_make_controller_rejects_non_positive():
     with pytest.raises(NotPositiveDefiniteError):
         make_controller(np.diag([1.0, -2.0]))

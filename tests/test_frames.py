@@ -118,6 +118,15 @@ def test_deficient_family_is_bessel_only():
     np.testing.assert_allclose(fb.upper, 1.0, rtol=1e-14)
 
 
+def test_frame_operator_is_cached_and_read_only():
+    frame = mercedes_benz()
+    S = frame_operator(frame)
+    assert frame_operator(frame) is S
+    with pytest.raises(ValueError):
+        S[0, 0] = 5.0
+    np.testing.assert_allclose(S, 1.5 * np.eye(2), atol=1e-15)
+
+
 def test_parseval_frame_operator_is_identity():
     frame = parseval_frame(np.random.default_rng(15), 4, 10)
     np.testing.assert_allclose(frame_operator(frame), np.eye(4), atol=1e-12)

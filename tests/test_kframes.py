@@ -21,6 +21,7 @@ from framekit import (
     atomic_system_constant,
     bessel_dual_check,
     construct_kframe,
+    frame_bounds,
     frame_operator,
     interchange_dual,
     kframe_check,
@@ -353,3 +354,21 @@ def test_verdict_margin_respects_custom_slack():
     loose = kframe_check(frame, K, Tolerances(psd_slack=0.6))
     assert tight.is_kframe
     assert not loose.is_kframe  # slack 0.6 * upper(=2) exceeds the lower bound 1
+
+
+def test_frame_bounds_and_kframe_check_decompose_s_once(monkeypatch):
+    frame, K, _ = commuting_triple(np.random.default_rng(77), 6, 12)
+    S = frame.matrix @ frame.matrix.conj().T
+    calls_on_s = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counted(a, *args, **kwargs):
+        if np.shape(a) == S.shape and np.allclose(a, S, rtol=0.0, atol=1e-12):
+            calls_on_s.append(1)
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    bounds = frame_bounds(frame)
+    report = kframe_check(frame, K)
+    assert len(calls_on_s) == 1
+    assert report.upper_opt == bounds.upper

@@ -10,6 +10,7 @@ from framekit import (
     IndefiniteOperatorError,
     InvalidParametersError,
     DimensionMismatchError,
+    NonHermitianComparisonError,
     NotHermitianError,
     NotPositiveDefiniteError,
     OperatorBounds,
@@ -222,6 +223,15 @@ def test_operator_leq_requires_hermitian():
     with pytest.raises(NotHermitianError):
         operator_leq(N, np.eye(2))
     with pytest.raises(NotHermitianError):
+        operator_leq(np.eye(2), N)
+
+
+def test_operator_leq_raises_the_comparison_error_on_non_hermitian_operands():
+    # the controlled comparisons pass the raw product C S and rely on this class
+    N = np.array([[0, 1], [0, 0]], dtype=complex)
+    with pytest.raises(NonHermitianComparisonError):
+        operator_leq(N, np.eye(2))
+    with pytest.raises(NonHermitianComparisonError):
         operator_leq(np.eye(2), N)
 
 
