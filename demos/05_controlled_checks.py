@@ -1,8 +1,8 @@
 """Controlled K-frames: a positive controller C reweights the frame operator.
 
 The controlled operator L_C = C S must define a real quadratic form
-(equivalently: C and S commute), and the controlled verdict comes from the
-same pencil machinery as the plain one.  Certified bounds transfer between
+(equivalently: C and S commute), and the controlled verdict is the same
+Douglas-lemma optimum as the plain one.  Certified bounds transfer between
 the plain and controlled pictures in both directions.
 
 Run with:  python3 demos/05_controlled_checks.py

@@ -117,7 +117,7 @@ def _run_cell(index, kind, dim, cond_target, trial, controller, config, tol):
     try:
         frame, _, _ = generate_instance(kind, dim, count, cond_target, seed=seed, tol=tol)
         S = frame_operator(frame)
-        bounds = _spectrum_bounds(frame._spectrum, tol)
+        bounds = _spectrum_bounds(np.linalg.eigvalsh(S), tol)
         rng = np.random.default_rng(seed + 1_000_003)
         g = rng.normal(size=dim) + 1j * rng.normal(size=dim)
 

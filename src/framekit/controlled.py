@@ -5,9 +5,10 @@ The controlled operator is the one-sided product ``L = C S`` — deliberately
 not symmetrized.  When ``C`` commutes with ``S`` the product is Hermitian and
 the form is real; when it does not, the Hermiticity check fails loudly rather
 than silently averaging away the defect.  The lower inequality compares the
-form against ``||C^{1/2} K* f||^2 = <K C K* f, f>``, so the certified optimum
-is a generalized eigenvalue problem for the pencil ``(C S, K C K*)`` on
-``range(K)``, exactly parallel to the uncontrolled case.
+form against ``||C^{1/2} K* f||^2``, so it is the K-frame inequality for the
+pair ``(C S, K C^{1/2})``, and the certified optimum is the same global
+Douglas optimum ``1 / ||(C S)^{+1/2} K C^{1/2}||^2`` as in the uncontrolled
+case.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 
 from .errors import CommutationError, NonRealFormError
 from .frames import FrameSequence, frame_operator
-from .kframes import _lower_verdict
+from .kframes import _douglas_lower
 from .operators import (
     DEFAULT_TOL,
     OperatorBounds,
@@ -31,6 +32,7 @@ from .operators import (
     as_vector,
     hermitian_part,
     is_hermitian,
+    numerical_rank,
     operator_leq,
 )
 
@@ -126,7 +128,7 @@ def controlled_form(frame: FrameSequence, ctrl: Controller, f, tol: Tolerances =
     """
     v = as_vector(f, dim=frame.dim)
     value = complex(np.vdot(v, ctrl.matrix @ (frame_operator(frame) @ v)))
-    limit = tol.rel_eq * ctrl.bounds.upper * float(frame._spectrum[-1]) * float(np.vdot(v, v).real)
+    limit = tol.rel_eq * ctrl.bounds.upper * float(frame._eigh[0][-1]) * float(np.vdot(v, v).real)
     if abs(value.imag) > max(limit, np.finfo(float).tiny):
         raise NonRealFormError(
             f"form has imaginary part {value.imag:.3e} beyond the admissible {limit:.3e}; "
@@ -140,8 +142,8 @@ class ControlledReport:
     """Verdict and certified constants for one ``(family, K, C)`` triple.
 
     Mirrors the uncontrolled report: ``lower_opt`` is the minimal quotient
-    ``<C S f, f> / ||C^{1/2} K* f||^2`` over ``range(K)``; ``upper_opt`` is
-    ``lambda_max(C S)``.  ``vacuous`` marks rank-zero ``K``.
+    ``<C S f, f> / ||C^{1/2} K* f||^2`` over every ``f`` with ``K* f != 0``;
+    ``upper_opt`` is ``lambda_max(C S)``.  ``vacuous`` marks rank-zero ``K``.
     """
 
     commutes_with_k: bool
@@ -175,20 +177,21 @@ def controlled_kframe_check(frame: FrameSequence, K, ctrl: Controller, tol: Tole
 
     Requires ``C K = K C`` and ``C S`` Hermitian; failing either is an error,
     not a negative verdict, because the controlled inequality is not even
-    well-posed then.  The lower constant comes from the pencil
-    ``(Q* C S Q, Q* K C K* Q)`` on an orthonormal basis ``Q`` of ``range(K)``.
-    Scaling ``C`` by ``c > 0`` scales ``upper_opt`` by ``c`` and leaves
-    ``lower_opt`` and the verdict unchanged.
+    well-posed then.  The lower constant is the Douglas optimum for
+    ``(C S, K C^{1/2})``, read off one eigendecomposition of ``C S`` and the
+    controller's cached root.  Scaling ``C`` by ``c > 0`` scales ``upper_opt``
+    by ``c`` and leaves ``lower_opt`` and the verdict unchanged.
     """
     Kop = as_operator(K, dim=frame.dim)
     if not commutes(ctrl, Kop, tol):
         raise CommutationError("controller does not commute with K within tolerance")
-    Lh = hermitian_part(_require_real_product(ctrl, frame_operator(frame), tol))
-    upper = float(np.linalg.eigvalsh(Lh)[-1])
-    # <K C K* f, f> = ||C^(1/2) K* f||^2
-    rank, lower, _, verdict = _lower_verdict(Lh, Kop, upper, tol, C=ctrl.matrix)
+    w, U = np.linalg.eigh(hermitian_part(_require_real_product(ctrl, frame_operator(frame), tol)))
+    upper = float(w[-1])
+    rank = numerical_rank(Kop, tol)
+    lower = _douglas_lower(w, U, Kop @ ctrl.sqrt, tol)[0] if rank else 0.0
     return ControlledReport(
-        commutes_with_k=True, form_is_real=True, is_controlled_kframe=verdict,
+        commutes_with_k=True, form_is_real=True,
+        is_controlled_kframe=rank == 0 or lower > tol.psd_slack * max(1.0, upper),
         lower_opt=lower, upper_opt=upper, rank_k=rank, vacuous=rank == 0,
     )
 

@@ -31,7 +31,7 @@ __all__ = [
 class FrameSequence:
     """A finite vector family in ``C^d``, held as a ``d x n`` synthesis matrix.
 
-    The frame operator and its ascending spectrum are computed on first use
+    The frame operator and its ascending eigenpairs are computed on first use
     and cached read-only, so every check on one family shares them.
     """
 
@@ -71,10 +71,11 @@ class FrameSequence:
         return S
 
     @cached_property
-    def _spectrum(self) -> np.ndarray:
-        w = np.linalg.eigvalsh(self._operator)
+    def _eigh(self) -> tuple[np.ndarray, np.ndarray]:
+        w, U = np.linalg.eigh(self._operator)
         w.setflags(write=False)
-        return w
+        U.setflags(write=False)
+        return w, U
 
 
 @dataclass(frozen=True)
@@ -126,7 +127,7 @@ def frame_bounds(frame: FrameSequence, tol: Tolerances = DEFAULT_TOL) -> FrameBo
     ``lambda_min(S)``; otherwise the report is Bessel-only.  Both extremes are
     attained by the corresponding eigenvectors, so the bounds are tight.
     """
-    w = frame._spectrum
+    w = frame._eigh[0]
     try:
         lower = _spectrum_bounds(w, tol).lower
     except NotPositiveDefiniteError:

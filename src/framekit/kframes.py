@@ -2,18 +2,15 @@
 
 A Bessel family ``{f_n}`` is a K-frame when some ``A > 0`` satisfies
 
-    A ||K* f||^2  <=  sum_n |<f, f_n>|^2        for the admissible ``f``,
+    A ||K* f||^2  <=  sum_n |<f, f_n>|^2        for every ``f``,
 
-together with the usual Bessel upper bound.  Equivalently (and this is what
-the verdict computes) the frame operator dominates ``A K K*`` in the Loewner
-order.  The optimal lower constant is quantified over ``range(K)``: the
-directions annihilated by ``K*`` put no constraint on ``A``, and restricting
-to ``range(K)`` excludes exactly ``null(K*)``.  The instance generators in
-:mod:`framekit.instances` keep ``range(K)`` invariant under the frame
-operator, which makes this restricted optimum agree with the global operator
-inequality; for arbitrary hand-built inputs with cross-coupling between
-``range(K)`` and its complement the global inequality can be strictly more
-demanding, and the two verdict styles are both exposed so callers can compare.
+together with the usual Bessel upper bound.  Equivalently the frame operator
+dominates ``A K K*`` in the Loewner order.  By Douglas' lemma such an ``A``
+exists iff ``range(K)`` lies in ``range(S)``, and the optimal one is
+``1 / ||S^{+1/2} K||^2``; the verdict reads both off the cached
+eigendecomposition of ``S``.  The optimum is global: it agrees with
+:func:`kframe_operator_inequality` for every input, whether or not ``S``
+leaves ``range(K)`` invariant.
 """
 
 from __future__ import annotations
@@ -21,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     DimensionMismatchError,
@@ -34,8 +30,10 @@ from .frames import FrameSequence, frame_operator
 from .operators import (
     DEFAULT_TOL,
     Tolerances,
+    _positivity_slack,
     as_operator,
     hermitian_part,
+    numerical_rank,
     operator_leq,
     operator_norm,
     pseudo_inverse,
@@ -60,13 +58,15 @@ __all__ = [
 class KFrameReport:
     """Verdict and certified constants for one ``(family, K)`` pair.
 
-    ``lower_opt`` is the smallest generalized Rayleigh quotient
-    ``<S f, f> / ||K* f||^2`` over ``range(K)`` and ``upper_opt`` the optimal
-    Bessel bound ``lambda_max(S)``.  ``vacuous`` flags the rank-zero ``K``,
-    where the lower inequality quantifies over nothing and the verdict is true
-    by convention; ``lower_opt`` is reported as ``0.0`` there and must not be
-    fed into arithmetic.  ``witness`` is a unit vector in ``range(K)``
-    attaining the minimal quotient (``None`` when vacuous).
+    ``lower_opt`` is the optimal lower constant, the smallest quotient
+    ``<S f, f> / ||K* f||^2`` over every ``f`` with ``K* f != 0``, and
+    ``upper_opt`` the optimal Bessel bound ``lambda_max(S)``.  ``vacuous``
+    flags the rank-zero ``K``, where the lower inequality quantifies over
+    nothing and the verdict is true by convention; ``lower_opt`` is reported
+    as ``0.0`` there and must not be fed into arithmetic.  ``witness`` is a
+    unit vector attaining the minimal quotient, not necessarily in
+    ``range(K)``; when ``lower_opt`` is zero it is a null vector of ``S`` that
+    ``K*`` does not annihilate (``None`` when vacuous).
     """
 
     is_bessel: bool
@@ -78,60 +78,59 @@ class KFrameReport:
     witness: np.ndarray | None
 
 
-def _pencil_minimum(S, KK, Q):
-    """Smallest generalized eigenpair of (Q* S Q, Q* KK Q) on span(Q)."""
-    M1 = hermitian_part(Q.conj().T @ S @ Q)
-    M2 = hermitian_part(Q.conj().T @ KK @ Q)
-    vals, vecs = scipy.linalg.eigh(M1, M2)
-    direction = Q @ vecs[:, 0]
-    norm = np.linalg.norm(direction)
-    if norm > 0:
-        direction = direction / norm
-    return float(vals[0]), direction
+def _douglas_lower(w, U, W, tol: Tolerances):
+    """``sup {A : A W W* <= P}`` and a minimizer, from the eigenpairs ``(w, U)``
+    of a positive semi-definite ``P``; shared by the plain and the controlled
+    verdict.
 
-
-def _lower_verdict(S, Kop, upper: float, tol: Tolerances, C=None):
-    """Lower-bound tail shared by the plain and the controlled verdict.
-
-    Minimizes the pencil ``(S, K C K*)`` on ``range(K)`` (``C = I`` when
-    omitted) and returns ``(rank, lower, witness, verdict)``.  Rank zero is
-    the vacuous case ``(0, 0.0, None, True)``; otherwise the verdict is
-    whether ``lower`` clears ``psd_slack * max(1, upper)``.
+    Douglas' lemma: the supremum is positive iff ``range(W)`` lies in
+    ``range(P)``, and then equals ``1 / ||P^{+1/2} W||^2``.  Eigenvalues at or
+    below the positivity slack span ``null(P)``.  Returns ``(lower, witness)``
+    where ``witness`` is a unit vector whose quotient ``<P f, f> / ||W* f||^2``
+    is ``lower``: a null eigenvector that ``W*`` does not annihilate when
+    ``W`` has more than ``rel_eq`` of its weight on ``null(P)``, else the
+    top left singular vector of ``M = P^{+1/2} W`` pulled back through
+    ``P^{+1/2}``.  The top singular pair comes from the ``eigh`` of the Gram
+    matrix ``M M*``, which is cheaper than an SVD of ``M``.
     """
-    Q = range_basis(Kop, tol)
-    rank = Q.shape[1]
-    if rank == 0:
-        return 0, 0.0, None, True
-    Kh = Kop.conj().T
-    weight = Kop @ Kh if C is None else Kop @ C @ Kh
-    lower, witness = _pencil_minimum(S, weight, Q)
-    return rank, lower, witness, bool(lower > tol.psd_slack * max(1.0, upper))
+    null = w <= _positivity_slack(w, tol)
+    Wc = U.conj().T @ W
+    null_weight = np.linalg.norm(Wc[null], axis=1)
+    if np.linalg.norm(null_weight) > tol.rel_eq * np.linalg.norm(Wc):
+        return 0.0, U[:, null][:, np.argmax(null_weight)]
+    root = np.sqrt(w[~null])
+    M = Wc[~null] / root[:, None]
+    vals, vecs = np.linalg.eigh(M @ M.conj().T)
+    witness = U[:, ~null] @ (vecs[:, -1] / root)
+    return float(1.0 / vals[-1]), witness / np.linalg.norm(witness)
 
 
 def kframe_check(frame: FrameSequence, K, tol: Tolerances = DEFAULT_TOL) -> KFrameReport:
     """Decide the K-frame property and certify optimal constants.
 
-    The upper constant is ``lambda_max(S)``.  The lower constant is the
-    smallest generalized eigenvalue of the pencil ``(Q* S Q, Q* K K* Q)``
-    where the columns of ``Q`` span ``range(K)`` orthonormally.  The verdict
-    is positive when that eigenvalue clears the positivity slack.  Finite
-    families are always Bessel.
+    The upper constant is ``lambda_max(S)`` and the lower constant the
+    Douglas optimum ``1 / ||S^{+1/2} K||^2`` (zero when ``range(K)`` escapes
+    ``range(S)``), both from the eigendecomposition of ``S`` cached on
+    ``frame``.  The verdict is positive when the lower constant clears
+    ``psd_slack * max(1, upper)``.  Finite families are always Bessel.
     """
     Kop = as_operator(K, dim=frame.dim)
-    upper = float(frame._spectrum[-1])
-    rank, lower, witness, verdict = _lower_verdict(frame_operator(frame), Kop, upper, tol)
+    w, U = frame._eigh
+    upper = float(w[-1])
+    rank = numerical_rank(Kop, tol)
+    lower, witness = _douglas_lower(w, U, Kop, tol) if rank else (0.0, None)
     return KFrameReport(
-        is_bessel=True, is_kframe=verdict, lower_opt=lower, upper_opt=upper,
-        rank_k=rank, vacuous=rank == 0, witness=witness,
+        is_bessel=True, is_kframe=rank == 0 or lower > tol.psd_slack * max(1.0, upper),
+        lower_opt=lower, upper_opt=upper, rank_k=rank, vacuous=rank == 0, witness=witness,
     )
 
 
 def kframe_operator_inequality(frame: FrameSequence, K, A: float, tol: Tolerances = DEFAULT_TOL) -> bool:
     """Operator-inequality verdict: ``A * K K* <= S`` in the Loewner order.
 
-    This is the global form of the lower K-frame inequality, quantified over
-    the whole space.  On instances where the frame operator leaves ``range(K)``
-    invariant it flips exactly at ``lower_opt`` from :func:`kframe_check`.
+    This is the lower K-frame inequality in operator form, quantified over
+    the whole space.  It flips exactly at ``lower_opt`` from
+    :func:`kframe_check`.
     """
     if not (np.isfinite(A) and A > 0.0):
         raise InvalidParametersError(f"the candidate lower bound must be positive, got {A!r}")
@@ -163,13 +162,11 @@ class AtomicReport:
     """Certificate that every ``K x`` is synthesizable with norm-controlled coefficients.
 
     With minimal-norm coefficients ``a_x = T^+ K x`` the smallest constant in
-    ``||a_x|| <= C ||x||`` equals the operator norm of the coefficient map, so
-    ``constant`` and ``coefficient_map_norm`` carry the same value; both are
-    kept so reports remain explicit about what was measured.
+    ``||a_x|| <= C ||x||`` is ``constant``, the operator norm of the
+    coefficient map ``T^+ K``.
     """
 
     constant: float
-    coefficient_map_norm: float
 
 
 def atomic_system_constant(frame: FrameSequence, K, tol: Tolerances = DEFAULT_TOL) -> AtomicReport:
@@ -193,8 +190,7 @@ def atomic_system_constant(frame: FrameSequence, K, tol: Tolerances = DEFAULT_TO
             "K x cannot be synthesized for the attached witness x",
             witness=Vh[0].conj(),
         )
-    norm = operator_norm(T_pinv @ Kop)
-    return AtomicReport(constant=norm, coefficient_map_norm=norm)
+    return AtomicReport(constant=operator_norm(T_pinv @ Kop))
 
 
 def bessel_dual_check(frame_f: FrameSequence, frame_g: FrameSequence, K, tol: Tolerances = DEFAULT_TOL) -> bool:

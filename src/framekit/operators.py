@@ -155,14 +155,19 @@ def _checked_hermitian(T, tol: Tolerances) -> np.ndarray:
     return hermitian_part(M)
 
 
+def _positivity_slack(w, tol: Tolerances) -> float:
+    """``psd_slack * max|w|`` for an ascending spectrum ``w``: the package's one
+    positivity rule.  Eigenvalues at or below it count as zero."""
+    return tol.psd_slack * float(max(abs(w[0]), abs(w[-1])))
+
+
 def _spectrum_bounds(w, tol: Tolerances) -> OperatorBounds:
-    """``(w[0], w[-1])`` of an ascending spectrum once ``w[0]`` clears the
-    positivity slack ``psd_slack * max|w|``; the package's one positivity rule."""
-    scale = float(max(abs(w[0]), abs(w[-1])))
-    if w[0] <= 0.0 or w[0] <= tol.psd_slack * scale:
+    """``(w[0], w[-1])`` of an ascending spectrum once ``w[0]`` clears
+    :func:`_positivity_slack`."""
+    slack = _positivity_slack(w, tol)
+    if w[0] <= slack:
         raise NotPositiveDefiniteError(
-            f"smallest eigenvalue {w[0]:.6e} does not clear the positivity slack "
-            f"{tol.psd_slack * scale:.3e}"
+            f"smallest eigenvalue {w[0]:.6e} does not clear the positivity slack {slack:.3e}"
         )
     return OperatorBounds(float(w[0]), float(w[-1]))
 
@@ -198,17 +203,19 @@ def operator_sqrt(T, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     input the root is invertible with condition number ``sqrt(M / m)``.
     """
     w, Q = np.linalg.eigh(_checked_hermitian(T, tol))
-    scale = float(max(abs(w[0]), abs(w[-1])))
-    if w[0] < -tol.psd_slack * scale:
-        raise IndefiniteOperatorError(
-            f"eigenvalue {w[0]:.6e} is below the clamping window -{tol.psd_slack * scale:.3e}"
-        )
+    slack = _positivity_slack(w, tol)
+    if w[0] < -slack:
+        raise IndefiniteOperatorError(f"eigenvalue {w[0]:.6e} is below the clamping window -{slack:.3e}")
     return _apply_spectrum(w, Q, lambda v: np.sqrt(np.clip(v, 0.0, None)))
 
 
 def spectral_function(op, fn, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """Apply ``fn`` to the eigenvalues of a Hermitian operator."""
-    return _apply_spectrum(*np.linalg.eigh(hermitian_part(np.asarray(op, dtype=np.complex128))), fn)
+    """Apply ``fn`` to the eigenvalues of a Hermitian operator.
+
+    Raises :class:`NotHermitianError` if ``op`` is not Hermitian within
+    tolerance.
+    """
+    return _apply_spectrum(*np.linalg.eigh(_checked_hermitian(op, tol)), fn)
 
 
 def _validated_rectangular(U) -> np.ndarray:

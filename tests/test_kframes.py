@@ -2,9 +2,9 @@
 
 Oracles: on instances whose ``K`` and frame operator share an eigenbasis the
 optimal lower bound has the closed form ``min s_i / k_i^2`` over nonzero
-``k_i``; for invertible ``K`` the restricted pencil coincides with the
-full-space generalized eigenproblem; the atomic constant is reproduced with
-``lstsq`` minimal-norm solves column by column.
+``k_i``; for invertible ``K`` it is the smallest eigenvalue of the
+generalized eigenproblem ``(S, K K*)`` from ``scipy``; the atomic constant is
+reproduced with ``lstsq`` minimal-norm solves column by column.
 """
 
 import numpy as np
@@ -21,11 +21,14 @@ from framekit import (
     atomic_system_constant,
     bessel_dual_check,
     construct_kframe,
+    controlled_kframe_check,
     frame_bounds,
     frame_operator,
     interchange_dual,
     kframe_check,
     kframe_operator_inequality,
+    make_controller,
+    operator_sqrt,
     pseudo_inverse,
     rayleigh_quotients,
     restricted_operator_inequalities,
@@ -195,7 +198,6 @@ def test_atomic_constant_matches_lstsq_oracle():
         d = int(rng.integers(3, 7))
         frame, K, _ = commuting_triple(rng, d, 2 * d)
         report = atomic_system_constant(frame, K)
-        assert report.constant == report.coefficient_map_norm
         # oracle: minimal-norm coefficient matrix column by column
         coeffs = np.stack(
             [np.linalg.lstsq(frame.matrix, K @ e, rcond=None)[0] for e in np.eye(d)],
@@ -356,19 +358,80 @@ def test_verdict_margin_respects_custom_slack():
     assert not loose.is_kframe  # slack 0.6 * upper(=2) exceeds the lower bound 1
 
 
+def _count_decompositions_of(monkeypatch, target):
+    """Calls of ``np.linalg.eigh`` and ``np.linalg.eigvalsh`` on ``target``."""
+    calls = []
+    for name in ("eigh", "eigvalsh"):
+        def counted(a, *args, _original=getattr(np.linalg, name), **kwargs):
+            if np.shape(a) == target.shape and np.allclose(a, target, rtol=0.0, atol=1e-12):
+                calls.append(1)
+            return _original(a, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
 def test_frame_bounds_and_kframe_check_decompose_s_once(monkeypatch):
     frame, K, _ = commuting_triple(np.random.default_rng(77), 6, 12)
     S = frame.matrix @ frame.matrix.conj().T
-    calls_on_s = []
-    eigvalsh = np.linalg.eigvalsh
-
-    def counted(a, *args, **kwargs):
-        if np.shape(a) == S.shape and np.allclose(a, S, rtol=0.0, atol=1e-12):
-            calls_on_s.append(1)
-        return eigvalsh(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    calls_on_s = _count_decompositions_of(monkeypatch, S)
     bounds = frame_bounds(frame)
     report = kframe_check(frame, K)
     assert len(calls_on_s) == 1
     assert report.upper_opt == bounds.upper
+
+
+def test_controlled_kframe_check_decomposes_cs_once(monkeypatch):
+    frame, K, ctrl = commuting_triple(np.random.default_rng(78), 6, 12)
+    CS = ctrl.matrix @ frame.matrix @ frame.matrix.conj().T
+    calls_on_cs = _count_decompositions_of(monkeypatch, CS)
+    report = controlled_kframe_check(frame, K, ctrl)
+    assert len(calls_on_cs) == 1
+    assert report.is_controlled_kframe
+
+
+# ---------------------------------------------------------------------------
+# counterexamples to a verdict restricted to range(K): S does not leave
+# range(K) invariant, so only the global (Douglas) optimum is right
+
+
+def test_rank_one_family_missing_a_direction_of_range_k_is_not_a_kframe():
+    # S = [[1, 1], [1, 1]] / 2 annihilates (1, -1), which K* = diag(1, 0) does not
+    frame = FrameSequence(np.array([[1.0], [1.0]]) / np.sqrt(2.0))
+    K = np.diag([1.0, 0.0])
+    report = kframe_check(frame, K)
+    assert not report.is_kframe
+    assert report.lower_opt == 0.0
+    np.testing.assert_allclose(rayleigh_quotients(frame, K, report.witness)[0], 0.0, atol=1e-12)
+    assert not kframe_operator_inequality(frame, K, 1e-6)
+    controlled = controlled_kframe_check(frame, K, make_controller(2.0 * np.eye(2)))
+    assert not controlled.is_controlled_kframe
+    assert controlled.lower_opt == 0.0
+
+
+def test_witness_is_a_null_vector_that_k_star_does_not_annihilate():
+    # null(S) = span(e2, e3) and K* annihilates one of the two; with both
+    # choices of K, one of them is the null eigenvector eigh lists first
+    frame = FrameSequence(np.eye(3)[:, :1])
+    for k_diag in ([0.0, 0.0, 1.0], [0.0, 1.0, 0.0]):
+        K = np.diag(k_diag)
+        report = kframe_check(frame, K)
+        assert not report.is_kframe
+        assert report.lower_opt == 0.0
+        np.testing.assert_allclose(frame_operator(frame) @ report.witness, 0.0, atol=1e-15)
+        np.testing.assert_allclose(np.linalg.norm(K.conj().T @ report.witness), 1.0, rtol=1e-12)
+
+
+def test_cross_coupled_frame_operator_gives_the_global_optimum():
+    # with S = [[1, .9], [.9, 1]] and K = diag(1, 0) the optimum is
+    # 1 / (S^-1)_11 = 1 - .9^2 = 0.19, not the restricted quotient S_11 = 1
+    frame = FrameSequence(operator_sqrt(np.array([[1.0, 0.9], [0.9, 1.0]])))
+    K = np.diag([1.0, 0.0])
+    report = kframe_check(frame, K)
+    assert report.is_kframe
+    np.testing.assert_allclose(report.lower_opt, 0.19, rtol=1e-9)
+    np.testing.assert_allclose(rayleigh_quotients(frame, K, report.witness)[0], 0.19, rtol=1e-9)
+    assert kframe_operator_inequality(frame, K, 0.19 * (1 - 1e-6))
+    assert not kframe_operator_inequality(frame, K, 0.19 * (1 + 1e-6))
+    controlled = controlled_kframe_check(frame, K, make_controller(2.0 * np.eye(2)))
+    assert controlled.is_controlled_kframe
+    np.testing.assert_allclose(controlled.lower_opt, 0.19, rtol=1e-9)

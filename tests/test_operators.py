@@ -27,6 +27,7 @@ from framekit import (
     positive_definite_bounds,
     pseudo_inverse,
     range_basis,
+    spectral_function,
 )
 from framekit.instances import haar_unitary, random_positive_operator
 
@@ -224,6 +225,19 @@ def test_operator_leq_requires_hermitian():
         operator_leq(N, np.eye(2))
     with pytest.raises(NotHermitianError):
         operator_leq(np.eye(2), N)
+
+
+def test_spectral_function_refuses_non_hermitian_operators():
+    N = np.array([[1.0, 1.0], [0.0, 1.0]], dtype=complex)
+    with pytest.raises(NotHermitianError):
+        spectral_function(N, np.sqrt)
+    # the tolerance decides: a 1e-6 asymmetry passes only under a looser rel_eq
+    near = np.eye(2) + np.array([[0.0, 1e-6], [0.0, 0.0]])
+    with pytest.raises(NotHermitianError):
+        spectral_function(near, np.sqrt)
+    np.testing.assert_allclose(
+        spectral_function(near, np.sqrt, Tolerances(rel_eq=1e-5)), operator_sqrt(hermitian_part(near)), atol=1e-12
+    )
 
 
 def test_operator_leq_raises_the_comparison_error_on_non_hermitian_operands():
