@@ -19,20 +19,24 @@ comparable.  Controller strategies:
     commutes, so the controlled theory applies exactly on the
     ``ill-conditioned`` family.
 
-Rows are computed cell-by-cell with per-cell seeds ``base_seed + cell_index``
-and assembled in index order, so the CSV is byte-identical for a fixed seed
-regardless of ``workers``.
+Each cell is prepared with its own seed ``base_seed + cell_index``: the
+instance, ``S`` and its bounds, the right-hand side, the controller and the
+bounds of ``C S``.  The cells of one dimension are then solved together, all
+plain solves as one stack and all controlled solves as another (see
+``solvers._richardson_stack``); each column stops on its own residual, so
+every count equals that of a separate solve.  Rows are assembled in grid
+order, so the CSV is byte-identical for a fixed seed.  ``workers`` is
+validated but has no effect.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
 
-from .controlled import Controller, identity_controller, make_controller
+from .controlled import Controller, _require_real_product, identity_controller, make_controller
 from .errors import InvalidParametersError, NotPositiveDefiniteError, ToolkitError
 from .frames import frame_operator
 from .instances import generate_instance
@@ -44,7 +48,7 @@ from .operators import (
     hermitian_part,
     positive_definite_bounds,
 )
-from .solvers import SolverConfig, controlled_richardson_solve, richardson_solve
+from .solvers import SolverConfig, _relaxation, _richardson_stack
 
 __all__ = [
     "CONTROLLER_STRATEGIES",
@@ -110,44 +114,68 @@ def controller_for(strategy: str, S, tol: Tolerances = DEFAULT_TOL) -> Controlle
     )
 
 
-def _run_cell(index, kind, dim, cond_target, trial, controller, config, tol):
+def _prepare_cell(index, kind, dim, cond_target, controller, config, tol):
+    """The inputs of one cell's two solves, or ``None`` for an unusable cell."""
     seed = config.seed + index
-    instance_id = f"{kind}-d{dim}-c{'na' if cond_target is None else format(cond_target, 'g')}-t{trial}"
-    count = 2 * dim
     try:
-        frame, _, _ = generate_instance(kind, dim, count, cond_target, seed=seed, tol=tol)
+        frame, _, _ = generate_instance(kind, dim, 2 * dim, cond_target, seed=seed, tol=tol)
         S = frame_operator(frame)
         bounds = _spectrum_bounds(np.linalg.eigvalsh(S), tol)
         rng = np.random.default_rng(seed + 1_000_003)
         g = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-
-        _, plain = richardson_solve(S, g, bounds, config, tol)
         ctrl = controller_for(controller, S, tol)
-        precond_bounds = positive_definite_bounds(hermitian_part(ctrl.matrix @ S), tol)
-        _, controlled = controlled_richardson_solve(frame, ctrl, g, config, tol=tol)
-
-        both = plain.converged and controlled.converged
-        speedup = plain.iterations / controlled.iterations if both and controlled.iterations else float("nan")
-        return BenchRow(
-            instance_id=instance_id,
-            dim=dim,
-            n_vectors=count,
-            cond_s=bounds.condition,
-            cond_precond=precond_bounds.condition,
-            iters_plain=plain.iterations,
-            iters_controlled=controlled.iterations,
-            speedup=speedup,
-            converged_plain=plain.converged,
-            converged_controlled=controlled.converged,
-        )
+        # One decomposition of C S serves cond_precond and the controlled relaxation.
+        precond_bounds = positive_definite_bounds(_require_real_product(ctrl, S, tol), tol)
     except ToolkitError:
         # An unusable cell (e.g. singular frame operator) is reported, not fatal.
+        return None
+    return S, g, ctrl.matrix, bounds, precond_bounds
+
+
+def _solve_group(prepared, config):
+    """Plain and controlled solves of equal-dimension cells, each run as one stack.
+
+    Returns ``(iters_plain, converged_plain, iters_controlled,
+    converged_controlled)`` per cell, in the order of ``prepared``.
+    """
+    S, g, C, bounds, precond_bounds = zip(*prepared)
+    S, g = np.stack(S), np.stack(g)
+    plain_lam = np.array([_relaxation(config, b) for b in bounds])
+    controlled_lam = np.array([_relaxation(config, b) for b in precond_bounds])
+    _, plain, plain_ok = _richardson_stack(S, g, plain_lam, config)
+    _, controlled, controlled_ok = _richardson_stack(S, g, controlled_lam, config, C=np.stack(C))
+    return [
+        (p.size, bool(p_ok), c.size, bool(c_ok))
+        for p, p_ok, c, c_ok in zip(plain, plain_ok, controlled, controlled_ok)
+    ]
+
+
+def _row(cell, prepared, counts) -> BenchRow:
+    kind, dim, cond_target, trial = cell
+    instance_id = f"{kind}-d{dim}-c{'na' if cond_target is None else format(cond_target, 'g')}-t{trial}"
+    if prepared is None:
         return BenchRow(
-            instance_id=instance_id, dim=dim, n_vectors=count,
+            instance_id=instance_id, dim=dim, n_vectors=2 * dim,
             cond_s=float("nan"), cond_precond=float("nan"),
             iters_plain=0, iters_controlled=0, speedup=float("nan"),
             converged_plain=False, converged_controlled=False,
         )
+    _, _, _, bounds, precond_bounds = prepared
+    iters_plain, converged_plain, iters_controlled, converged_controlled = counts
+    both = converged_plain and converged_controlled
+    speedup = iters_plain / iters_controlled if both and iters_controlled else float("nan")
+    return BenchRow(
+        instance_id=instance_id,
+        dim=dim,
+        n_vectors=2 * dim,
+        cond_s=bounds.condition,
+        cond_precond=precond_bounds.condition,
+        iters_plain=iters_plain,
+        iters_controlled=iters_controlled,
+        speedup=speedup,
+        converged_plain=converged_plain,
+        converged_controlled=converged_controlled,
+    )
 
 
 def run_benchmark(
@@ -163,8 +191,9 @@ def run_benchmark(
     """Run the full grid ``kinds x dims x cond_targets x trials``.
 
     Deterministic for a fixed ``config.seed``: cell seeds are
-    ``seed + cell_index`` and rows are assembled in grid order, so the output
-    is identical whether cells run serially or on a thread pool.
+    ``seed + cell_index`` and rows are assembled in grid order.  The cells
+    of each dimension are solved together as one stack, so ``workers`` has
+    no effect; it is still validated and accepted for compatibility.
     """
     kinds = list(kinds)
     dims = [int(d) for d in dims]
@@ -173,17 +202,17 @@ def run_benchmark(
         raise InvalidParametersError(f"trials must be at least 1, got {trials}")
     if workers < 1:
         raise InvalidParametersError(f"workers must be at least 1, got {workers}")
-    cells = [
-        (index, kind, dim, cond, trial)
-        for index, (kind, dim, cond, trial) in enumerate(
-            product(kinds, dims, cond_targets, range(trials))
-        )
+    cells = list(product(kinds, dims, cond_targets, range(trials)))
+    prepared = [
+        _prepare_cell(index, kind, dim, cond, controller, config, tol)
+        for index, (kind, dim, cond, _) in enumerate(cells)
     ]
-    if workers == 1:
-        return [_run_cell(*cell, controller, config, tol) for cell in cells]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(_run_cell, *cell, controller, config, tol) for cell in cells]
-        return [future.result() for future in futures]
+    counts = {}
+    for dim in dict.fromkeys(dims):
+        group = [i for i, cell in enumerate(cells) if cell[1] == dim and prepared[i] is not None]
+        if group:
+            counts.update(zip(group, _solve_group([prepared[i] for i in group], config)))
+    return [_row(cell, prepared[i], counts.get(i)) for i, cell in enumerate(cells)]
 
 
 def _csv_value(value) -> str:

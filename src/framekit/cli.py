@@ -485,7 +485,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--controller", default="jacobi", choices=list(CONTROLLER_STRATEGIES),
                    help="controller strategy (default %(default)s)")
     p.add_argument("--workers", type=int, default=1,
-                   help="thread-pool width; output is identical for any value (default %(default)s)")
+                   help="accepted for compatibility and has no effect: the cells of each "
+                        "dimension are solved as one stack (default %(default)s)")
     p.add_argument("--residual-tol", type=float, default=1e-8,
                    help="relative residual stopping tolerance (default %(default)g)")
     p.add_argument("--max-iter", type=int, default=200_000,

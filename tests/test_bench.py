@@ -3,11 +3,15 @@ import pytest
 
 from framekit import (
     CSV_COLUMNS,
+    BenchRow,
     InvalidParametersError,
     SolverConfig,
+    ToolkitError,
+    controlled_richardson_solve,
     controller_for,
     frame_operator,
     positive_definite_bounds,
+    richardson_solve,
     rows_to_csv,
     run_benchmark,
 )
@@ -133,3 +137,46 @@ def test_csv_rows_round_trip_floats():
     assert float(fields[3]) == rows[0].cond_s
     assert float(fields[7]) == rows[0].speedup
     assert int(fields[5]) == rows[0].iters_plain
+
+
+def test_run_benchmark_matches_cell_by_cell_public_solves():
+    """The dim-grouped stacks give the rows of separate solves, in grid order."""
+    kinds, dims, conds, trials = ["ill-conditioned", "random-frame"], [8, 4], [10.0, 100.0], 2
+    # cond 100 needs about 900 plain iterations, so those columns hit the cap
+    # while cond 10 columns of the same stack converge.
+    config = SolverConfig(seed=17, max_iter=500)
+    expected = []
+    index = 0
+    for kind in kinds:
+        for dim in dims:
+            for cond in conds:
+                for trial in range(trials):
+                    seed = config.seed + index
+                    index += 1
+                    instance_id = f"{kind}-d{dim}-c{cond:g}-t{trial}"
+                    try:
+                        frame, _, _ = generate_instance(kind, dim, 2 * dim, cond, seed=seed)
+                        S = frame_operator(frame)
+                        bounds = positive_definite_bounds(S)
+                        rng = np.random.default_rng(seed + 1_000_003)
+                        g = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+                        _, plain = richardson_solve(S, g, bounds, config)
+                        ctrl = controller_for("jacobi", S)
+                        _, controlled = controlled_richardson_solve(frame, ctrl, g, config)
+                        precond = positive_definite_bounds(hermitian_part(ctrl.matrix @ S))
+                    except ToolkitError:
+                        nan = float("nan")
+                        expected.append(BenchRow(instance_id, dim, 2 * dim, nan, nan, 0, 0, nan, False, False))
+                        continue
+                    both = plain.converged and controlled.converged
+                    expected.append(BenchRow(
+                        instance_id, dim, 2 * dim, bounds.condition, precond.condition,
+                        plain.iterations, controlled.iterations,
+                        plain.iterations / controlled.iterations if both else float("nan"),
+                        plain.converged, controlled.converged,
+                    ))
+    rows = run_benchmark(kinds, dims, conds, trials, config=config)
+    assert rows_to_csv(rows) == rows_to_csv(expected)
+    # the grid held converged, capped and unusable cells
+    assert {r.converged_plain for r in rows if np.isfinite(r.cond_s)} == {True, False}
+    assert any(np.isnan(r.cond_s) for r in rows)

@@ -19,6 +19,7 @@ from framekit import (
     SolverConfig,
     cg_solve,
     controlled_richardson_solve,
+    controller_for,
     frame_operator,
     identity_controller,
     make_controller,
@@ -32,6 +33,7 @@ from framekit.instances import (
     random_positive_operator,
     spectral_function,
 )
+from framekit.solvers import _empirical_rate, _richardson_stack, _solve_one
 
 
 def test_solver_config_validation():
@@ -225,3 +227,68 @@ def test_trace_final_residual_meets_the_tolerance():
         assert trace.residuals[-1] <= tol_value
         if len(trace.residuals) >= 2:
             assert trace.residuals[-2] > tol_value  # stopped at the first crossing
+
+
+def _reference_column(S, rhs, lam, config, C=None):
+    """The single-system Richardson loop, taking each residual norm as it goes."""
+    norm_g = float(np.linalg.norm(rhs))
+    if norm_g == 0.0:
+        return np.zeros_like(rhs), [], True
+    f = np.zeros_like(rhs)
+    r = rhs.copy()
+    residuals = []
+    for _ in range(config.max_iter):
+        f = f + lam * (r if C is None else C @ r)
+        r = rhs - S @ f
+        residuals.append(float(np.linalg.norm(r)) / norm_g)
+        if residuals[-1] <= config.residual_tol:
+            return f, residuals, True
+    return f, residuals, False
+
+
+def test_stacked_kernel_matches_the_per_column_loop_bit_for_bit():
+    rng = np.random.default_rng(68)
+    d = 6
+    # Plain solves: cond 3 and cond 10 stop inside a block, cond 1e3 exhausts
+    # the cap, and one right-hand side is zero.
+    conds = (3.0, 1e3, 50.0, 10.0)
+    frames = [generate_instance("ill-conditioned", d, cond_target=c, seed=s)[0] for s, c in enumerate(conds)]
+    S = np.stack([frame_operator(fr) for fr in frames])
+    rhs = rng.normal(size=(len(conds), d)) + 1j * rng.normal(size=(len(conds), d))
+    rhs[2] = 0.0
+    config = SolverConfig(max_iter=150)
+    controllers = [
+        controller_for("jacobi", S[0]),
+        identity_controller(d),
+        controller_for("jacobi", S[2]),
+        make_controller(spectral_function(S[3], lambda w: 1.0 / w)),
+    ]
+    plain_lam = np.array([2.0 / (b.lower + b.upper) for b in map(positive_definite_bounds, S)])
+    C = np.stack([ctrl.matrix for ctrl in controllers])
+    controlled_lam = np.array([
+        2.0 / (b.lower + b.upper)
+        for b in (positive_definite_bounds(c @ s) for c, s in zip(C, S))
+    ])
+
+    outcomes = set()
+    for lam, stack_C in ((plain_lam, None), (controlled_lam, C)):
+        f, histories, converged = _richardson_stack(S, rhs, lam, config, C=stack_C)
+        for t in range(len(conds)):
+            column_C = None if stack_C is None else stack_C[t]
+            f_ref, res_ref, ok_ref = _reference_column(S[t], rhs[t], float(lam[t]), config, column_C)
+            assert histories[t].dtype == np.float64
+            assert histories[t].tolist() == res_ref
+            assert np.array_equal(f[t], f_ref)
+            assert bool(converged[t]) == ok_ref
+            # the T = 1 case the public solvers run
+            f_one, trace = _solve_one(S[t], rhs[t], float(lam[t]), config, C=column_C)
+            assert np.array_equal(f_one, f_ref)
+            assert trace.residuals == res_ref
+            assert trace.iterations == len(res_ref)
+            assert trace.converged == ok_ref
+            assert trace.empirical_rate == _empirical_rate(res_ref)
+            outcomes.add((len(res_ref), ok_ref))
+    # the stacks held every stopping case: a zero right-hand side, the cap,
+    # and columns that stop inside a block (blocks end after 1, 3, 7, ... 127)
+    assert (0, True) in outcomes and (150, False) in outcomes
+    assert len({n for n, ok in outcomes if ok and n not in (1, 3, 7, 15, 31, 63, 127)}) >= 2
