@@ -5,10 +5,19 @@ The controlled operator is the one-sided product ``L = C S`` — deliberately
 not symmetrized.  When ``C`` commutes with ``S`` the product is Hermitian and
 the form is real; when it does not, the Hermiticity check fails loudly rather
 than silently averaging away the defect.  The lower inequality compares the
-form against ``||C^{1/2} K* f||^2``, so it is the K-frame inequality for the
-pair ``(C S, K C^{1/2})``, and the certified optimum is the same global
-Douglas optimum ``1 / ||(C S)^{+1/2} K C^{1/2}||^2`` as in the uncontrolled
-case.
+form against ``||C^{1/2} K* f||^2``, i.e. ``A K C K* <= C S``.
+
+Equivalence theorem: controlled K-frames are K-frames.  Under the checked
+hypotheses ``C K = K C`` and ``C S`` Hermitian (so ``C S = S C``),
+congruence by ``C^{-1/2}`` maps ``A K C K* <= C S`` exactly onto
+``A K K* <= S``, and the controlled quotient at ``C^{-1/2} f`` equals the
+plain quotient ``<S f, f> / ||K* f||^2`` at ``f``.  So the optimal
+controlled lower constant is the plain Douglas optimum, and the controlled
+minimiser is the plain witness pulled back through ``C^{-1/2}``; the
+controlled verdict reuses the frame's K-frame report and adds only
+``lambda_max(C S)``.  The hypotheses are checked to ``rel_eq``, so for a
+controller that commutes only to within that tolerance the true controlled
+optimum may differ from the plain one at the ``rel_eq`` level.
 """
 
 from __future__ import annotations
@@ -20,7 +29,7 @@ import numpy as np
 
 from .errors import CommutationError, NonRealFormError
 from .frames import FrameSequence, frame_operator
-from .kframes import _douglas_lower
+from .kframes import kframe_check
 from .operators import (
     DEFAULT_TOL,
     OperatorBounds,
@@ -32,7 +41,6 @@ from .operators import (
     as_vector,
     hermitian_part,
     is_hermitian,
-    numerical_rank,
     operator_leq,
 )
 
@@ -144,6 +152,8 @@ class ControlledReport:
     Mirrors the uncontrolled report: ``lower_opt`` is the minimal quotient
     ``<C S f, f> / ||C^{1/2} K* f||^2`` over every ``f`` with ``K* f != 0``;
     ``upper_opt`` is ``lambda_max(C S)``.  ``vacuous`` marks rank-zero ``K``.
+    ``witness`` is a unit vector attaining ``lower_opt``: the plain K-frame
+    witness pulled back through ``C^{-1/2}`` (``None`` when vacuous).
     """
 
     commutes_with_k: bool
@@ -153,6 +163,7 @@ class ControlledReport:
     upper_opt: float
     rank_k: int
     vacuous: bool
+    witness: np.ndarray | None
 
 
 def _require_real_product(ctrl: Controller, S, tol: Tolerances) -> np.ndarray:
@@ -177,22 +188,32 @@ def controlled_kframe_check(frame: FrameSequence, K, ctrl: Controller, tol: Tole
 
     Requires ``C K = K C`` and ``C S`` Hermitian; failing either is an error,
     not a negative verdict, because the controlled inequality is not even
-    well-posed then.  The lower constant is the Douglas optimum for
-    ``(C S, K C^{1/2})``, read off one eigendecomposition of ``C S`` and the
-    controller's cached root.  Scaling ``C`` by ``c > 0`` scales ``upper_opt``
-    by ``c`` and leaves ``lower_opt`` and the verdict unchanged.
+    well-posed then.  By the equivalence theorem (module docstring) the
+    lower constant, rank and witness come from :func:`kframe_check` of
+    ``(frame, K)``, memoised on ``frame``, with the witness ``w`` pulled back
+    to ``C^{-1/2} w`` through the controller's eigenpairs; ``upper_opt`` is
+    ``lambda_max(C S)`` from one ``eigvalsh``.  Near the commutation
+    tolerance the true controlled optimum may differ from this one at the
+    ``rel_eq`` level.  Scaling ``C`` by ``c > 0`` scales ``upper_opt`` by
+    ``c`` and leaves ``lower_opt`` unchanged; the verdict's slack
+    ``psd_slack * max(1, upper_opt)`` grows with it, so a large enough ``c``
+    can flip a verdict whose ``lower_opt`` sits near the slack.
     """
     Kop = as_operator(K, dim=frame.dim)
     if not commutes(ctrl, Kop, tol):
         raise CommutationError("controller does not commute with K within tolerance")
-    w, U = np.linalg.eigh(hermitian_part(_require_real_product(ctrl, frame_operator(frame), tol)))
-    upper = float(w[-1])
-    rank = numerical_rank(Kop, tol)
-    lower = _douglas_lower(w, U, Kop @ ctrl.sqrt, tol)[0] if rank else 0.0
+    L = _require_real_product(ctrl, frame_operator(frame), tol)
+    upper = float(np.linalg.eigvalsh(hermitian_part(L))[-1])
+    plain = kframe_check(frame, Kop, tol)
+    lower, rank, witness = plain.lower_opt, plain.rank_k, plain.witness
+    if witness is not None:
+        w, Q = ctrl._eigh
+        witness = Q @ ((Q.conj().T @ witness) / np.sqrt(w))
+        witness /= np.linalg.norm(witness)
     return ControlledReport(
         commutes_with_k=True, form_is_real=True,
         is_controlled_kframe=rank == 0 or lower > tol.psd_slack * max(1.0, upper),
-        lower_opt=lower, upper_opt=upper, rank_k=rank, vacuous=rank == 0,
+        lower_opt=lower, upper_opt=upper, rank_k=rank, vacuous=rank == 0, witness=witness,
     )
 
 

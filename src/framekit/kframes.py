@@ -80,8 +80,7 @@ class KFrameReport:
 
 def _douglas_lower(w, U, W, tol: Tolerances):
     """``sup {A : A W W* <= P}`` and a minimizer, from the eigenpairs ``(w, U)``
-    of a positive semi-definite ``P``; shared by the plain and the controlled
-    verdict.
+    of a positive semi-definite ``P``.
 
     Douglas' lemma: the supremum is positive iff ``range(W)`` lies in
     ``range(P)``, and then equals ``1 / ||P^{+1/2} W||^2``.  Eigenvalues at or
@@ -113,16 +112,29 @@ def kframe_check(frame: FrameSequence, K, tol: Tolerances = DEFAULT_TOL) -> KFra
     ``range(S)``), both from the eigendecomposition of ``S`` cached on
     ``frame``.  The verdict is positive when the lower constant clears
     ``psd_slack * max(1, upper)``.  Finite families are always Bessel.
+
+    The report for the last ``(K, tol)`` is memoised on ``frame``, keyed by
+    the exact bytes of ``K``, so a controlled check of the same pair reuses
+    it instead of repeating the rank SVD and the Douglas computation.  Its
+    ``witness`` is read-only; copy it before writing.
     """
     Kop = as_operator(K, dim=frame.dim)
+    key = (Kop.tobytes(), tol)
+    memo = frame.__dict__.get("_kframe_memo")
+    if memo and memo[0] == key:
+        return memo[1]
     w, U = frame._eigh
     upper = float(w[-1])
     rank = numerical_rank(Kop, tol)
     lower, witness = _douglas_lower(w, U, Kop, tol) if rank else (0.0, None)
-    return KFrameReport(
+    if witness is not None:
+        witness.setflags(write=False)
+    report = KFrameReport(
         is_bessel=True, is_kframe=rank == 0 or lower > tol.psd_slack * max(1.0, upper),
         lower_opt=lower, upper_opt=upper, rank_k=rank, vacuous=rank == 0, witness=witness,
     )
+    frame.__dict__["_kframe_memo"] = (key, report)
+    return report
 
 
 def kframe_operator_inequality(frame: FrameSequence, K, A: float, tol: Tolerances = DEFAULT_TOL) -> bool:

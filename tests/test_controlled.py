@@ -34,6 +34,7 @@ from framekit import (
 from framekit.instances import (
     c3_example,
     commuting_triple,
+    haar_unitary,
     random_frame,
     random_positive_operator,
     spectral_function,
@@ -282,3 +283,78 @@ def test_c3_controlled_with_identity_matches_plain_bounds():
     assert report.is_controlled_kframe
     np.testing.assert_allclose(report.lower_opt, 1.0, rtol=1e-12)
     np.testing.assert_allclose(report.upper_opt, 2.0, rtol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the equivalence theorem: under C K = K C and C S = S C the controlled
+# optimum is the plain one, attained at the plain witness pulled back
+# through C^{-1/2}
+
+
+def _deficient_triple(rng, dim):
+    """``deficient_pair``'s construction plus a controller commuting with K and S.
+
+    ``K`` is diagonal on a random basis, the family spans only its first
+    ``r - 1`` directions, and ``C`` is diagonal on the same basis and scalar
+    on the family's span.
+    """
+    basis = haar_unitary(rng, dim)
+    r = int(rng.integers(2, dim + 1))
+    k_spec = np.zeros(dim)
+    k_spec[:r] = rng.uniform(0.5, 2.0, size=r)
+    inner = random_frame(rng, r - 1, 2 * r)
+    frame = FrameSequence(basis[:, : r - 1] @ inner.matrix)
+    c_spec = rng.uniform(0.5, 4.0, size=dim)
+    c_spec[: r - 1] = c_spec[0]
+    ctrl = make_controller((basis * c_spec) @ basis.conj().T)
+    return frame, (basis * k_spec) @ basis.conj().T, ctrl
+
+
+def _controlled_quotient(frame, K, ctrl, f):
+    """``<C S f, f>`` and ``||C^{1/2} K* f||^2``."""
+    numerator = np.vdot(f, ctrl.matrix @ frame_operator(frame) @ f).real
+    return numerator, np.linalg.norm(ctrl.sqrt @ K.conj().T @ f) ** 2
+
+
+def _assert_theorem(frame, K, ctrl):
+    plain = kframe_check(frame, K)
+    report = controlled_kframe_check(frame, K, ctrl)
+    assert report.lower_opt == plain.lower_opt
+    assert (report.rank_k, report.vacuous) == (plain.rank_k, plain.vacuous)
+    if plain.witness is not None:
+        pulled_back = ctrl.inv_sqrt @ plain.witness
+        np.testing.assert_allclose(report.witness, pulled_back / np.linalg.norm(pulled_back), atol=1e-12)
+    return plain, report
+
+
+@pytest.mark.parametrize("rank_share", [1.0, 0.75, 0.5])
+def test_controlled_optimum_is_the_plain_optimum_on_commuting_triples(rank_share):
+    rng = np.random.default_rng(int(100 * rank_share))
+    for dim in (4, 8, 12, 16):
+        frame, K, ctrl = commuting_triple(rng, dim, 2 * dim, zero_k=dim - round(rank_share * dim))
+        plain, report = _assert_theorem(frame, K, ctrl)
+        assert report.rank_k == round(rank_share * dim)
+        assert report.is_controlled_kframe and plain.is_kframe
+        numerator, denominator = _controlled_quotient(frame, K, ctrl, report.witness)
+        np.testing.assert_allclose(numerator / denominator, report.lower_opt, rtol=1e-9)
+        np.testing.assert_allclose(np.linalg.norm(report.witness), 1.0, rtol=1e-12)
+
+
+def test_controlled_optimum_is_zero_with_a_null_witness_on_deficient_triples():
+    rng = np.random.default_rng(60)
+    for dim in (3, 5, 8, 13):
+        frame, K, ctrl = _deficient_triple(rng, dim)
+        plain, report = _assert_theorem(frame, K, ctrl)
+        assert report.lower_opt == 0.0
+        assert not report.is_controlled_kframe and not plain.is_kframe
+        numerator, denominator = _controlled_quotient(frame, K, ctrl, report.witness)
+        assert abs(numerator) <= 1e-12 * ctrl.bounds.upper * plain.upper_opt
+        assert denominator > 1e-3
+
+
+def test_controlled_report_for_zero_k_matches_the_plain_vacuous_report():
+    rng = np.random.default_rng(61)
+    frame, _, ctrl = commuting_triple(rng, 6, 12)
+    plain, report = _assert_theorem(frame, np.zeros((6, 6)), ctrl)
+    assert report.vacuous and report.is_controlled_kframe
+    assert report.witness is None and plain.witness is None

@@ -390,6 +390,74 @@ def test_controlled_kframe_check_decomposes_cs_once(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# the per-frame K-frame memo: a controlled check after the plain one on the
+# same (frame, K) reuses the plain report
+
+
+def _record_decompositions(monkeypatch):
+    """``(name, argument)`` of every ``np.linalg`` svd, eigh and eigvalsh call."""
+    calls = []
+    for name in ("svd", "eigh", "eigvalsh"):
+        def recorded(a, *args, _name=name, _original=getattr(np.linalg, name), **kwargs):
+            calls.append((_name, np.array(a)))
+            return _original(a, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, recorded)
+    return calls
+
+
+def _same(a, b):
+    return np.shape(a) == np.shape(b) and np.allclose(a, b, rtol=0.0, atol=1e-12)
+
+
+def test_plain_then_controlled_check_decomposes_k_and_the_gram_matrix_once(monkeypatch):
+    frame, K, ctrl = commuting_triple(np.random.default_rng(79), 8, 16, zero_k=2)
+    S = frame.matrix @ frame.matrix.conj().T
+    CS = ctrl.matrix @ S
+    calls = _record_decompositions(monkeypatch)
+    plain = kframe_check(frame, K)
+    controlled = controlled_kframe_check(frame, K, ctrl)
+    assert controlled.lower_opt == plain.lower_opt
+    assert [name for name, a in calls if _same(a, K)] == ["svd"]
+    assert [name for name, a in calls if _same(a, S)] == ["eigh"]
+    assert [name for name, a in calls if _same(a, CS)] == ["eigvalsh"]
+    gram = [name for name, a in calls if not any(_same(a, T) for T in (K, S, CS))]
+    assert gram == ["eigh"]
+
+
+def test_memo_is_refreshed_when_k_is_mutated_in_place():
+    frame, K, ctrl = commuting_triple(np.random.default_rng(80), 6, 12, zero_k=1)
+    first = kframe_check(frame, K)
+    assert kframe_check(frame, K.copy()) is first
+    K *= 2.0
+    second = kframe_check(frame, K)
+    assert second is not first
+    np.testing.assert_allclose(second.lower_opt, first.lower_opt / 4.0, rtol=1e-12)
+    fresh = kframe_check(FrameSequence(frame.matrix), K.copy())
+    assert (second.lower_opt, second.rank_k, second.is_kframe) == (fresh.lower_opt, fresh.rank_k, fresh.is_kframe)
+    assert controlled_kframe_check(frame, K, ctrl).lower_opt == fresh.lower_opt
+    K[:] = 0.0
+    third = kframe_check(frame, K)
+    assert third.vacuous and third.rank_k == 0 and third.witness is None
+
+
+def test_memo_is_refreshed_for_different_tolerances():
+    frame, K, _ = c3_example()
+    assert kframe_check(frame, K).is_kframe
+    assert not kframe_check(frame, K, Tolerances(psd_slack=0.6)).is_kframe
+    assert kframe_check(frame, K).is_kframe
+
+
+def test_report_witness_is_read_only():
+    frame, K, _ = commuting_triple(np.random.default_rng(81), 5, 10)
+    report = kframe_check(frame, K)
+    with pytest.raises(ValueError):
+        report.witness[0] = 1.0
+    failing = kframe_check(*deficient_pair(np.random.default_rng(82), 5, 10))
+    with pytest.raises(ValueError):
+        failing.witness[0] = 1.0
+
+
+# ---------------------------------------------------------------------------
 # counterexamples to a verdict restricted to range(K): S does not leave
 # range(K) invariant, so only the global (Douglas) optimum is right
 
