@@ -99,10 +99,13 @@ def controller_for(strategy: str, S, tol: Tolerances = DEFAULT_TOL) -> Controlle
     if strategy == "identity":
         return identity_controller(dim)
     if strategy == "exact-inverse":
+        # S's eigenpairs, reversed, are those of S^{-1}: one decomposition.
         w, Q = np.linalg.eigh(hermitian_part(S))
         if w[0] <= 0:
             raise NotPositiveDefiniteError("exact-inverse controller needs a positive definite S")
-        return make_controller(_apply_spectrum(w, Q, lambda v: 1.0 / v), tol)
+        inverse_eigh = (1.0 / w[::-1], Q[:, ::-1])
+        _spectrum_bounds(inverse_eigh[0], tol)
+        return Controller(_apply_spectrum(w, Q, lambda v: 1.0 / v), inverse_eigh)
     if strategy == "jacobi":
         diag = np.diag(S).real
         if np.any(diag <= 0):

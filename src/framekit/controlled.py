@@ -13,11 +13,12 @@ congruence by ``C^{-1/2}`` maps ``A K C K* <= C S`` exactly onto
 ``A K K* <= S``, and the controlled quotient at ``C^{-1/2} f`` equals the
 plain quotient ``<S f, f> / ||K* f||^2`` at ``f``.  So the optimal
 controlled lower constant is the plain Douglas optimum, and the controlled
-minimiser is the plain witness pulled back through ``C^{-1/2}``; the
-controlled verdict reuses the frame's K-frame report and adds only
-``lambda_max(C S)``.  The hypotheses are checked to ``rel_eq``, so for a
-controller that commutes only to within that tolerance the true controlled
-optimum may differ from the plain one at the ``rel_eq`` level.
+minimiser is the plain witness pulled back through ``C^{-1/2}``.  The
+controlled verdict *is* the plain verdict: it reuses the frame's K-frame
+report and adds only ``lambda_max(C S)``, so rescaling ``C`` never changes
+it.  The hypotheses are checked to ``rel_eq``, so for a controller that
+commutes only to within that tolerance the true controlled optimum may
+differ from the plain one at the ``rel_eq`` level.
 """
 
 from __future__ import annotations
@@ -117,8 +118,7 @@ def commutes(ctrl: Controller, K, tol: Tolerances = DEFAULT_TOL) -> bool:
     """Whether ``||C K - K C||_F <= rel_eq * ||C||_F * ||K||_F``."""
     Kop = as_operator(K, dim=ctrl.dim)
     defect = np.linalg.norm(ctrl.matrix @ Kop - Kop @ ctrl.matrix)
-    scale = np.linalg.norm(ctrl.matrix) * np.linalg.norm(Kop)
-    return bool(defect <= tol.rel_eq * max(1.0, scale))
+    return bool(defect <= tol.rel_eq * np.linalg.norm(ctrl.matrix) * np.linalg.norm(Kop))
 
 
 def controlled_operator(frame: FrameSequence, ctrl: Controller) -> np.ndarray:
@@ -175,7 +175,7 @@ def _require_real_product(ctrl: Controller, S, tol: Tolerances) -> np.ndarray:
     """
     L = ctrl.matrix @ S
     if not is_hermitian(L, tol):
-        defect = np.linalg.norm(L - L.conj().T) / max(1.0, np.linalg.norm(L))
+        defect = np.linalg.norm(L - L.conj().T) / np.linalg.norm(L)
         raise NonRealFormError(
             f"C S is not Hermitian (relative defect {defect:.3e}); "
             "the controlled form would not be real-valued"
@@ -189,15 +189,13 @@ def controlled_kframe_check(frame: FrameSequence, K, ctrl: Controller, tol: Tole
     Requires ``C K = K C`` and ``C S`` Hermitian; failing either is an error,
     not a negative verdict, because the controlled inequality is not even
     well-posed then.  By the equivalence theorem (module docstring) the
-    lower constant, rank and witness come from :func:`kframe_check` of
-    ``(frame, K)``, memoised on ``frame``, with the witness ``w`` pulled back
-    to ``C^{-1/2} w`` through the controller's eigenpairs; ``upper_opt`` is
-    ``lambda_max(C S)`` from one ``eigvalsh``.  Near the commutation
+    verdict, lower constant, rank and witness come from :func:`kframe_check`
+    of ``(frame, K)``, memoised on ``frame``, with the witness ``w`` pulled
+    back to ``C^{-1/2} w`` through the controller's eigenpairs; ``upper_opt``
+    is ``lambda_max(C S)`` from one ``eigvalsh``.  Near the commutation
     tolerance the true controlled optimum may differ from this one at the
     ``rel_eq`` level.  Scaling ``C`` by ``c > 0`` scales ``upper_opt`` by
-    ``c`` and leaves ``lower_opt`` unchanged; the verdict's slack
-    ``psd_slack * max(1, upper_opt)`` grows with it, so a large enough ``c``
-    can flip a verdict whose ``lower_opt`` sits near the slack.
+    ``c`` and changes neither ``lower_opt`` nor the verdict.
     """
     Kop = as_operator(K, dim=frame.dim)
     if not commutes(ctrl, Kop, tol):
@@ -205,15 +203,15 @@ def controlled_kframe_check(frame: FrameSequence, K, ctrl: Controller, tol: Tole
     L = _require_real_product(ctrl, frame_operator(frame), tol)
     upper = float(np.linalg.eigvalsh(hermitian_part(L))[-1])
     plain = kframe_check(frame, Kop, tol)
-    lower, rank, witness = plain.lower_opt, plain.rank_k, plain.witness
+    witness = plain.witness
     if witness is not None:
         w, Q = ctrl._eigh
         witness = Q @ ((Q.conj().T @ witness) / np.sqrt(w))
         witness /= np.linalg.norm(witness)
     return ControlledReport(
-        commutes_with_k=True, form_is_real=True,
-        is_controlled_kframe=rank == 0 or lower > tol.psd_slack * max(1.0, upper),
-        lower_opt=lower, upper_opt=upper, rank_k=rank, vacuous=rank == 0, witness=witness,
+        commutes_with_k=True, form_is_real=True, is_controlled_kframe=plain.is_kframe,
+        lower_opt=plain.lower_opt, upper_opt=upper, rank_k=plain.rank_k, vacuous=plain.vacuous,
+        witness=witness,
     )
 
 
@@ -253,7 +251,8 @@ def bounds_to_kframe(A: float, B: float, ctrl: Controller) -> tuple[float, float
     (not optimal) lower K-frame bound whenever ``lambda_max(C) >= 1``; the
     commuting-family generator normalizes controllers to satisfy that, and
     callers supplying their own controllers with ``||C|| < 1`` should rescale
-    first — scaling ``C`` never changes the controlled verdict.
+    first.  Scaling ``C`` never changes the controlled verdict, which is the
+    plain K-frame verdict.
     """
     return (A / ctrl.bounds.upper, B / ctrl.bounds.lower)
 

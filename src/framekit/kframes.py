@@ -8,9 +8,10 @@ together with the usual Bessel upper bound.  Equivalently the frame operator
 dominates ``A K K*`` in the Loewner order.  By Douglas' lemma such an ``A``
 exists iff ``range(K)`` lies in ``range(S)``, and the optimal one is
 ``1 / ||S^{+1/2} K||^2``; the verdict reads both off the cached
-eigendecomposition of ``S``.  The optimum is global: it agrees with
-:func:`kframe_operator_inequality` for every input, whether or not ``S``
-leaves ``range(K)`` invariant.
+eigendecomposition of ``S``.  That range test is the verdict rule, so
+rescaling the family or ``K`` never changes the verdict.  The optimum is
+global: it agrees with :func:`kframe_operator_inequality` for every input,
+whether or not ``S`` leaves ``range(K)`` invariant.
 """
 
 from __future__ import annotations
@@ -60,7 +61,10 @@ class KFrameReport:
 
     ``lower_opt`` is the optimal lower constant, the smallest quotient
     ``<S f, f> / ||K* f||^2`` over every ``f`` with ``K* f != 0``, and
-    ``upper_opt`` the optimal Bessel bound ``lambda_max(S)``.  ``vacuous``
+    ``upper_opt`` the optimal Bessel bound ``lambda_max(S)``.  ``is_kframe``
+    is Douglas' range test: true exactly when ``lower_opt > 0`` (or
+    ``vacuous``), whatever its size, so it is unchanged when the family or
+    ``K`` is rescaled while ``lower_opt`` scales as ``s^2 / t^2``.  ``vacuous``
     flags the rank-zero ``K``, where the lower inequality quantifies over
     nothing and the verdict is true by convention; ``lower_opt`` is reported
     as ``0.0`` there and must not be fed into arithmetic.  ``witness`` is a
@@ -110,8 +114,10 @@ def kframe_check(frame: FrameSequence, K, tol: Tolerances = DEFAULT_TOL) -> KFra
     The upper constant is ``lambda_max(S)`` and the lower constant the
     Douglas optimum ``1 / ||S^{+1/2} K||^2`` (zero when ``range(K)`` escapes
     ``range(S)``), both from the eigendecomposition of ``S`` cached on
-    ``frame``.  The verdict is positive when the lower constant clears
-    ``psd_slack * max(1, upper)``.  Finite families are always Bessel.
+    ``frame``.  The verdict is the range test alone: positive exactly when
+    the lower constant is, with ``range(S)`` spanned by the eigenvalues above
+    ``psd_slack * lambda_max(S)`` and ``K`` allowed ``rel_eq`` of its weight
+    off it.  Finite families are always Bessel.
 
     The report for the last ``(K, tol)`` is memoised on ``frame``, keyed by
     the exact bytes of ``K``, so a controlled check of the same pair reuses
@@ -130,7 +136,7 @@ def kframe_check(frame: FrameSequence, K, tol: Tolerances = DEFAULT_TOL) -> KFra
     if witness is not None:
         witness.setflags(write=False)
     report = KFrameReport(
-        is_bessel=True, is_kframe=rank == 0 or lower > tol.psd_slack * max(1.0, upper),
+        is_bessel=True, is_kframe=rank == 0 or lower > 0,
         lower_opt=lower, upper_opt=upper, rank_k=rank, vacuous=rank == 0, witness=witness,
     )
     frame.__dict__["_kframe_memo"] = (key, report)
@@ -194,8 +200,7 @@ def atomic_system_constant(frame: FrameSequence, K, tol: Tolerances = DEFAULT_TO
     T = frame.matrix
     T_pinv = pseudo_inverse(T, tol)
     residual = Kop - T @ (T_pinv @ Kop)
-    scale = max(1.0, operator_norm(Kop))
-    if operator_norm(residual) > tol.rel_eq * scale:
+    if operator_norm(residual) > tol.rel_eq * operator_norm(Kop):
         _, _, Vh = np.linalg.svd(residual)
         raise RangeDeficiencyError(
             "range(K) is not contained in the span of the family; "
@@ -222,7 +227,7 @@ def bessel_dual_check(frame_f: FrameSequence, frame_g: FrameSequence, K, tol: To
             f"paired families must share the ambient dimension, got {frame_f.dim} and {frame_g.dim}"
         )
     defect = np.linalg.norm(Kop - frame_f.matrix @ frame_g.matrix.conj().T)
-    return bool(defect <= tol.rel_eq * max(1.0, np.linalg.norm(Kop)))
+    return bool(defect <= tol.rel_eq * np.linalg.norm(Kop))
 
 
 def interchange_dual(
@@ -281,7 +286,7 @@ def construct_kframe(
                 f"got {source.count}"
             )
         gram = source.matrix.conj().T @ source.matrix
-        if np.linalg.norm(gram - np.eye(source.count)) > tol.rel_eq * max(1.0, source.count):
+        if np.linalg.norm(gram - np.eye(source.count)) > tol.rel_eq * source.count:
             raise NotOrthonormalError("source vectors are not orthonormal within tolerance")
     if T is None:
         return FrameSequence(Kop @ source.matrix), Kop
@@ -308,10 +313,17 @@ def restricted_operator_inequalities(
 
         ||g|| / B  <=  ||S^{-1} g||  <=  (k^2 / A) ||g||,
 
-    where ``S^{-1}`` means the inverse of ``S`` restricted to ``range(K)``,
-    realized as ``Q (S Q)^+`` for an orthonormal range basis ``Q``.  Checked
-    on ``samples`` random directions with slack ``rel_eq * scale``; returns
-    True when every sampled inequality holds.
+    where ``S^{-1}`` means the inverse of ``S`` restricted to ``range(K)``.
+    Each inequality is an extreme-singular-value statement on an orthonormal
+    basis ``Q`` of ``range(K)``, so all of them are decided exactly from
+
+        sigma_min(S Q) >= A / k^2,   sigma_max(S Q) <= B,
+        sigma_min(K* Q)^2 >= 1 / k^2;
+
+    the two ``S^{-1}`` inequalities are the first pair restated for
+    ``g = S f``.  Each comparison allows ``rel_eq`` times the larger side.
+    ``samples`` and ``seed`` are accepted so existing callers keep working,
+    but are unused: with nothing sampled, no random numbers are drawn.
 
     Raises :class:`PreconditionFailedError` when the pair is not a K-frame
     (the inequalities are statements about K-frames only).
@@ -323,28 +335,10 @@ def restricted_operator_inequalities(
             witness=report.witness,
         )
     Kop = as_operator(K, dim=frame.dim)
-    S = frame_operator(frame)
     A, B = report.lower_opt, report.upper_opt
-    k_norm = operator_norm(pseudo_inverse(Kop, tol))
+    k_sq = operator_norm(pseudo_inverse(Kop, tol)) ** 2
     Q = range_basis(Kop, tol)
-    inv_on_image = Q @ pseudo_inverse(S @ Q, tol)
-
-    rng = np.random.default_rng(seed)
-    coeffs = rng.normal(size=(Q.shape[1], samples)) + 1j * rng.normal(size=(Q.shape[1], samples))
-    F = Q @ coeffs                     # columns lie in range(K)
-    norms_f = np.linalg.norm(F, axis=0)
-    SF = S @ F
-    norms_sf = np.linalg.norm(SF, axis=0)
-    norms_inv = np.linalg.norm(inv_on_image @ SF, axis=0)
-    norms_kf_sq = np.linalg.norm(Kop.conj().T @ F, axis=0) ** 2
-
-    def leq(lhs, rhs):
-        slack = tol.rel_eq * np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
-        return bool(np.all(lhs <= rhs + slack))
-
-    ok = leq((A / k_norm**2) * norms_f, norms_sf)
-    ok = ok and leq(norms_sf, B * norms_f)
-    ok = ok and leq(norms_sf / B, norms_inv)
-    ok = ok and leq(norms_inv, (k_norm**2 / A) * norms_sf)
-    ok = ok and leq(norms_f**2 / k_norm**2, norms_kf_sq)
-    return ok
+    s = np.linalg.svd(frame_operator(frame) @ Q, compute_uv=False)
+    s_k = np.linalg.svd(Kop.conj().T @ Q, compute_uv=False)
+    pairs = ((A / k_sq, s[-1]), (s[0], B), (1.0 / k_sq, s_k[-1] ** 2))
+    return all(lhs <= rhs + tol.rel_eq * max(lhs, rhs) for lhs, rhs in pairs)

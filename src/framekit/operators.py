@@ -49,13 +49,17 @@ __all__ = [
 class Tolerances:
     """Numerical slack used by every predicate in the package.
 
+    Every slack is ``tol`` times the compared operands' own norm, with no
+    absolute floor: a predicate decides the same way when its operands are
+    rescaled, and zero operands compare exactly.
+
     Attributes
     ----------
     rel_eq : float
         Relative tolerance for equality of operators and vectors.
     psd_slack : float
-        Slack, scaled by operator norm, granted when testing positive
-        (semi-)definiteness.
+        Relative slack, times the operands' norm, granted when testing
+        positive (semi-)definiteness and Loewner order.
     rank_rel : float or None
         Relative singular-value cutoff for numerical rank.  ``None`` selects
         the dimension-aware default ``1e-12 * d``.
@@ -141,10 +145,10 @@ def hermitian_part(T) -> np.ndarray:
 
 
 def is_hermitian(T, tol: Tolerances = DEFAULT_TOL) -> bool:
-    """Whether ``||T - T*||_F <= rel_eq * max(1, ||T||_F)``."""
+    """Whether ``||T - T*||_F <= rel_eq * ||T||_F``."""
     M = as_operator(T)
     defect = np.linalg.norm(M - M.conj().T)
-    return bool(defect <= tol.rel_eq * max(1.0, np.linalg.norm(M)))
+    return bool(defect <= tol.rel_eq * np.linalg.norm(M))
 
 
 def _checked_hermitian(T, tol: Tolerances) -> np.ndarray:
@@ -266,17 +270,17 @@ def range_basis(U, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
 def operator_leq(T1, T2, tol: Tolerances = DEFAULT_TOL) -> bool:
     """Loewner comparison ``T1 <= T2`` with explicit slack.
 
-    True iff ``lambda_min(T2 - T1) >= -psd_slack * max(1, ||T1||, ||T2||)``.
-    Both operands must be Hermitian; comparing non-Hermitian operators is a
-    category error, not a numerical question, and raises
-    :class:`NonHermitianComparisonError`.
+    True iff ``lambda_min(T2 - T1) >= -psd_slack * max(||T1||_F, ||T2||_F)``,
+    so the comparison takes one decomposition, of ``T2 - T1``.  Both operands
+    must be Hermitian; comparing non-Hermitian operators is a category error,
+    not a numerical question, and raises :class:`NonHermitianComparisonError`.
     """
     A = as_operator(T1)
     B = as_operator(T2, dim=A.shape[0])
     if not is_hermitian(A, tol) or not is_hermitian(B, tol):
         raise NonHermitianComparisonError("Loewner comparison requires Hermitian operands")
     gap = float(np.linalg.eigvalsh(hermitian_part(B) - hermitian_part(A))[0])
-    slack = tol.psd_slack * max(1.0, operator_norm(A), operator_norm(B))
+    slack = tol.psd_slack * max(np.linalg.norm(A), np.linalg.norm(B))
     return bool(gap >= -slack)
 
 

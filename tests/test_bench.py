@@ -31,6 +31,23 @@ def test_controller_for_exact_inverse():
     np.testing.assert_allclose(ctrl.matrix @ S, np.eye(6), atol=1e-9)
 
 
+def test_controller_for_exact_inverse_decomposes_s_once(monkeypatch):
+    inst, _, _ = generate_instance("ill-conditioned", 6, cond_target=50.0, seed=1)
+    S = frame_operator(inst)
+    calls = []
+    for name in ("svd", "eigh", "eigvalsh"):
+        def recorded(a, *args, _name=name, _original=getattr(np.linalg, name), **kwargs):
+            calls.append((_name, np.array(a)))
+            return _original(a, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, recorded)
+    ctrl = controller_for("exact-inverse", S)
+    assert [name for name, _ in calls] == ["eigh"]
+    np.testing.assert_allclose(calls[0][1], S, rtol=0, atol=1e-12)
+    w, Q = ctrl._eigh
+    assert np.all(np.diff(w) >= 0)
+    np.testing.assert_allclose((Q * w) @ Q.conj().T, ctrl.matrix, atol=1e-9)
+
+
 def test_controller_for_jacobi_snaps_to_powers_of_two():
     inst, _, _ = generate_instance("ill-conditioned", 8, cond_target=1e3, seed=2)
     S = frame_operator(inst)

@@ -91,6 +91,16 @@ def test_commutes_predicate():
     assert not commutes(diag, K)  # shift does not commute with a generic diagonal
 
 
+def test_commutes_decides_the_same_after_rescaling():
+    _, K, ctrl = commuting_triple(np.random.default_rng(45), 5, 10)
+    shift = np.diag(np.ones(4), 1).astype(complex)
+    diag = make_controller(np.diag([1.0, 2.0, 3.0, 4.0, 5.0]))
+    for scale in (1e-6, 1.0, 1e6):
+        assert commutes(make_controller(scale * ctrl.matrix), scale * K)
+        assert not commutes(make_controller(scale * diag.matrix), scale * shift)
+    assert commutes(ctrl, np.zeros((5, 5)))
+
+
 def test_controlled_operator_is_one_sided_product():
     rng = np.random.default_rng(41)
     frame = random_frame(rng, 4, 8)
@@ -145,6 +155,19 @@ def test_scaling_the_controller_scales_only_the_upper_bound():
     assert scaled.is_controlled_kframe == base.is_controlled_kframe
     np.testing.assert_allclose(scaled.lower_opt, base.lower_opt, rtol=1e-9)
     np.testing.assert_allclose(scaled.upper_opt, 3.0 * base.upper_opt, rtol=1e-9)
+
+
+def test_a_large_controller_keeps_a_small_lower_bound_a_controlled_kframe():
+    # lower_opt ~ 5e-9 here; the controlled verdict must stay the plain one
+    # however large C is, since C does not enter the lower constant
+    frame, K, ctrl = commuting_triple(np.random.default_rng(3), 6, 12, zero_k=2)
+    K = 1e4 * K
+    plain = kframe_check(frame, K)
+    assert plain.is_kframe
+    for scale in (1.0, 1e3, 1e6):
+        report = controlled_kframe_check(frame, K, make_controller(scale * ctrl.matrix))
+        assert report.is_controlled_kframe
+        assert report.lower_opt == plain.lower_opt
 
 
 def test_controlled_bounds_closed_form_on_shared_eigenbasis():

@@ -230,6 +230,21 @@ def test_atomic_raises_with_witness_when_range_escapes_the_span():
     assert np.linalg.norm(frame.matrix @ coeff - target) > 1e-6
 
 
+def test_atomic_constant_decides_the_same_after_rescaling():
+    rng = np.random.default_rng(30)
+    frame, K, _ = commuting_triple(rng, 5, 10)
+    base = atomic_system_constant(frame, K).constant
+    # range(K) leaves the span of a 4-vector family by one part in 1e4
+    thin = FrameSequence(frame.matrix[:, :4])
+    U = np.linalg.svd(thin.matrix)[0]
+    escaping = U[:, :4] @ U[:, :4].conj().T @ K + 1e-4 * np.outer(U[:, 4], np.ones(5))
+    for s, t in ((1e-6, 1e-6), (1e6, 1e6), (1e-6, 1e6), (1e6, 1e-6)):
+        scaled = atomic_system_constant(FrameSequence(s * frame.matrix), t * K).constant
+        np.testing.assert_allclose(scaled, base * t / s, rtol=1e-8)
+        with pytest.raises(RangeDeficiencyError):
+            atomic_system_constant(FrameSequence(s * thin.matrix), t * escaping)
+
+
 # ---------------------------------------------------------------------------
 # dual systems
 
@@ -239,6 +254,17 @@ def test_bessel_dual_check_is_order_sensitive():
     onb = FrameSequence(np.eye(3, dtype=complex))
     assert bessel_dual_check(frame, onb, K)       # K f = sum <f, e_n> f_n
     assert not bessel_dual_check(onb, frame, K)   # the swapped identity fails
+
+
+def test_bessel_dual_check_decides_the_same_after_rescaling():
+    rng = np.random.default_rng(31)
+    F, G = random_frame(rng, 4, 8).matrix, random_frame(rng, 4, 8).matrix
+    K = F @ G.conj().T
+    off = K * (1 + 1e-6)            # misses the factorization by one part in 1e6
+    for scale in (1e-6, 1.0, 1e6):
+        assert bessel_dual_check(FrameSequence(scale * F), FrameSequence(G), scale * K)
+        assert not bessel_dual_check(FrameSequence(scale * F), FrameSequence(G), scale * off)
+        assert not bessel_dual_check(FrameSequence(scale * F), FrameSequence(scale * G), scale * off)
 
 
 def test_interchange_dual_canonical_case():
@@ -349,13 +375,28 @@ def test_restricted_inequalities_refuse_non_kframes():
         restricted_operator_inequalities(frame, K)
 
 
+def test_restricted_inequalities_ignore_samples_and_seed_and_draw_nothing(monkeypatch):
+    rng = np.random.default_rng(38)
+    pairs = [commuting_triple(rng, 6, 13)[:2] for _ in range(3)]
+    expected = [restricted_operator_inequalities(frame, K) for frame, K in pairs]
+
+    def no_rng(*args, **kwargs):
+        raise AssertionError("restricted_operator_inequalities drew random numbers")
+    monkeypatch.setattr(np.random, "default_rng", no_rng)
+    for (frame, K), verdict in zip(pairs, expected):
+        for samples, seed in ((1, 0), (5, 123), (10_000, 2**31)):
+            assert restricted_operator_inequalities(frame, K, samples=samples, seed=seed) == verdict
+
+
 def test_verdict_margin_respects_custom_slack():
     # with a loose slack, a pair sitting just below the threshold flips verdict
     frame, K, _ = c3_example()
     tight = kframe_check(frame, K, Tolerances(psd_slack=1e-12))
     loose = kframe_check(frame, K, Tolerances(psd_slack=0.6))
     assert tight.is_kframe
-    assert not loose.is_kframe  # slack 0.6 * upper(=2) exceeds the lower bound 1
+    # S = diag(2, 1, 0): slack 0.6 * lambda_max(S) = 1.2 counts the eigenvalue
+    # 1 as null, so range(K), which contains e2, escapes range(S)
+    assert not loose.is_kframe
 
 
 def _count_decompositions_of(monkeypatch, target):

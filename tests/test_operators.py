@@ -256,7 +256,52 @@ def test_operator_leq_matches_eigenvalue_oracle():
         T1 = random_positive_operator(rng, d)
         T2 = random_positive_operator(rng, d)
         gap = np.linalg.eigvalsh(T2 - T1)[0]
-        assert operator_leq(T1, T2) == (gap >= -1e-9 * max(1.0, operator_norm(T1), operator_norm(T2)))
+        slack = 1e-9 * max(np.linalg.norm(T1, "fro"), np.linalg.norm(T2, "fro"))
+        assert operator_leq(T1, T2) == (gap >= -slack)
+
+
+# ---------------------------------------------------------------------------
+# slack is relative to the operands, with no absolute floor
+
+
+def test_is_hermitian_refuses_a_tiny_non_hermitian_operator():
+    rng = np.random.default_rng(12)
+    M = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
+    for scale in (1e-12, 1.0, 1e12):
+        assert not is_hermitian(scale * M)
+        assert is_hermitian(scale * hermitian_part(M))
+    assert is_hermitian(np.zeros((3, 3)))
+
+
+def test_operator_leq_decides_the_same_after_rescaling():
+    rng = np.random.default_rng(13)
+    X = random_positive_operator(rng, 5)
+    violated = (1 + 1e-6) * X       # exceeds X by one part in 1e6
+    for scale in (1e-6, 1.0, 1e6):
+        assert operator_leq(scale * X, scale * X)
+        assert operator_leq(scale * X, scale * violated)
+        assert not operator_leq(scale * violated, scale * X)
+    assert operator_leq(np.zeros((3, 3)), np.zeros((3, 3)))
+
+
+def test_operator_leq_runs_one_decomposition(monkeypatch):
+    calls = []
+    for name in ("svd", "eigh", "eigvalsh"):
+        def counted(a, *args, _name=name, _original=getattr(np.linalg, name), **kwargs):
+            calls.append(_name)
+            return _original(a, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+
+    def norm(x, ord=None, *args, _original=np.linalg.norm, **kwargs):
+        if ord in (2, -2, "nuc"):       # these norms run an SVD
+            calls.append("svd")
+        return _original(x, ord, *args, **kwargs)
+    monkeypatch.setattr(np.linalg, "norm", norm)
+
+    rng = np.random.default_rng(14)
+    T1, T2 = random_positive_operator(rng, 6), random_positive_operator(rng, 6)
+    operator_leq(T1, T2)
+    assert calls == ["eigvalsh"]
 
 
 def test_inverse_bounds_roundtrip():

@@ -8,7 +8,10 @@ so the frame operator does not leave ``range(K)`` invariant.  Properties:
 * a family whose span misses part of ``range(K)`` is refused with
   ``lower_opt = 0`` and a witness the inequality fails on;
 * the verdict and ``lower_opt`` do not change under a unitary change of
-  basis.
+  basis;
+* the verdict does not change when the family, ``K`` or ``C`` is rescaled
+  by ``s``, ``t`` or ``c`` anywhere in ``10^[-6, 6]``, while ``lower_opt``
+  scales as ``s^2 / t^2`` and the controlled ``upper_opt`` as ``c s^2``.
 
 Hypothesis draws the sizes, ranks and controller weights; the matrices come
 from a numpy generator seeded by the drawn seed.
@@ -32,6 +35,7 @@ from framekit.instances import haar_unitary, random_frame
 
 PROPERTIES = settings(derandomize=True, deadline=None, max_examples=200)
 EPS = 1e-6
+DECADES = st.floats(-6.0, 6.0)
 
 
 def _gaussian(rng, rows, cols):
@@ -140,3 +144,27 @@ def test_controlled_verdict_is_invariant_under_a_unitary_change_of_basis(triple,
     moved = controlled_kframe_check(moved_frame, moved_K, make_controller(moved_C))
     assert moved.is_controlled_kframe == report.is_controlled_kframe
     np.testing.assert_allclose(moved.lower_opt, report.lower_opt, rtol=1e-8)
+
+
+@PROPERTIES
+@given(st.one_of(general_pairs(), spanless_pairs()), DECADES, DECADES)
+def test_kframe_verdict_is_invariant_under_rescaling(pair, s_exp, t_exp):
+    frame, K = pair
+    s, t = 10.0**s_exp, 10.0**t_exp
+    report = kframe_check(frame, K)
+    scaled = kframe_check(FrameSequence(s * frame.matrix), t * K)
+    assert scaled.is_kframe == report.is_kframe
+    assert scaled.rank_k == report.rank_k
+    np.testing.assert_allclose(scaled.lower_opt, report.lower_opt * s**2 / t**2, rtol=1e-8)
+
+
+@PROPERTIES
+@given(controlled_triples(), DECADES, DECADES, DECADES)
+def test_controlled_verdict_is_invariant_under_rescaling(triple, s_exp, t_exp, c_exp):
+    frame, K, C = triple
+    s, t, c = 10.0**s_exp, 10.0**t_exp, 10.0**c_exp
+    report = controlled_kframe_check(frame, K, make_controller(C))
+    scaled = controlled_kframe_check(FrameSequence(s * frame.matrix), t * K, make_controller(c * C))
+    assert scaled.is_controlled_kframe == report.is_controlled_kframe
+    np.testing.assert_allclose(scaled.lower_opt, report.lower_opt * s**2 / t**2, rtol=1e-8)
+    np.testing.assert_allclose(scaled.upper_opt, report.upper_opt * c * s**2, rtol=1e-8)
