@@ -24,6 +24,7 @@ Input validation never produces a stack trace — errors come back as
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from datetime import datetime, timezone
@@ -106,28 +107,11 @@ def _maybe_vector_obj(v) -> dict | None:
     return None if v is None else vector_to_obj(v)
 
 
-def _kframe_report_obj(report) -> dict:
-    return {
-        "is_bessel": report.is_bessel,
-        "is_kframe": report.is_kframe,
-        "lower_opt": report.lower_opt,
-        "upper_opt": report.upper_opt,
-        "rank_k": report.rank_k,
-        "vacuous": report.vacuous,
-        "witness": _maybe_vector_obj(report.witness),
-    }
-
-
-def _controlled_report_obj(report) -> dict:
-    return {
-        "commutes_with_k": report.commutes_with_k,
-        "form_is_real": report.form_is_real,
-        "is_controlled_kframe": report.is_controlled_kframe,
-        "lower_opt": report.lower_opt,
-        "upper_opt": report.upper_opt,
-        "rank_k": report.rank_k,
-        "vacuous": report.vacuous,
-    }
+def _report_obj(report) -> dict:
+    """Every field of a verdict report, with ``witness`` as a vector object."""
+    obj = {f.name: getattr(report, f.name) for f in dataclasses.fields(report)}
+    obj["witness"] = _maybe_vector_obj(report.witness)
+    return obj
 
 
 def _trace_obj(trace) -> dict:
@@ -165,7 +149,7 @@ def cmd_check(args) -> int:
         K = load_operator(args.k)
         inputs["k"] = args.k
         krep = kframe_check(frame, K, tol)
-        report["kframe"] = _kframe_report_obj(krep)
+        report["kframe"] = _report_obj(krep)
         verdict = "K-frame" if krep.is_kframe else "not a K-frame"
         lines.append(
             f"kframe: rank(K)={krep.rank_k}; optimal bounds "
@@ -181,7 +165,7 @@ def cmd_check(args) -> int:
         if K is None:
             K = np.eye(frame.dim, dtype=np.complex128)
         crep = controlled_kframe_check(frame, K, ctrl, tol)
-        report["controlled"] = _controlled_report_obj(crep)
+        report["controlled"] = _report_obj(crep)
         verdict = "controlled K-frame" if crep.is_controlled_kframe else "not a controlled K-frame"
         lines.append(
             f"controlled: optimal bounds ({crep.lower_opt}, {crep.upper_opt}) -> {verdict}"
@@ -288,11 +272,10 @@ def cmd_solve(args) -> int:
 def cmd_bench(args) -> int:
     tol = _tolerances(args)
     config = SolverConfig(residual_tol=args.residual_tol, max_iter=args.max_iter, seed=args.seed)
-    cond_targets = [None if t.lower() in ("na", "none") else float(t) for t in args.cond_targets]
     rows = run_benchmark(
         kinds=args.kinds,
         dims=args.dims,
-        cond_targets=cond_targets,
+        cond_targets=args.cond_targets,
         trials=args.trials,
         config=config,
         controller=args.controller,
@@ -315,7 +298,7 @@ def cmd_bench(args) -> int:
         "manifest": _manifest(
             args, "bench",
             {"kinds": list(args.kinds), "dims": list(args.dims),
-             "cond_targets": [t if t is None else float(t) for t in cond_targets],
+             "cond_targets": args.cond_targets,
              "trials": args.trials, "controller": args.controller, "workers": args.workers},
             [args.out], exit_code,
         ),
@@ -363,7 +346,7 @@ def cmd_paper_example(args) -> int:
         "swapped_sum_norm_at_e3": swapped_value_norm,
         "swap_gap_norm": gap_norm,
         "frame_operator_defect": s_defect,
-        "kframe": _kframe_report_obj(report_k),
+        "kframe": _report_obj(report_k),
         "all_assertions_hold": all_ok,
         "manifest": _manifest(args, "paper-example", {}, [], exit_code),
     }
@@ -414,6 +397,16 @@ def cmd_gen(args) -> int:
 
 # ---------------------------------------------------------------------------
 # parser assembly
+
+
+def _cond_target(text: str) -> float | None:
+    """One ``--cond-targets`` entry: a number, or ``na`` / ``none`` for none."""
+    if text.lower() in ("na", "none"):
+        return None
+    try:
+        return float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number, 'na' or 'none', got {text!r}") from None
 
 
 def _build_parser() -> _Parser:
@@ -478,8 +471,8 @@ def _build_parser() -> _Parser:
                    help="instance families (default: %(default)s)")
     p.add_argument("--dims", nargs="+", type=int, default=[32],
                    help="dimensions (default: %(default)s)")
-    p.add_argument("--cond-targets", nargs="+", default=["1e4"],
-                   help="condition targets; 'na' for families that ignore it (default: %(default)s)")
+    p.add_argument("--cond-targets", nargs="+", type=_cond_target, default=[1e4],
+                   help="condition targets; 'na' for families that ignore it (default: ['1e4'])")
     p.add_argument("--trials", type=int, default=5,
                    help="trials per cell (default %(default)s)")
     p.add_argument("--controller", default="jacobi", choices=list(CONTROLLER_STRATEGIES),

@@ -5,6 +5,22 @@ Everything raised deliberately by this package derives from
 Validation failures double as :class:`ValueError` to stay idiomatic.
 """
 
+__all__ = [
+    "ToolkitError",
+    "InvalidParametersError",
+    "DimensionMismatchError",
+    "ParseError",
+    "NotHermitianError",
+    "NonHermitianComparisonError",
+    "NotPositiveDefiniteError",
+    "IndefiniteOperatorError",
+    "NotOrthonormalError",
+    "RangeDeficiencyError",
+    "PreconditionFailedError",
+    "CommutationError",
+    "NonRealFormError",
+]
+
 
 class ToolkitError(Exception):
     """Base class for all deliberate failures in this package."""

@@ -26,7 +26,8 @@ import numpy as np
 from .controlled import Controller, identity_controller, make_controller
 from .errors import InvalidParametersError
 from .frames import FrameSequence, frame_operator
-from .operators import DEFAULT_TOL, Tolerances, hermitian_part, spectral_function
+from .operators import DEFAULT_TOL, Tolerances, hermitian_part
+from .operators import spectral_function  # noqa: F401  (importable from here too; declared in operators)
 
 __all__ = [
     "INSTANCE_KINDS",
@@ -35,7 +36,6 @@ __all__ = [
     "random_frame",
     "parseval_frame",
     "random_positive_operator",
-    "spectral_function",  # defined in framekit.operators, re-exported here
     "commuting_triple",
     "deficient_pair",
     "c3_example",

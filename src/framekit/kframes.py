@@ -32,13 +32,13 @@ from .operators import (
     DEFAULT_TOL,
     Tolerances,
     _positivity_slack,
+    _rank,
     as_operator,
     hermitian_part,
     numerical_rank,
     operator_leq,
     operator_norm,
     pseudo_inverse,
-    range_basis,
 )
 
 __all__ = [
@@ -194,20 +194,24 @@ def atomic_system_constant(frame: FrameSequence, K, tol: Tolerances = DEFAULT_TO
     ``K x`` is not synthesizable at all and a witness direction is attached to
     the error.  On success the factorization ``T (T^+ K) = K`` holds within
     ``rel_eq``, which is the matrix form of ``K x = synthesis(frame, a_x)``
-    for every ``x``.
+    for every ``x``: the residual ``K - T T^+ K`` is measured in the
+    Frobenius norm against ``||K||_F``, as :func:`bessel_dual_check` does.
+    One SVD ``T = U_r Sigma_r V_r*`` gives both the projector ``T T^+ =
+    U_r U_r*`` and the constant ``||T^+ K|| = ||Sigma_r^{-1} U_r* K||``.
     """
     Kop = as_operator(K, dim=frame.dim)
-    T = frame.matrix
-    T_pinv = pseudo_inverse(T, tol)
-    residual = Kop - T @ (T_pinv @ Kop)
-    if operator_norm(residual) > tol.rel_eq * operator_norm(Kop):
+    U, s, _ = np.linalg.svd(frame.matrix, full_matrices=False)
+    r = _rank(s, frame.matrix.shape, tol)
+    coeffs = U[:, :r].conj().T @ Kop
+    residual = Kop - U[:, :r] @ coeffs
+    if np.linalg.norm(residual) > tol.rel_eq * np.linalg.norm(Kop):
         _, _, Vh = np.linalg.svd(residual)
         raise RangeDeficiencyError(
             "range(K) is not contained in the span of the family; "
             "K x cannot be synthesized for the attached witness x",
             witness=Vh[0].conj(),
         )
-    return AtomicReport(constant=operator_norm(T_pinv @ Kop))
+    return AtomicReport(constant=operator_norm(coeffs / s[:r, None]))
 
 
 def bessel_dual_check(frame_f: FrameSequence, frame_g: FrameSequence, K, tol: Tolerances = DEFAULT_TOL) -> bool:
@@ -321,7 +325,8 @@ def restricted_operator_inequalities(
         sigma_min(K* Q)^2 >= 1 / k^2;
 
     the two ``S^{-1}`` inequalities are the first pair restated for
-    ``g = S f``.  Each comparison allows ``rel_eq`` times the larger side.
+    ``g = S f``.  ``Q`` and ``k = 1 / sigma_r(K)`` come from one SVD of
+    ``K``.  Each comparison allows ``rel_eq`` times the larger side.
     ``samples`` and ``seed`` are accepted so existing callers keep working,
     but are unused: with nothing sampled, no random numbers are drawn.
 
@@ -336,8 +341,9 @@ def restricted_operator_inequalities(
         )
     Kop = as_operator(K, dim=frame.dim)
     A, B = report.lower_opt, report.upper_opt
-    k_sq = operator_norm(pseudo_inverse(Kop, tol)) ** 2
-    Q = range_basis(Kop, tol)
+    U, s_k, _ = np.linalg.svd(Kop, full_matrices=False)
+    r = _rank(s_k, Kop.shape, tol)
+    Q, k_sq = U[:, :r], (1.0 / s_k[r - 1]) ** 2
     s = np.linalg.svd(frame_operator(frame) @ Q, compute_uv=False)
     s_k = np.linalg.svd(Kop.conj().T @ Q, compute_uv=False)
     pairs = ((A / k_sq, s[-1]), (s[0], B), (1.0 / k_sq, s_k[-1] ** 2))

@@ -231,6 +231,13 @@ def _validated_rectangular(U) -> np.ndarray:
     return M
 
 
+def _rank(s, shape, tol: Tolerances) -> int:
+    """Number of the descending singular values ``s`` of a ``shape`` matrix
+    above ``rank_cutoff(max(shape)) * s[0]``: the package's one rank rule.
+    An all-zero ``s`` has rank zero."""
+    return int((s > tol.rank_cutoff(max(shape)) * s[0]).sum())
+
+
 def pseudo_inverse(U, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """Moore-Penrose pseudo-inverse via SVD with a relative rank cutoff.
 
@@ -241,30 +248,23 @@ def pseudo_inverse(U, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """
     M = _validated_rectangular(U)
     Us, s, Vh = np.linalg.svd(M, full_matrices=False)
-    if s.size == 0 or s[0] == 0.0:
-        return np.zeros((M.shape[1], M.shape[0]), dtype=np.complex128)
-    keep = s > tol.rank_cutoff(max(M.shape)) * s[0]
-    inv_s = np.where(keep, 1.0 / np.where(keep, s, 1.0), 0.0)
+    inv_s = np.zeros_like(s)
+    r = _rank(s, M.shape, tol)
+    inv_s[:r] = 1.0 / s[:r]
     return (Vh.conj().T * inv_s) @ Us.conj().T
 
 
 def numerical_rank(U, tol: Tolerances = DEFAULT_TOL) -> int:
     """Number of singular values above the relative rank cutoff."""
     M = _validated_rectangular(U)
-    s = np.linalg.svd(M, compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int((s > tol.rank_cutoff(max(M.shape)) * s[0]).sum())
+    return _rank(np.linalg.svd(M, compute_uv=False), M.shape, tol)
 
 
 def range_basis(U, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """Orthonormal basis of range(U) as the columns of a ``d x rank`` matrix."""
     M = _validated_rectangular(U)
     Us, s, _ = np.linalg.svd(M, full_matrices=False)
-    if s.size == 0 or s[0] == 0.0:
-        return np.zeros((M.shape[0], 0), dtype=np.complex128)
-    r = int((s > tol.rank_cutoff(max(M.shape)) * s[0]).sum())
-    return Us[:, :r]
+    return Us[:, :_rank(s, M.shape, tol)]
 
 
 def operator_leq(T1, T2, tol: Tolerances = DEFAULT_TOL) -> bool:

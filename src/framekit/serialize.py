@@ -74,7 +74,10 @@ def _complex_array(entries, expected: int, path, where) -> np.ndarray:
             or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in pair)
         ):
             raise ParseError("each entry must be an [re, im] pair of numbers", path=path, where=f"{where}[{i}]")
-        re, im = float(pair[0]), float(pair[1])
+        try:
+            re, im = float(pair[0]), float(pair[1])
+        except OverflowError:  # an integer beyond the range of a double
+            re = im = np.inf
         if not (np.isfinite(re) and np.isfinite(im)):
             raise ParseError("entries must be finite", path=path, where=f"{where}[{i}]")
         out[i] = complex(re, im)

@@ -4,6 +4,7 @@ Most tests drive ``framekit.cli.main`` in-process (fast, capsys-friendly);
 one subprocess test runs a launcher built from the ``[project.scripts]``
 declaration in ``pyproject.toml``, as an installer would write it."""
 
+import dataclasses
 import importlib.metadata
 import json
 import os
@@ -16,14 +17,19 @@ import numpy as np
 import pytest
 
 from framekit import (
+    ControlledReport,
     FrameSequence,
     c3_example,
+    commuting_triple,
+    controlled_kframe_check,
     frame_operator,
+    make_controller,
     parseval_frame,
     random_frame,
     save_frame,
     save_operator,
     save_vector,
+    vector_to_obj,
 )
 from framekit.cli import main
 
@@ -127,6 +133,33 @@ def test_deterministic_reruns_are_byte_identical(tmp_path, capsys):
     main(["check", path, "--json", "--deterministic"])
     second = capsys.readouterr().out
     assert first == second
+
+
+def test_check_json_reports_every_controlled_field_and_the_witness(tmp_path, capsys):
+    frame, K, ctrl = commuting_triple(np.random.default_rng(31), 5, 10, zero_k=1)
+    f_path = _write_frame(tmp_path / "f.json", frame.matrix)
+    k_path = _write_operator(tmp_path / "k.json", K)
+    c_path = _write_operator(tmp_path / "c.json", ctrl.matrix)
+    code = main(["check", f_path, "--k", k_path, "--c", c_path, "--json", "--deterministic"])
+    controlled = _json_report(capsys)["controlled"]
+    expected = controlled_kframe_check(frame, K, make_controller(ctrl.matrix))
+    assert code == 0
+    assert set(controlled) == {f.name for f in dataclasses.fields(ControlledReport)}
+    assert controlled["witness"] == vector_to_obj(expected.witness)
+    assert controlled["lower_opt"] == expected.lower_opt
+
+
+def test_check_json_controlled_witness_is_null_for_rank_zero_k(tmp_path, capsys):
+    frame, _, ctrl = commuting_triple(np.random.default_rng(32), 4, 8)
+    f_path = _write_frame(tmp_path / "f.json", frame.matrix)
+    k_path = _write_operator(tmp_path / "k.json", np.zeros((4, 4)))
+    c_path = _write_operator(tmp_path / "c.json", ctrl.matrix)
+    code = main(["check", f_path, "--k", k_path, "--c", c_path, "--json", "--deterministic"])
+    report = _json_report(capsys)
+    assert code == 0
+    assert report["controlled"]["vacuous"] is True
+    assert report["controlled"]["witness"] is None
+    assert report["kframe"]["witness"] is None
 
 
 # ---------------------------------------------------------------------------
@@ -335,6 +368,24 @@ def test_bench_report_and_csv_shape(tmp_path, capsys):
     lines = out.read_text().strip().split("\n")
     assert len(lines) == 4  # header + 3 rows
     assert lines[0].startswith("instance_id,")
+
+
+def test_bench_refuses_a_non_numeric_cond_target(tmp_path, capsys):
+    out = tmp_path / "bench.csv"
+    code = main(["bench", "--cond-targets", "10", "abc", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "argument --cond-targets" in captured.err and "'abc'" in captured.err
+    assert "Traceback" not in captured.err
+    assert not out.exists()
+
+
+def test_bench_manifest_records_the_parsed_cond_targets(tmp_path, capsys):
+    code = main(["bench", "--kinds", "random-frame", "--dims", "3", "--cond-targets", "NA", "1e2",
+                 "--trials", "1", "--out", str(tmp_path / "bench.csv"), "--json", "--deterministic"])
+    report = _json_report(capsys)
+    assert code == 0
+    assert report["manifest"]["inputs"]["cond_targets"] == [None, 100.0]
 
 
 # ---------------------------------------------------------------------------

@@ -446,6 +446,16 @@ def _record_decompositions(monkeypatch):
     return calls
 
 
+def _record_spectral_norms(monkeypatch, calls):
+    """Add ``("norm2", argument)`` to ``calls`` for every SVD-backed ``np.linalg.norm``."""
+    def norm(x, ord=None, *args, _original=np.linalg.norm, **kwargs):
+        if ord in (2, -2, "nuc"):
+            calls.append(("norm2", np.array(x)))
+        return _original(x, ord, *args, **kwargs)
+    monkeypatch.setattr(np.linalg, "norm", norm)
+    return calls
+
+
 def _same(a, b):
     return np.shape(a) == np.shape(b) and np.allclose(a, b, rtol=0.0, atol=1e-12)
 
@@ -544,3 +554,22 @@ def test_cross_coupled_frame_operator_gives_the_global_optimum():
     controlled = controlled_kframe_check(frame, K, make_controller(2.0 * np.eye(2)))
     assert controlled.is_controlled_kframe
     np.testing.assert_allclose(controlled.lower_opt, 0.19, rtol=1e-9)
+
+
+def test_restricted_inequalities_decompose_k_once(monkeypatch):
+    frame, K, _ = commuting_triple(np.random.default_rng(83), 8, 16, zero_k=3)
+    kframe_check(frame, K)  # memoised, so the call below adds no rank SVD of K
+    calls = _record_spectral_norms(monkeypatch, _record_decompositions(monkeypatch))
+    assert restricted_operator_inequalities(frame, K)
+    assert [name for name, a in calls if _same(a, K)] == ["svd"]
+    assert [name for name, _ in calls] == ["svd"] * 3  # K, then S Q and K* Q
+
+
+def test_atomic_constant_decomposes_the_family_once(monkeypatch):
+    frame, K, _ = commuting_triple(np.random.default_rng(84), 6, 12, zero_k=2)
+    expected = np.linalg.norm(np.linalg.pinv(frame.matrix) @ K, 2)
+    calls = _record_spectral_norms(monkeypatch, _record_decompositions(monkeypatch))
+    report = atomic_system_constant(frame, K)
+    np.testing.assert_allclose(report.constant, expected, rtol=1e-12)
+    assert [name for name, a in calls if _same(a, frame.matrix)] == ["svd"]
+    assert [name for name, _ in calls] == ["svd", "norm2"]  # T, then Sigma_r^-1 U_r* K

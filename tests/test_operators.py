@@ -186,6 +186,16 @@ def test_pseudo_inverse_zero_matrix():
     assert range_basis(Z).shape == (3, 0)
 
 
+def test_rank_basis_and_pseudo_inverse_share_one_rank_rule():
+    rng = np.random.default_rng(15)
+    U = haar_unitary(rng, 6) @ np.diag([1.0, 1e-3, 1e-5, 1e-7, 1e-9, 0.0]) @ haar_unitary(rng, 6)
+    for rank_rel, rank in ((1e-2, 1), (1e-4, 2), (1e-6, 3), (1e-8, 4), (1e-10, 5)):
+        tol = Tolerances(rank_rel=rank_rel)
+        assert numerical_rank(U, tol) == rank
+        assert range_basis(U, tol).shape == (6, rank)
+        assert np.linalg.matrix_rank(pseudo_inverse(U, tol)) == rank
+
+
 def test_numerical_rank_and_range_basis():
     rng = np.random.default_rng(6)
     for _ in range(15):

@@ -1,0 +1,54 @@
+"""The package namespace is assembled from the layer modules' ``__all__``.
+
+Each public name is declared once, in the ``__all__`` of the module that
+defines it; ``framekit`` re-exports the union and adds ``__version__``."""
+
+import importlib
+import inspect
+
+import framekit
+
+LAYERS = ("errors", "operators", "frames", "kframes", "controlled", "solvers",
+          "instances", "bench", "serialize")
+MODULES = {layer: importlib.import_module(f"framekit.{layer}") for layer in LAYERS}
+
+
+def test_package_all_has_no_duplicates():
+    assert len(framekit.__all__) == len(set(framekit.__all__))
+
+
+def test_package_all_is_the_union_of_the_layer_lists_plus_the_version():
+    union = {name for module in MODULES.values() for name in module.__all__}
+    assert set(framekit.__all__) == union | {"__version__"}
+
+
+def test_every_package_name_is_the_layer_object():
+    owners = {name: module for module in MODULES.values() for name in module.__all__}
+    for name in framekit.__all__:
+        if name != "__version__":
+            assert getattr(framekit, name) is getattr(owners[name], name), name
+
+
+def test_no_name_is_declared_by_two_layers():
+    seen = {}
+    for layer, module in MODULES.items():
+        for name in module.__all__:
+            assert name not in seen, f"{name} is in both {seen[name]}.__all__ and {layer}.__all__"
+            seen[name] = layer
+
+
+def test_every_public_function_and_class_a_layer_defines_is_declared():
+    for layer, module in MODULES.items():
+        defined = {
+            name for name, value in vars(module).items()
+            if not name.startswith("_")
+            and (inspect.isfunction(value) or inspect.isclass(value))
+            and value.__module__ == module.__name__
+        }
+        assert defined <= set(module.__all__), f"{layer}: {sorted(defined - set(module.__all__))}"
+
+
+def test_public_attributes_are_the_declared_names_and_the_layer_modules():
+    public = {name for name in dir(framekit) if not name.startswith("_")}
+    public.discard("cli")  # an attribute only once something imports framekit.cli
+    assert public == (set(framekit.__all__) - {"__version__"}) | set(LAYERS)

@@ -25,6 +25,7 @@ from framekit import (
     vector_from_obj,
     vector_to_obj,
 )
+from framekit.cli import main
 
 # values chosen to break anything that prints with fixed precision
 ADVERSARIAL = [
@@ -131,6 +132,21 @@ def test_non_finite_entries_are_rejected():
         vector_from_obj({"dim": 1, "entries": [[float("inf"), 0.0]]})
     with pytest.raises(ParseError):
         vector_from_obj({"dim": 1, "entries": [[float("nan"), 0.0]]})
+
+
+def test_an_integer_beyond_the_double_range_is_a_positioned_parse_error(tmp_path, capsys):
+    huge = 10 ** 400  # 401 digits: float() overflows
+    with pytest.raises(ParseError, match="finite") as excinfo:
+        operator_from_obj({"dim": 1, "entries": [[huge, 0]]})
+    assert excinfo.value.where == "entries[0]"
+    f_path, k_path = tmp_path / "f.json", tmp_path / "k.json"
+    save_frame(FrameSequence(np.eye(2)), f_path)
+    k_path.write_text(json.dumps({"dim": 2, "entries": [[1, 0], [0, huge], [0, 0], [1, 0]]}))
+    code = main(["check", str(f_path), "--k", str(k_path)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert f"{k_path}: entries[1]: entries must be finite" in err
+    assert "Traceback" not in err
 
 
 def test_booleans_are_not_numbers():
