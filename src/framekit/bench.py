@@ -31,6 +31,8 @@ validated but has no effect.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 from itertools import product
 
@@ -181,6 +183,18 @@ def _row(cell, prepared, counts) -> BenchRow:
     )
 
 
+def _check_grid(dims, cond_targets) -> None:
+    """Refuse a grid no cell of which could be generated, before any cell runs."""
+    for i, dim in enumerate(dims):
+        if isinstance(dim, bool) or not isinstance(dim, numbers.Integral) or dim < 1:
+            raise InvalidParametersError(f"dims[{i}] must be an integer >= 1, got {dim!r}")
+    for i, cond in enumerate(cond_targets):
+        if cond is not None and not (isinstance(cond, numbers.Real) and math.isfinite(cond) and cond >= 1):
+            raise InvalidParametersError(
+                f"cond_targets[{i}] must be a finite number >= 1 or None, got {cond!r}"
+            )
+
+
 def run_benchmark(
     kinds,
     dims,
@@ -194,13 +208,18 @@ def run_benchmark(
     """Run the full grid ``kinds x dims x cond_targets x trials``.
 
     Deterministic for a fixed ``config.seed``: cell seeds are
-    ``seed + cell_index`` and rows are assembled in grid order.  The cells
+    ``seed + cell_index`` and rows are assembled in grid order.  A grid with
+    a dim below 1 or a cond target that is not a finite number >= 1 (or
+    ``None``) raises ``InvalidParametersError`` before any cell runs; a cell
+    whose instance is unusable becomes a NaN row.  The cells
     of each dimension are solved together as one stack, so ``workers`` has
     no effect; it is still validated and accepted for compatibility.
     """
     kinds = list(kinds)
-    dims = [int(d) for d in dims]
+    dims = list(dims)
     cond_targets = list(cond_targets)
+    _check_grid(dims, cond_targets)
+    dims = [int(d) for d in dims]
     if trials < 1:
         raise InvalidParametersError(f"trials must be at least 1, got {trials}")
     if workers < 1:

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
+import functools
 import sys
 from datetime import datetime, timezone
 
@@ -44,6 +44,8 @@ from .instances import INSTANCE_KINDS, c3_example, generate_instance
 from .kframes import interchange_dual, kframe_check
 from .operators import DEFAULT_TOL, OperatorBounds, Tolerances
 from .serialize import (
+    _dumps,
+    dump_json,
     frame_to_obj,
     load_frame,
     load_operator,
@@ -97,7 +99,7 @@ def _manifest(args, command: str, inputs: dict, outputs: list, exit_code: int) -
 
 def _emit(args, report: dict, lines: list) -> None:
     if args.json:
-        print(json.dumps(report, indent=2, sort_keys=True))
+        print(_dumps(report))
     else:
         for line in lines:
             print(line)
@@ -207,10 +209,11 @@ def cmd_dual(args) -> int:
     worst_dual_side = worst(frame_f.matrix, dual.matrix)
     worst_frame_side = worst(dual.matrix, frame_f.matrix)
 
-    save_frame(dual, args.out)
+    dual_obj = frame_to_obj(dual)
+    dump_json(dual_obj, args.out)
     exit_code = EXIT_OK
     report = {
-        "dual": frame_to_obj(dual),
+        "dual": dual_obj,
         "reconstruction": {
             "samples": args.samples,
             "max_rel_residual_coefficients_in_dual": worst_dual_side,
@@ -409,7 +412,9 @@ def _cond_target(text: str) -> float | None:
         raise argparse.ArgumentTypeError(f"expected a number, 'na' or 'none', got {text!r}") from None
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The argument parser, built once per process; parsing leaves it unchanged."""
     shared = _Parser(add_help=False)
     group = shared.add_argument_group("shared options")
     group.add_argument("--tol-rel", type=float, default=DEFAULT_TOL.rel_eq,

@@ -8,12 +8,15 @@ Schemas (all entries are ``[re, im]`` pairs of finite floats):
 
 Floats are written with Python's shortest round-trip representation, which
 preserves every bit of a double (it never needs more than 17 significant
-digits); loading therefore reproduces the original arrays exactly.
+digits); loading therefore reproduces the original arrays exactly.  Files are
+laid out exactly as ``json.dumps(obj, indent=2, sort_keys=True)`` lays them out.
 """
 
 from __future__ import annotations
 
 import json
+import math
+from itertools import chain
 
 import numpy as np
 
@@ -38,8 +41,14 @@ __all__ = [
 ]
 
 
-def _pairs(flat: np.ndarray) -> list[list[float]]:
-    return [[float(z.real), float(z.imag)] for z in flat]
+_SCALARS = frozenset({int, float, bool, type(None)})
+_NUMBERS = frozenset({int, float})
+
+
+def _pairs(z: np.ndarray) -> list:
+    """``z`` as nested lists with each entry an ``[re, im]`` pair of floats."""
+    z = np.ascontiguousarray(z, dtype=np.complex128)
+    return z.view(np.float64).reshape(z.shape + (2,)).tolist()
 
 
 def vector_to_obj(v) -> dict:
@@ -55,8 +64,26 @@ def operator_to_obj(T) -> dict:
 def frame_to_obj(frame: FrameSequence) -> dict:
     return {
         "dim": int(frame.dim),
-        "vectors": [_pairs(frame.matrix[:, j]) for j in range(frame.count)],
+        "vectors": _pairs(frame.matrix.T),
     }
+
+
+def _first_bad_entry(entries, path, where) -> None:
+    """Raise the ``ParseError`` naming the first entry that is not a finite
+    ``[re, im]`` pair of numbers; return if there is none."""
+    for i, pair in enumerate(entries):
+        if (
+            not isinstance(pair, list)
+            or len(pair) != 2
+            or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in pair)
+        ):
+            raise ParseError("each entry must be an [re, im] pair of numbers", path=path, where=f"{where}[{i}]")
+        try:
+            finite = math.isfinite(pair[0]) and math.isfinite(pair[1])
+        except OverflowError:  # an integer beyond the range of a double
+            finite = False
+        if not finite:
+            raise ParseError("entries must be finite", path=path, where=f"{where}[{i}]")
 
 
 def _complex_array(entries, expected: int, path, where) -> np.ndarray:
@@ -66,22 +93,21 @@ def _complex_array(entries, expected: int, path, where) -> np.ndarray:
             f"{type(entries).__name__} of length {len(entries) if isinstance(entries, list) else 'n/a'}",
             path=path, where=where,
         )
-    out = np.empty(expected, dtype=np.complex128)
-    for i, pair in enumerate(entries):
-        if (
-            not isinstance(pair, list)
-            or len(pair) != 2
-            or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in pair)
-        ):
-            raise ParseError("each entry must be an [re, im] pair of numbers", path=path, where=f"{where}[{i}]")
-        try:
-            re, im = float(pair[0]), float(pair[1])
-        except OverflowError:  # an integer beyond the range of a double
-            re = im = np.inf
-        if not (np.isfinite(re) and np.isfinite(im)):
-            raise ParseError("entries must be finite", path=path, where=f"{where}[{i}]")
-        out[i] = complex(re, im)
-    return out
+    # Whole-list passes in C; only a list they refuse is scanned entry by entry.
+    if not (
+        set(map(type, entries)) == {list}
+        and set(map(len, entries)) == {2}
+        and set(map(type, chain.from_iterable(entries))) <= _NUMBERS
+    ):
+        _first_bad_entry(entries, path, where)  # returns for subclasses of list, int or float
+    try:
+        flat = np.array(entries, dtype=np.float64)
+        finite = np.isfinite(flat).all()
+    except OverflowError:  # an integer beyond the range of a double
+        finite = False
+    if not finite:
+        _first_bad_entry(entries, path, where)
+    return flat.view(np.complex128).ravel()
 
 
 def _dim_of(obj, path) -> int:
@@ -117,18 +143,58 @@ def frame_from_obj(obj, path=None) -> FrameSequence:
 
 def load_json(path) -> object:
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            return json.load(handle)
+        with open(path, "rb") as handle:
+            return json.loads(handle.read().decode("utf-8"))
     except OSError as exc:
         raise ParseError(f"cannot read file: {exc.strerror or exc}", path=str(path))
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"not valid UTF-8 ({exc.reason})", path=str(path), where=f"byte {exc.start}")
     except json.JSONDecodeError as exc:
         raise ParseError(exc.msg, path=str(path), where=f"line {exc.lineno} column {exc.colno}")
 
 
+def _key(key) -> str:
+    """A dict key as JSON writes it: strings quoted, numbers, bools and None as text."""
+    return json.dumps(key) if isinstance(key, str) else json.dumps({key: None})[1:-7]
+
+
+def _dumps(obj, indent: str = "") -> str:
+    """``json.dumps(obj, indent=2, sort_keys=True)``, byte for byte.
+
+    Dicts and mixed lists are laid out here.  A list of scalars, or of
+    nonempty scalar lists such as ``[re, im]`` pairs, is written by one pass
+    of the C encoder, whose ``", "`` and ``"], ["`` separators are then
+    rewritten into the indented layout; no string can contain them there.
+    """
+    inner = indent + "  "
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = ",\n".join(f"{inner}{_key(k)}: {_dumps(v, inner)}" for k, v in sorted(obj.items()))
+        return f"{{\n{items}\n{indent}}}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        types = set(map(type, obj))
+        if types <= _SCALARS:
+            body = json.dumps(obj)[1:-1].replace(", ", ",\n" + inner)
+            return f"[\n{inner}{body}\n{indent}]"
+        if types == {list} and all(obj) and set(map(type, chain.from_iterable(obj))) <= _SCALARS:
+            deep = inner + "  "
+            body = (
+                json.dumps(obj)[2:-2]
+                .replace("], [", f"\n{inner}],\n{inner}[\n{deep}")
+                .replace(", ", ",\n" + deep)
+            )
+            return f"[\n{inner}[\n{deep}{body}\n{inner}]\n{indent}]"
+        items = ",\n".join(inner + _dumps(x, inner) for x in obj)
+        return f"[\n{items}\n{indent}]"
+    return json.dumps(obj)
+
+
 def dump_json(obj, path) -> None:
     with open(path, "w", encoding="utf-8") as handle:
-        json.dump(obj, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+        handle.write(_dumps(obj) + "\n")
 
 
 def load_vector(path) -> np.ndarray:

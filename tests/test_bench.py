@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -197,3 +199,38 @@ def test_run_benchmark_matches_cell_by_cell_public_solves():
     # the grid held converged, capped and unusable cells
     assert {r.converged_plain for r in rows if np.isfinite(r.cond_s)} == {True, False}
     assert any(np.isnan(r.cond_s) for r in rows)
+
+
+@pytest.mark.parametrize("kind", ["ill-conditioned", "random-frame", "commuting-family"])
+@pytest.mark.parametrize("dims, conds, where", [
+    ([0], [10.0], "dims[0]"),
+    ([4, -3], [10.0], "dims[1]"),
+    ([4.0], [10.0], "dims[0]"),
+    ([True], [10.0], "dims[0]"),
+    ([4], [0.5], "cond_targets[0]"),
+    ([4], [None, float("nan")], "cond_targets[1]"),
+    ([4], [float("inf")], "cond_targets[0]"),
+    ([4], ["1e4"], "cond_targets[0]"),
+])
+def test_an_invalid_grid_is_refused_before_any_cell_runs(monkeypatch, kind, dims, conds, where):
+    import framekit.bench
+
+    def no_cell(*args, **kwargs):
+        raise AssertionError("a cell ran")
+
+    monkeypatch.setattr(framekit.bench, "generate_instance", no_cell)
+    with pytest.raises(InvalidParametersError, match=rf"^{re.escape(where)} must be"):
+        run_benchmark([kind], dims, conds, trials=1)
+
+
+def test_grid_bounds_themselves_are_valid():
+    rows = run_benchmark(
+        ["ill-conditioned", "random-frame"], [np.int64(1), 2], [None, 1, 1.0], trials=1,
+        config=SolverConfig(seed=3, max_iter=50),
+    )
+    assert [r.instance_id for r in rows[:3]] == [
+        "ill-conditioned-d1-cna-t0", "ill-conditioned-d1-c1-t0", "ill-conditioned-d1-c1-t0",
+    ]
+    # an ill-conditioned cell without a cond target is unusable, not an invalid grid
+    assert np.isnan(rows[0].cond_s) and np.isfinite(rows[1].cond_s)
+    assert all(type(r.dim) is int for r in rows)

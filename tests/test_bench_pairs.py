@@ -1,0 +1,53 @@
+"""Statistics of ``tools/bench_pairs.py`` on fixed numbers (no benchmark runs)."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+_PATH = Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py"
+_SPEC = importlib.util.spec_from_file_location("bench_pairs", _PATH)
+bench_pairs = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(bench_pairs)
+
+PARENT = [20.0, 22.0, 24.0, 26.0, 28.0, 30.0, 32.0, 34.0, 36.0, 38.0]
+CHANGE = [41.0, 43.0, 23.0, 47.0, 49.0, 51.0, 53.0, 55.0, 57.0, 59.0]
+
+
+def test_summary_of_a_higher_is_better_metric():
+    s = bench_pairs.summarize(PARENT, CHANGE, "higher")
+    assert (s["parent_q1"], s["parent_median"], s["parent_q3"]) == (24.5, 29.0, 33.5)
+    assert (s["change_q1"], s["change_median"], s["change_q3"]) == (44.0, 50.0, 54.5)
+    assert s["change_wins"] == 9 and s["pairs"] == 10
+    assert s["change_worse_by"] == round((29.0 - 50.0) / 29.0, 4)
+    assert s["gain_over_parent_iqr"] == pytest.approx(21.0 / 9.0)
+    assert s["ratio"] == pytest.approx(50.0 / 29.0)
+    lo, hi = s["ratio_ci95"]
+    assert lo < s["ratio"] < hi
+    assert s["parent_values"] == PARENT and s["change_values"] == CHANGE
+
+
+def test_summary_of_a_lower_is_better_metric():
+    s = bench_pairs.summarize(PARENT, CHANGE, "lower")
+    assert s["change_wins"] == 1
+    assert s["change_worse_by"] == round((50.0 - 29.0) / 29.0, 4)
+    assert s["gain_over_parent_iqr"] == pytest.approx(-21.0 / 9.0)
+
+
+def test_ties_are_not_wins_and_a_flat_parent_has_no_iqr_gain():
+    s = bench_pairs.summarize([5.0] * 4, [5.0, 5.0, 6.0, 4.0], "higher")
+    assert s["change_wins"] == 1
+    assert s["gain_over_parent_iqr"] is None
+
+
+def test_bootstrap_interval_is_reproducible_and_collapses_on_equal_runs():
+    first = bench_pairs.bootstrap_ratio_interval(PARENT, CHANGE, samples=2000, seed=3)
+    assert first == bench_pairs.bootstrap_ratio_interval(PARENT, CHANGE, samples=2000, seed=3)
+    assert first[0] <= first[1]
+    doubled = [2.0 * p for p in PARENT]
+    assert bench_pairs.bootstrap_ratio_interval(PARENT, doubled, samples=500) == [2.0, 2.0]
+
+
+def test_summary_needs_matching_pairs():
+    with pytest.raises(ValueError):
+        bench_pairs.summarize([1.0, 2.0], [1.0], "higher")

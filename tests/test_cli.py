@@ -388,6 +388,23 @@ def test_bench_manifest_records_the_parsed_cond_targets(tmp_path, capsys):
     assert report["manifest"]["inputs"]["cond_targets"] == [None, 100.0]
 
 
+@pytest.mark.parametrize("flags, where", [
+    (["--dims", "0"], "dims[0]"),
+    (["--dims", "4", "-3"], "dims[1]"),
+    (["--dims", "4", "--cond-targets", "0.5"], "cond_targets[0]"),
+    (["--dims", "4", "--cond-targets", "na", "nan"], "cond_targets[1]"),
+    (["--dims", "4", "--cond-targets", "inf"], "cond_targets[0]"),
+])
+def test_bench_refuses_an_invalid_grid(tmp_path, capsys, flags, where):
+    out = tmp_path / "bench.csv"
+    code = main(["bench", *flags, "--trials", "1", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert f"framekit bench: invalid input: {where} must be" in captured.err
+    assert "Traceback" not in captured.err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # paper-example, gen, round trips
 
@@ -528,3 +545,32 @@ def test_console_script_is_installed_and_runs(tmp_path):
     bad = run("paper-example", "--frobnicate")
     assert bad.returncode == 1
     assert "usage" in bad.stderr
+
+
+def test_the_cached_parser_keeps_no_state_between_calls(tmp_path, capsys):
+    from framekit.cli import _build_parser
+
+    assert _build_parser() is _build_parser()
+    out = str(tmp_path / "bench.csv")
+    tail = ["--trials", "1", "--max-iter", "5", "--out", out, "--json", "--deterministic"]
+    assert main(["bench", "--kinds", "random-frame", "--dims", "4", "--cond-targets", "na",
+                 "--controller", "identity", *tail]) == 0
+    first = _json_report(capsys)["manifest"]["inputs"]
+    assert (first["kinds"], first["dims"], first["cond_targets"]) == (["random-frame"], [4], [None])
+    assert main(["bench", *tail]) == 0
+    second = _json_report(capsys)["manifest"]["inputs"]
+    assert second["kinds"] == ["ill-conditioned"]
+    assert second["dims"] == [32]
+    assert second["cond_targets"] == [1e4]
+    assert second["controller"] == "jacobi"
+
+    assert main(["check", "--frobnicate"]) == 1
+    capsys.readouterr()
+    path = _write_frame(tmp_path / "onb.json", np.eye(2))
+    assert main(["check", path]) == 0
+    assert capsys.readouterr().out.startswith("frame: 2 vectors in C^2")
+
+    assert main(["--help"]) == 0
+    assert "paper-example" in capsys.readouterr().out
+    assert main(["check", path, "--json", "--deterministic"]) == 0
+    assert _json_report(capsys)["manifest"]["inputs"] == {"frame": path}

@@ -167,3 +167,24 @@ def test_dump_json_sorted_and_indented(tmp_path):
     save_operator(np.eye(2), path)
     parsed = json.loads(path.read_text())
     assert list(parsed.keys()) == sorted(parsed.keys())
+
+
+def test_non_utf8_bytes_are_a_positioned_parse_error(tmp_path, capsys):
+    path = tmp_path / "e7.json"
+    path.write_bytes(b"\xff\xfe")
+    with pytest.raises(ParseError) as excinfo:
+        load_json(path)
+    assert excinfo.value.path == str(path)
+    assert excinfo.value.where == "byte 0"
+    assert "UTF-8" in str(excinfo.value)
+
+    path.write_bytes(b'{"dim": 1, "entries": [[1, 0]]}\n\xc3\x28')
+    with pytest.raises(ParseError) as excinfo:
+        load_json(path)
+    assert excinfo.value.where == "byte 32"
+
+    code = main(["check", str(path)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert f"{path}: byte 32: not valid UTF-8" in err
+    assert "Traceback" not in err
