@@ -11,7 +11,8 @@ One binary, six subcommands::
 
 Exit codes: 0 the requested property holds / the run succeeded; 1 input
 error (unreadable or malformed files, bad flags); 2 the property fails or a
-mathematical precondition is violated; 3 the solver hit its iteration cap
+mathematical precondition is violated, or a solve diverged to non-finite
+values (no solution is written then); 3 the solver hit its iteration cap
 (outputs are still written).
 
 Every JSON report embeds a run manifest (command, inputs, seed, tolerances,
@@ -26,6 +27,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import math
 import sys
 from datetime import datetime, timezone
 
@@ -45,6 +47,7 @@ from .kframes import interchange_dual, kframe_check
 from .operators import DEFAULT_TOL, OperatorBounds, Tolerances
 from .serialize import (
     _dumps,
+    _Rendered,
     dump_json,
     frame_to_obj,
     load_frame,
@@ -209,11 +212,12 @@ def cmd_dual(args) -> int:
     worst_dual_side = worst(frame_f.matrix, dual.matrix)
     worst_frame_side = worst(dual.matrix, frame_f.matrix)
 
-    dual_obj = frame_to_obj(dual)
-    dump_json(dual_obj, args.out)
+    # One layout of the dual serves the file and the report.
+    dual_json = _Rendered(_dumps(frame_to_obj(dual)))
+    dump_json(dual_json, args.out)
     exit_code = EXIT_OK
     report = {
-        "dual": dual_obj,
+        "dual": dual_json,
         "reconstruction": {
             "samples": args.samples,
             "max_rel_residual_coefficients_in_dual": worst_dual_side,
@@ -250,26 +254,56 @@ def cmd_solve(args) -> int:
     if args.c is not None:
         ctrl = make_controller(load_operator(args.c), tol)
         inputs["c"] = args.c
-        f, trace = controlled_richardson_solve(frame, ctrl, g, config, tol=tol)
+    # A relaxation that does not contract can overflow the iterates: that is
+    # reported below as a divergence, not as numpy warnings.
+    with np.errstate(over="ignore", invalid="ignore"):
+        if args.c is not None:
+            f, trace = controlled_richardson_solve(frame, ctrl, g, config, tol=tol)
+        else:
+            bounds = OperatorBounds(fb.lower, fb.upper)
+            f, trace = richardson_solve(frame_operator(frame), g, bounds, config, tol)
+    diverged = not (
+        np.isfinite(f).all() and np.isfinite(trace.residuals).all() and np.isfinite(trace.empirical_rate)
+    )
+    if diverged:
+        # No solution is written and strict JSON has no NaN: each non-finite
+        # trace number is reported as null.
+        exit_code, outputs, trace_obj = EXIT_PROPERTY, [], _nulled(_trace_obj(trace))
+        lines = [f"diverged after {trace.iterations} iterations; no solution written"]
+        print(
+            f"framekit solve: the iteration diverged: an iterate or residual is not finite after "
+            f"{trace.iterations} iterations, so the relaxation does not contract; no solution written",
+            file=sys.stderr,
+        )
     else:
-        bounds = OperatorBounds(fb.lower, fb.upper)
-        f, trace = richardson_solve(frame_operator(frame), g, bounds, config, tol)
-
-    save_vector(f, args.out)
-    exit_code = EXIT_OK if trace.converged else EXIT_NOT_CONVERGED
+        save_vector(f, args.out)
+        exit_code = EXIT_OK if trace.converged else EXIT_NOT_CONVERGED
+        outputs, trace_obj = [args.out], _trace_obj(trace)
+        status = "converged" if trace.converged else "hit the iteration cap"
+        lines = [
+            f"{status} after {trace.iterations} iterations "
+            f"(final relative residual {trace_obj['final_residual']:.3e}, "
+            f"empirical rate {trace.empirical_rate:.6f})",
+            f"solution written to {args.out}",
+        ]
     report = {
-        "solution": vector_to_obj(f),
-        "trace": _trace_obj(trace),
-        "manifest": _manifest(args, "solve", inputs, [args.out], exit_code),
+        "solution": None if diverged else vector_to_obj(f),
+        "trace": trace_obj,
+        "manifest": _manifest(args, "solve", inputs, outputs, exit_code),
     }
-    status = "converged" if trace.converged else "hit the iteration cap"
-    _emit(args, report, [
-        f"{status} after {trace.iterations} iterations "
-        f"(final relative residual {report['trace']['final_residual']:.3e}, "
-        f"empirical rate {trace.empirical_rate:.6f})",
-        f"solution written to {args.out}",
-    ])
+    _emit(args, report, lines)
     return exit_code
+
+
+def _nulled(obj):
+    """``obj`` with each non-finite float replaced by ``None``: strict JSON has no NaN."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, list):
+        return [_nulled(v) for v in obj]
+    if isinstance(obj, dict):
+        return {k: _nulled(v) for k, v in obj.items()}
+    return obj
 
 
 def cmd_bench(args) -> int:

@@ -24,13 +24,13 @@ differ from the plain one at the ``rel_eq`` level.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
 from .errors import CommutationError, NonRealFormError
 from .frames import FrameSequence, frame_operator
-from .kframes import kframe_check
+from .kframes import _RankOnDemand, kframe_check
 from .operators import (
     DEFAULT_TOL,
     OperatorBounds,
@@ -146,7 +146,7 @@ def controlled_form(frame: FrameSequence, ctrl: Controller, f, tol: Tolerances =
 
 
 @dataclass(frozen=True)
-class ControlledReport:
+class ControlledReport(_RankOnDemand):
     """Verdict and certified constants for one ``(family, K, C)`` triple.
 
     Mirrors the uncontrolled report: ``lower_opt`` is the minimal quotient
@@ -154,6 +154,7 @@ class ControlledReport:
     ``upper_opt`` is ``lambda_max(C S)``.  ``vacuous`` marks rank-zero ``K``.
     ``witness`` is a unit vector attaining ``lower_opt``: the plain K-frame
     witness pulled back through ``C^{-1/2}`` (``None`` when vacuous).
+    ``rank_k`` is the plain report's, read from it on first use.
     """
 
     commutes_with_k: bool
@@ -210,8 +211,8 @@ def controlled_kframe_check(frame: FrameSequence, K, ctrl: Controller, tol: Tole
         witness /= np.linalg.norm(witness)
     return ControlledReport(
         commutes_with_k=True, form_is_real=True, is_controlled_kframe=plain.is_kframe,
-        lower_opt=plain.lower_opt, upper_opt=upper, rank_k=plain.rank_k, vacuous=plain.vacuous,
-        witness=witness,
+        lower_opt=plain.lower_opt, upper_opt=upper, rank_k=partial(getattr, plain, "rank_k"),
+        vacuous=plain.vacuous, witness=witness,
     )
 
 

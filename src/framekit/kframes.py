@@ -16,6 +16,7 @@ whether or not ``S`` leaves ``range(K)`` invariant.
 
 from __future__ import annotations
 
+import zlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,8 +56,53 @@ __all__ = [
 ]
 
 
+class _RankOnDemand:
+    """Lets a frozen report take its ``rank_k`` as a zero-argument callable
+    that is called on the field's first read.
+
+    ``__post_init__`` moves such a callable out of the field; the first read
+    of ``rank_k`` calls it once and stores the result as the field's value.
+    An ``int`` given for ``rank_k`` is stored as is, so direct construction
+    and :func:`dataclasses.replace` behave as for any dataclass.
+    """
+
+    def __post_init__(self):
+        if callable(self.__dict__["rank_k"]):
+            self.__dict__["_rank_source"] = self.__dict__.pop("rank_k")
+
+    def __getattr__(self, name):
+        if name != "rank_k" or "_rank_source" not in self.__dict__:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        rank = self.__dict__["_rank_source"]()
+        self.__dict__["rank_k"] = rank
+        del self.__dict__["_rank_source"]
+        return rank
+
+
+class _PendingRank:
+    """:func:`numerical_rank` of a checked ``K``, computed when called.
+
+    It holds an operator whose bytes had the CRC-32 ``crc`` at the check,
+    by reference, and refuses to report the rank of that operator once its
+    bytes have changed.
+    """
+
+    __slots__ = ("Kop", "crc", "tol")
+
+    def __init__(self, Kop: np.ndarray, crc: int, tol: Tolerances):
+        self.Kop, self.crc, self.tol = Kop, crc, tol
+
+    def __call__(self) -> int:
+        if zlib.crc32(self.Kop.tobytes()) != self.crc:
+            raise PreconditionFailedError(
+                "K was changed in place after kframe_check and before rank_k was first read; "
+                "check it again for its rank"
+            )
+        return numerical_rank(self.Kop, self.tol)
+
+
 @dataclass(frozen=True)
-class KFrameReport:
+class KFrameReport(_RankOnDemand):
     """Verdict and certified constants for one ``(family, K)`` pair.
 
     ``lower_opt`` is the optimal lower constant, the smallest quotient
@@ -70,7 +116,12 @@ class KFrameReport:
     as ``0.0`` there and must not be fed into arithmetic.  ``witness`` is a
     unit vector attaining the minimal quotient, not necessarily in
     ``range(K)``; when ``lower_opt`` is zero it is a null vector of ``S`` that
-    ``K*`` does not annihilate (``None`` when vacuous).
+    ``K*`` does not annihilate (``None`` when vacuous).  ``rank_k``, the
+    numerical rank of ``K``, is ``0`` exactly when ``vacuous``.
+    :func:`kframe_check` computes it on its first read (see there), and that
+    read raises :class:`PreconditionFailedError` if the checked operator was
+    changed in place in between.  Constructed directly, a report takes
+    ``rank_k`` as an ``int``.
     """
 
     is_bessel: bool
@@ -80,6 +131,31 @@ class KFrameReport:
     rank_k: int
     vacuous: bool
     witness: np.ndarray | None
+
+
+def _top_eigenpair(G, tol: Tolerances):
+    """The largest eigenvalue of a Hermitian positive semi-definite ``G`` and
+    a unit eigenvector for it.
+
+    The value comes from ``eigvalsh`` and the vector from one step of inverse
+    iteration, ``x = (G - top I)^{-1} 1`` normalised.  The vector is accepted
+    only when it is finite and its residual ``||G x - top x||`` is at most
+    ``rel_eq * top``; otherwise (an exactly singular shift included) the pair
+    is the top one of a full ``eigh`` of ``G``.
+    """
+    top = np.linalg.eigvalsh(G)[-1]
+    try:
+        x = np.linalg.solve(G - top * np.eye(len(G)), np.ones(len(G)))
+    except np.linalg.LinAlgError:
+        x = None
+    if x is not None:
+        size = np.linalg.norm(x)
+        if np.isfinite(size) and size > 0.0:
+            x = x / size
+            if np.linalg.norm(G @ x - top * x) <= tol.rel_eq * top:
+                return top, x
+    vals, vecs = np.linalg.eigh(G)
+    return vals[-1], vecs[:, -1]
 
 
 def _douglas_lower(w, U, W, tol: Tolerances):
@@ -93,8 +169,10 @@ def _douglas_lower(w, U, W, tol: Tolerances):
     is ``lower``: a null eigenvector that ``W*`` does not annihilate when
     ``W`` has more than ``rel_eq`` of its weight on ``null(P)``, else the
     top left singular vector of ``M = P^{+1/2} W`` pulled back through
-    ``P^{+1/2}``.  The top singular pair comes from the ``eigh`` of the Gram
-    matrix ``M M*``, which is cheaper than an SVD of ``M``.
+    ``P^{+1/2}``.  The top singular pair is the top eigenpair of the Gram
+    matrix ``M M*``: its value from ``eigvalsh`` and its vector from one
+    inverse-iteration step, checked by its residual, with a full ``eigh``
+    of the Gram matrix as the fallback (see :func:`_top_eigenpair`).
     """
     null = w <= _positivity_slack(w, tol)
     Wc = U.conj().T @ W
@@ -103,9 +181,9 @@ def _douglas_lower(w, U, W, tol: Tolerances):
         return 0.0, U[:, null][:, np.argmax(null_weight)]
     root = np.sqrt(w[~null])
     M = Wc[~null] / root[:, None]
-    vals, vecs = np.linalg.eigh(M @ M.conj().T)
-    witness = U[:, ~null] @ (vecs[:, -1] / root)
-    return float(1.0 / vals[-1]), witness / np.linalg.norm(witness)
+    top, x = _top_eigenpair(M @ M.conj().T, tol)
+    witness = U[:, ~null] @ (x / root)
+    return float(1.0 / top), witness / np.linalg.norm(witness)
 
 
 def kframe_check(frame: FrameSequence, K, tol: Tolerances = DEFAULT_TOL) -> KFrameReport:
@@ -114,32 +192,48 @@ def kframe_check(frame: FrameSequence, K, tol: Tolerances = DEFAULT_TOL) -> KFra
     The upper constant is ``lambda_max(S)`` and the lower constant the
     Douglas optimum ``1 / ||S^{+1/2} K||^2`` (zero when ``range(K)`` escapes
     ``range(S)``), both from the eigendecomposition of ``S`` cached on
-    ``frame``.  The verdict is the range test alone: positive exactly when
-    the lower constant is, with ``range(S)`` spanned by the eigenvalues above
-    ``psd_slack * lambda_max(S)`` and ``K`` allowed ``rel_eq`` of its weight
-    off it.  Finite families are always Bessel.
+    ``frame``; the Douglas optimum takes one ``eigvalsh`` and one linear
+    solve on a Gram matrix (see :func:`_douglas_lower`).  The verdict is the
+    range test alone: positive exactly when the lower constant is, with
+    ``range(S)`` spanned by the eigenvalues above ``psd_slack *
+    lambda_max(S)`` and ``K`` allowed ``rel_eq`` of its weight off it.  A
+    zero ``K`` is vacuous, and is the only ``K`` of numerical rank zero,
+    since the rank counts singular values above a fraction below one of the
+    largest.  Finite families are always Bessel.
 
-    The report for the last ``(K, tol)`` is memoised on ``frame``, keyed by
-    the exact bytes of ``K``, so a controlled check of the same pair reuses
-    it instead of repeating the rank SVD and the Douglas computation.  Its
-    ``witness`` is read-only; copy it before writing.
+    The check runs no SVD.  ``rank_k`` is computed on its first read from
+    the operator given here, which the report keeps by reference rather
+    than as a copy.  A CRC-32 of the operator's bytes, taken here, makes
+    that read refuse an operator changed in place in the meantime instead
+    of reporting the rank of another ``K``.  The report for the last
+    ``(K, tol)`` is memoised on ``frame``, keyed by the exact bytes of
+    ``K``, so a controlled check of the same pair reuses it instead of
+    repeating the Douglas computation.  A call that finds the memo, and so
+    passes an operator with the checked bytes, hands that operator to a
+    ``rank_k`` not read yet, so an operator changed in place since the
+    first check no longer stands in the way.  The report's ``witness`` is
+    read-only; copy it before writing.
     """
     Kop = as_operator(K, dim=frame.dim)
     key = (Kop.tobytes(), tol)
     memo = frame.__dict__.get("_kframe_memo")
     if memo and memo[0] == key:
+        # The caller's operator has the checked bytes now; the one an unread
+        # rank holds may have been changed in place since.
+        if memo[2] is not None:
+            memo[2].Kop = Kop
         return memo[1]
     w, U = frame._eigh
-    upper = float(w[-1])
-    rank = numerical_rank(Kop, tol)
-    lower, witness = _douglas_lower(w, U, Kop, tol) if rank else (0.0, None)
+    vacuous = not Kop.any()
+    lower, witness = (0.0, None) if vacuous else _douglas_lower(w, U, Kop, tol)
     if witness is not None:
         witness.setflags(write=False)
+    pending = None if vacuous else _PendingRank(Kop, zlib.crc32(key[0]), tol)
     report = KFrameReport(
-        is_bessel=True, is_kframe=rank == 0 or lower > 0,
-        lower_opt=lower, upper_opt=upper, rank_k=rank, vacuous=rank == 0, witness=witness,
+        is_bessel=True, is_kframe=vacuous or lower > 0, lower_opt=lower,
+        upper_opt=float(w[-1]), rank_k=0 if vacuous else pending, vacuous=vacuous, witness=witness,
     )
-    frame.__dict__["_kframe_memo"] = (key, report)
+    frame.__dict__["_kframe_memo"] = (key, report, pending)
     return report
 
 

@@ -158,6 +158,16 @@ def _key(key) -> str:
     return json.dumps(key) if isinstance(key, str) else json.dumps({key: None})[1:-7]
 
 
+class _Rendered(str):
+    """JSON text laid out by :func:`_dumps` at the top level.
+
+    :func:`_dumps` embeds it as the value it encodes, re-indented, rather
+    than as a string, so one object can go into a file and into a report
+    with one layout.  The text holds no raw newline inside a string, so
+    re-indenting is prefixing every line after the first.
+    """
+
+
 def _dumps(obj, indent: str = "") -> str:
     """``json.dumps(obj, indent=2, sort_keys=True)``, byte for byte.
 
@@ -165,7 +175,10 @@ def _dumps(obj, indent: str = "") -> str:
     nonempty scalar lists such as ``[re, im]`` pairs, is written by one pass
     of the C encoder, whose ``", "`` and ``"], ["`` separators are then
     rewritten into the indented layout; no string can contain them there.
+    A :class:`_Rendered` text stands for the object it was rendered from.
     """
+    if isinstance(obj, _Rendered):
+        return obj.replace("\n", "\n" + indent)
     inner = indent + "  "
     if isinstance(obj, dict):
         if not obj:

@@ -11,6 +11,7 @@ import os
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -207,6 +208,24 @@ def test_dual_of_parseval_frame_with_identity_k(tmp_path, capsys):
     np.testing.assert_allclose(load_frame(out).matrix, G.matrix, atol=1e-12)
 
 
+@pytest.mark.parametrize("dim", [4, 32])
+def test_dual_file_and_report_are_laid_out_as_the_indenting_encoder(tmp_path, capsys, dim):
+    rng = np.random.default_rng(dim)
+    g_path = _write_frame(tmp_path / "g.json", parseval_frame(rng, dim, 2 * dim).matrix)
+    K = rng.normal(size=(dim, 2)) @ rng.normal(size=(2, dim))
+    k_path = _write_operator(tmp_path / "k.json", K)
+    out = tmp_path / "dual.json"
+    code = main(["dual", "--g", g_path, "--k", k_path, "--out", str(out),
+                 "--json", "--deterministic"])
+    stdout = capsys.readouterr().out
+    assert code == 0
+    written = out.read_text(encoding="utf-8")
+    assert written == json.dumps(json.loads(written), indent=2, sort_keys=True) + "\n"
+    report = json.loads(stdout)
+    assert stdout == json.dumps(report, indent=2, sort_keys=True) + "\n"
+    assert report["dual"] == json.loads(written)
+
+
 def test_dual_residuals_match_the_per_sample_loop(tmp_path, capsys):
     # A near-Parseval G accepted under a loose --tol-rel leaves residuals of
     # about 1e-4, so the reported maxima depend on which probes were drawn.
@@ -316,6 +335,35 @@ def test_solve_iteration_cap_still_writes_outputs(tmp_path, capsys):
     assert report["trace"]["iterations"] == 3
     assert out.exists()
     assert report["manifest"]["exit_code"] == 3
+
+
+def _strict_json(text):
+    def refuse(token):
+        raise ValueError(f"non-standard JSON token {token}")
+    return json.loads(text, parse_constant=refuse)
+
+
+@pytest.mark.parametrize("controlled", [False, True])
+def test_divergent_solve_writes_nothing_and_reports_strict_json(tmp_path, capsys, controlled):
+    frame, _, ctrl = commuting_triple(np.random.default_rng(25), 4, 8)
+    f_path = _write_frame(tmp_path / "frame.json", frame.matrix)
+    g_path = _write_vector(tmp_path / "g.json", [1.0, 0.5, 0.0, 2.0])
+    out = tmp_path / "sol.json"
+    flags = ["--c", _write_operator(tmp_path / "c.json", ctrl.matrix)] if controlled else []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["solve", f_path, "--g", g_path, *flags, "--out", str(out),
+                     "--relaxation", "1e300", "--max-iter", "50", "--json", "--deterministic"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert not out.exists()
+    report = _strict_json(captured.out)
+    assert report["solution"] is None
+    assert report["trace"]["converged"] is False and report["trace"]["iterations"] == 50
+    assert report["manifest"]["outputs"] == [] and report["manifest"]["exit_code"] == 2
+    reason = [line for line in captured.err.splitlines() if not line.startswith("tolerances:")]
+    assert len(reason) == 1 and "diverged" in reason[0] and "no solution written" in reason[0]
+    assert "Warning" not in captured.err and "Traceback" not in captured.err
 
 
 def test_solve_with_controller_converges_faster(tmp_path, capsys):

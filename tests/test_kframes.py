@@ -7,13 +7,17 @@ generalized eigenproblem ``(S, K K*)`` from ``scipy``; the atomic constant is
 reproduced with ``lstsq`` minimal-norm solves column by column.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg
 
 from framekit import (
+    ControlledReport,
     FrameSequence,
     InvalidParametersError,
+    KFrameReport,
     NotOrthonormalError,
     PreconditionFailedError,
     RangeDeficiencyError,
@@ -28,6 +32,7 @@ from framekit import (
     kframe_check,
     kframe_operator_inequality,
     make_controller,
+    numerical_rank,
     operator_sqrt,
     pseudo_inverse,
     rayleigh_quotients,
@@ -468,11 +473,79 @@ def test_plain_then_controlled_check_decomposes_k_and_the_gram_matrix_once(monke
     plain = kframe_check(frame, K)
     controlled = controlled_kframe_check(frame, K, ctrl)
     assert controlled.lower_opt == plain.lower_opt
+    # the rank SVD of K runs on the first read of rank_k, not in the checks
+    assert [name for name, a in calls if _same(a, K)] == []
+    assert controlled.rank_k == plain.rank_k == 6
     assert [name for name, a in calls if _same(a, K)] == ["svd"]
     assert [name for name, a in calls if _same(a, S)] == ["eigh"]
     assert [name for name, a in calls if _same(a, CS)] == ["eigvalsh"]
     gram = [name for name, a in calls if not any(_same(a, T) for T in (K, S, CS))]
-    assert gram == ["eigh"]
+    assert gram == ["eigvalsh"]
+
+
+def test_rank_k_is_computed_once_on_first_read(monkeypatch):
+    frame, K, ctrl = commuting_triple(np.random.default_rng(86), 8, 16, zero_k=3)
+    report = kframe_check(frame, K)
+    controlled = controlled_kframe_check(frame, K, ctrl)
+    calls = _record_decompositions(monkeypatch)
+    assert report.rank_k == 5
+    assert report.rank_k == 5
+    assert controlled.rank_k == 5
+    assert [name for name, _ in calls] == ["svd"]
+    K[:] = np.eye(8)  # after the first read: the value is kept
+    assert (report.rank_k, controlled.rank_k) == (5, 5)
+    assert "rank_k=5" in repr(report)
+    assert [name for name, _ in calls] == ["svd"]
+
+
+def test_rank_k_refuses_a_k_changed_in_place_before_its_first_read():
+    frame, K, ctrl = commuting_triple(np.random.default_rng(87), 8, 16, zero_k=3)
+    report = kframe_check(frame, K)
+    controlled = controlled_kframe_check(frame, K, ctrl)
+    K[0, 0] += 1.0
+    with pytest.raises(PreconditionFailedError, match="changed in place"):
+        report.rank_k
+    with pytest.raises(PreconditionFailedError, match="changed in place"):
+        controlled.rank_k
+    with pytest.raises(PreconditionFailedError, match="changed in place"):
+        repr(report)
+    assert kframe_check(frame, K).rank_k == numerical_rank(K)
+    # an operator the check converted is its own copy: nothing can change it
+    real = np.diag([1.0, 2.0, 0.0, 3.0])
+    converted = kframe_check(random_frame(np.random.default_rng(88), 4, 8), real)
+    real[:] = 0.0
+    assert converted.rank_k == 3
+
+
+@pytest.mark.parametrize("controlled", [False, True])
+def test_a_memo_hit_with_the_checked_bytes_serves_an_unread_rank(controlled):
+    frame, K, ctrl = commuting_triple(np.random.default_rng(89), 8, 16, zero_k=3)
+    check = (lambda T: controlled_kframe_check(frame, T, ctrl)) if controlled else (
+        lambda T: kframe_check(frame, T))
+    first = check(K)
+    K0 = K.copy()
+    K *= 2.0  # the operator the unread rank refers to changes ...
+    again = check(K0)  # ... and an operator with the checked bytes comes back
+    assert again.rank_k == first.rank_k == 5
+    assert "rank_k=5" in repr(first)
+    K0[:] = 0.0  # read already: later changes leave the value
+    assert kframe_check(frame, K).rank_k == first.rank_k == 5
+
+
+def test_reports_built_directly_or_by_replace_carry_their_rank_k():
+    plain = KFrameReport(True, True, 0.5, 2.0, 3, False, None)
+    assert plain.rank_k == 3 and "rank_k=3" in repr(plain)
+    assert dataclasses.replace(plain, rank_k=4).rank_k == 4
+    ctrl = ControlledReport(True, True, True, 0.5, 2.0, 3, False, None)
+    assert dataclasses.replace(ctrl, lower_opt=0.25) == ControlledReport(True, True, True, 0.25, 2.0, 3, False, None)
+    frame, K, c = commuting_triple(np.random.default_rng(90), 8, 16, zero_k=2)
+    lazy, lazy_c = kframe_check(frame, K), controlled_kframe_check(frame, K, c)
+    assert dataclasses.replace(lazy, lower_opt=1.0).rank_k == 6
+    assert dataclasses.replace(lazy_c, upper_opt=1.0).rank_k == 6
+    assert [f.name for f in dataclasses.fields(lazy)] == [
+        "is_bessel", "is_kframe", "lower_opt", "upper_opt", "rank_k", "vacuous", "witness"]
+    with pytest.raises(AttributeError, match="no attribute 'rank'"):
+        lazy.rank
 
 
 def test_memo_is_refreshed_when_k_is_mutated_in_place():

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from framekit import ParseError, vector_from_obj
-from framekit.serialize import _dumps
+from framekit.serialize import _dumps, _Rendered
 
 PROPERTY = settings(derandomize=True, max_examples=150, deadline=None)
 
@@ -48,6 +48,16 @@ TREES = st.recursive(
 @given(TREES)
 def test_dumps_matches_the_indenting_encoder(obj):
     assert _dumps(obj) == json.dumps(obj, indent=2, sort_keys=True)
+
+
+@PROPERTY
+@given(TREES, KEYS)
+def test_a_rendered_text_embeds_as_the_object_it_was_rendered_from(obj, key):
+    text = _Rendered(_dumps(obj))
+    assert _dumps(text) == _dumps(obj)
+    nested = {key: text, "list": [text, 1.0], "dict": {"deeper": [{"x": text}]}}
+    expected = {key: obj, "list": [obj, 1.0], "dict": {"deeper": [{"x": obj}]}}
+    assert _dumps(nested) == json.dumps(expected, indent=2, sort_keys=True)
 
 
 @pytest.mark.parametrize("obj", [
