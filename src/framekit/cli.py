@@ -78,20 +78,12 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_INPUT)
 
 
-def _tolerances(args) -> Tolerances:
-    return Tolerances(rel_eq=args.tol_rel, psd_slack=args.tol_psd, rank_rel=args.rank_rel)
-
-
-def _manifest(args, command: str, inputs: dict, outputs: list, exit_code: int) -> dict:
+def _manifest(args, tol: Tolerances, inputs: dict, outputs: list, exit_code: int) -> dict:
     manifest = {
-        "command": command,
+        "command": args.command,
         "inputs": inputs,
         "seed": args.seed,
-        "tolerances": {
-            "rel_eq": args.tol_rel,
-            "psd_slack": args.tol_psd,
-            "rank_rel": args.rank_rel,
-        },
+        "tolerances": dataclasses.asdict(tol),
         "outputs": list(outputs),
         "exit_code": exit_code,
     }
@@ -100,42 +92,23 @@ def _manifest(args, command: str, inputs: dict, outputs: list, exit_code: int) -
     return manifest
 
 
-def _emit(args, report: dict, lines: list) -> None:
-    if args.json:
-        print(_dumps(report))
-    else:
-        for line in lines:
-            print(line)
-
-
-def _maybe_vector_obj(v) -> dict | None:
-    return None if v is None else vector_to_obj(v)
-
-
-def _report_obj(report) -> dict:
-    """Every field of a verdict report, with ``witness`` as a vector object."""
+def _fields_obj(report) -> dict:
+    """Every field of a verdict report, its ``witness`` as a vector object."""
     obj = {f.name: getattr(report, f.name) for f in dataclasses.fields(report)}
-    obj["witness"] = _maybe_vector_obj(report.witness)
+    obj["witness"] = None if report.witness is None else vector_to_obj(report.witness)
     return obj
-
-
-def _trace_obj(trace) -> dict:
-    return {
-        "iterations": trace.iterations,
-        "converged": trace.converged,
-        "empirical_rate": trace.empirical_rate,
-        "kappa_report": trace.kappa_report,
-        "final_residual": trace.residuals[-1] if trace.residuals else 0.0,
-        "residuals": list(trace.residuals),
-    }
 
 
 # ---------------------------------------------------------------------------
 # subcommands
+#
+# Each takes the parsed arguments and the tolerances and returns
+# ``(report, lines, exit_code, inputs, outputs)``: the JSON report without
+# its manifest, the text output, and what the manifest records.  ``main``
+# attaches the manifest and prints the report or the lines.
 
 
-def cmd_check(args) -> int:
-    tol = _tolerances(args)
+def cmd_check(args, tol: Tolerances):
     frame = load_frame(args.frame)
     inputs = {"frame": args.frame}
 
@@ -149,12 +122,12 @@ def cmd_check(args) -> int:
     ]
     holds = fb.is_frame
 
-    K = None
+    K = np.eye(frame.dim, dtype=np.complex128)  # the controlled check's K without --k
     if args.k is not None:
         K = load_operator(args.k)
         inputs["k"] = args.k
         krep = kframe_check(frame, K, tol)
-        report["kframe"] = _report_obj(krep)
+        report["kframe"] = _fields_obj(krep)
         verdict = "K-frame" if krep.is_kframe else "not a K-frame"
         lines.append(
             f"kframe: rank(K)={krep.rank_k}; optimal bounds "
@@ -164,27 +137,20 @@ def cmd_check(args) -> int:
         holds = krep.is_kframe
 
     if args.c is not None:
-        C = load_operator(args.c)
+        ctrl = make_controller(load_operator(args.c), tol)
         inputs["c"] = args.c
-        ctrl = make_controller(C, tol)
-        if K is None:
-            K = np.eye(frame.dim, dtype=np.complex128)
         crep = controlled_kframe_check(frame, K, ctrl, tol)
-        report["controlled"] = _report_obj(crep)
+        report["controlled"] = _fields_obj(crep)
         verdict = "controlled K-frame" if crep.is_controlled_kframe else "not a controlled K-frame"
         lines.append(
             f"controlled: optimal bounds ({crep.lower_opt}, {crep.upper_opt}) -> {verdict}"
         )
         holds = crep.is_controlled_kframe
 
-    exit_code = EXIT_OK if holds else EXIT_PROPERTY
-    report["manifest"] = _manifest(args, "check", inputs, [], exit_code)
-    _emit(args, report, lines)
-    return exit_code
+    return report, lines, EXIT_OK if holds else EXIT_PROPERTY, inputs, []
 
 
-def cmd_dual(args) -> int:
-    tol = _tolerances(args)
+def cmd_dual(args, tol: Tolerances):
     frame_g = load_frame(args.g)
     K = load_operator(args.k)
     inputs = {"g": args.g, "k": args.k}
@@ -215,7 +181,6 @@ def cmd_dual(args) -> int:
     # One layout of the dual serves the file and the report.
     dual_json = _Rendered(_dumps(frame_to_obj(dual)))
     dump_json(dual_json, args.out)
-    exit_code = EXIT_OK
     report = {
         "dual": dual_json,
         "reconstruction": {
@@ -223,18 +188,16 @@ def cmd_dual(args) -> int:
             "max_rel_residual_coefficients_in_dual": worst_dual_side,
             "max_rel_residual_coefficients_in_frame": worst_frame_side,
         },
-        "manifest": _manifest(args, "dual", inputs, [args.out], exit_code),
     }
-    _emit(args, report, [
+    lines = [
         f"dual system with {dual.count} vectors written to {args.out}",
         f"max relative reconstruction residual (coefficients in dual):  {worst_dual_side:.3e}",
         f"max relative reconstruction residual (coefficients in frame): {worst_frame_side:.3e}",
-    ])
-    return exit_code
+    ]
+    return report, lines, EXIT_OK, inputs, [args.out]
 
 
-def cmd_solve(args) -> int:
-    tol = _tolerances(args)
+def cmd_solve(args, tol: Tolerances):
     frame = load_frame(args.frame)
     g = load_vector(args.g)
     inputs = {"frame": args.frame, "g": args.g}
@@ -262,37 +225,33 @@ def cmd_solve(args) -> int:
         else:
             bounds = OperatorBounds(fb.lower, fb.upper)
             f, trace = richardson_solve(frame_operator(frame), g, bounds, config, tol)
-    diverged = not (
+    trace_obj = {
+        **{f.name: getattr(trace, f.name) for f in dataclasses.fields(trace)},
+        "final_residual": trace.residuals[-1] if trace.residuals else 0.0,
+    }
+    if not (
         np.isfinite(f).all() and np.isfinite(trace.residuals).all() and np.isfinite(trace.empirical_rate)
-    )
-    if diverged:
+    ):
         # No solution is written and strict JSON has no NaN: each non-finite
         # trace number is reported as null.
-        exit_code, outputs, trace_obj = EXIT_PROPERTY, [], _nulled(_trace_obj(trace))
-        lines = [f"diverged after {trace.iterations} iterations; no solution written"]
         print(
             f"framekit solve: the iteration diverged: an iterate or residual is not finite after "
             f"{trace.iterations} iterations, so the relaxation does not contract; no solution written",
             file=sys.stderr,
         )
-    else:
-        save_vector(f, args.out)
-        exit_code = EXIT_OK if trace.converged else EXIT_NOT_CONVERGED
-        outputs, trace_obj = [args.out], _trace_obj(trace)
-        status = "converged" if trace.converged else "hit the iteration cap"
-        lines = [
-            f"{status} after {trace.iterations} iterations "
-            f"(final relative residual {trace_obj['final_residual']:.3e}, "
-            f"empirical rate {trace.empirical_rate:.6f})",
-            f"solution written to {args.out}",
-        ]
-    report = {
-        "solution": None if diverged else vector_to_obj(f),
-        "trace": trace_obj,
-        "manifest": _manifest(args, "solve", inputs, outputs, exit_code),
-    }
-    _emit(args, report, lines)
-    return exit_code
+        report = {"solution": None, "trace": _nulled(trace_obj)}
+        lines = [f"diverged after {trace.iterations} iterations; no solution written"]
+        return report, lines, EXIT_PROPERTY, inputs, []
+    save_vector(f, args.out)
+    status = "converged" if trace.converged else "hit the iteration cap"
+    lines = [
+        f"{status} after {trace.iterations} iterations "
+        f"(final relative residual {trace_obj['final_residual']:.3e}, "
+        f"empirical rate {trace.empirical_rate:.6f})",
+        f"solution written to {args.out}",
+    ]
+    report = {"solution": vector_to_obj(f), "trace": trace_obj}
+    return report, lines, EXIT_OK if trace.converged else EXIT_NOT_CONVERGED, inputs, [args.out]
 
 
 def _nulled(obj):
@@ -306,49 +265,32 @@ def _nulled(obj):
     return obj
 
 
-def cmd_bench(args) -> int:
-    tol = _tolerances(args)
+def cmd_bench(args, tol: Tolerances):
+    inputs = {"kinds": list(args.kinds), "dims": list(args.dims),
+              "cond_targets": args.cond_targets,
+              "trials": args.trials, "controller": args.controller, "workers": args.workers}
     config = SolverConfig(residual_tol=args.residual_tol, max_iter=args.max_iter, seed=args.seed)
-    rows = run_benchmark(
-        kinds=args.kinds,
-        dims=args.dims,
-        cond_targets=args.cond_targets,
-        trials=args.trials,
-        config=config,
-        controller=args.controller,
-        workers=args.workers,
-        tol=tol,
-    )
-    csv_text = rows_to_csv(rows)
+    rows = run_benchmark(**inputs, config=config, tol=tol)
     with open(args.out, "w", encoding="utf-8") as handle:
-        handle.write(csv_text)
+        handle.write(rows_to_csv(rows))
 
     converged = sum(1 for row in rows if row.converged_plain and row.converged_controlled)
     speedups = sorted(row.speedup for row in rows if np.isfinite(row.speedup))
     median = speedups[len(speedups) // 2] if speedups else float("nan")
-    exit_code = EXIT_OK  # non-converged rows are data, not failures
     report = {
         "rows": len(rows),
         "converged_rows": converged,
         "median_speedup": median,
         "csv": args.out,
-        "manifest": _manifest(
-            args, "bench",
-            {"kinds": list(args.kinds), "dims": list(args.dims),
-             "cond_targets": args.cond_targets,
-             "trials": args.trials, "controller": args.controller, "workers": args.workers},
-            [args.out], exit_code,
-        ),
     }
-    _emit(args, report, [
+    lines = [
         f"{len(rows)} rows written to {args.out} "
         f"({converged} fully converged, median speedup {median:.3g})",
-    ])
-    return exit_code
+    ]
+    return report, lines, EXIT_OK, inputs, [args.out]  # non-converged rows are data, not failures
 
 
-def cmd_paper_example(args) -> int:
-    tol = _tolerances(args)
+def cmd_paper_example(args, tol: Tolerances):
     frame, K, _ = c3_example()
     basis = np.eye(3, dtype=np.complex128)
 
@@ -375,7 +317,6 @@ def cmd_paper_example(args) -> int:
     )
 
     all_ok = forward_ok and swap_fails and s_defect == 0.0 and bounds_ok
-    exit_code = EXIT_OK if all_ok else EXIT_PROPERTY
     report = {
         "k": operator_to_obj(K),
         "frame": frame_to_obj(frame),
@@ -383,11 +324,10 @@ def cmd_paper_example(args) -> int:
         "swapped_sum_norm_at_e3": swapped_value_norm,
         "swap_gap_norm": gap_norm,
         "frame_operator_defect": s_defect,
-        "kframe": _report_obj(report_k),
+        "kframe": _fields_obj(report_k),
         "all_assertions_hold": all_ok,
-        "manifest": _manifest(args, "paper-example", {}, [], exit_code),
     }
-    _emit(args, report, [
+    lines = [
         "worked example in C^3: K e1 = e1, K e2 = e1, K e3 = e2; family {K e_n} = {e1, e1, e2}",
         f"  forward identity K f = sum <f, e_n> f_n:   defect {forward_defect:.1e} "
         f"-> {'holds' if forward_ok else 'FAILS'}",
@@ -397,16 +337,14 @@ def cmd_paper_example(args) -> int:
         f"  optimal K-frame bounds ({report_k.lower_opt:g}, {report_k.upper_opt:g}) "
         f"-> {'as expected (1, 2)' if bounds_ok else 'UNEXPECTED'}",
         f"verdict: {'all assertions hold' if all_ok else 'ASSERTION FAILURE'}",
-    ])
-    return exit_code
+    ]
+    return report, lines, EXIT_OK if all_ok else EXIT_PROPERTY, {}, []
 
 
-def cmd_gen(args) -> int:
-    tol = _tolerances(args)
-    frame, K, ctrl = generate_instance(
-        args.kind, dim=args.dim, count=args.count,
-        cond_target=args.cond_target, seed=args.seed, tol=tol,
-    )
+def cmd_gen(args, tol: Tolerances):
+    inputs = {"kind": args.kind, "dim": args.dim, "count": args.count,
+              "cond_target": args.cond_target}
+    frame, K, ctrl = generate_instance(**inputs, seed=args.seed, tol=tol)
     frame_path = f"{args.out_prefix}-frame.json"
     k_path = f"{args.out_prefix}-k.json"
     c_path = f"{args.out_prefix}-c.json"
@@ -414,22 +352,14 @@ def cmd_gen(args) -> int:
     save_operator(K, k_path)
     save_operator(ctrl.matrix, c_path)
 
-    outputs = [frame_path, k_path, c_path]
-    exit_code = EXIT_OK
     report = {
         "kind": args.kind,
         "dim": frame.dim,
         "count": frame.count,
         "files": {"frame": frame_path, "k": k_path, "c": c_path},
-        "manifest": _manifest(
-            args, "gen",
-            {"kind": args.kind, "dim": args.dim, "count": args.count,
-             "cond_target": args.cond_target},
-            outputs, exit_code,
-        ),
     }
-    _emit(args, report, [f"wrote {frame_path}, {k_path}, {c_path}"])
-    return exit_code
+    lines = [f"wrote {frame_path}, {k_path}, {c_path}"]
+    return report, lines, EXIT_OK, inputs, [frame_path, k_path, c_path]
 
 
 # ---------------------------------------------------------------------------
@@ -560,15 +490,18 @@ def main(argv=None) -> int:
         file=sys.stderr,
     )
     try:
-        return args.func(args)
-    except ParseError as exc:
+        tol = Tolerances(rel_eq=args.tol_rel, psd_slack=args.tol_psd, rank_rel=args.rank_rel)
+        if args.seed < 0:
+            raise InvalidParametersError(f"the seed must be an integer >= 0, got {args.seed}")
+        report, lines, exit_code, inputs, outputs = args.func(args, tol)
+        report["manifest"] = _manifest(args, tol, inputs, outputs, exit_code)
+        print(_dumps(report) if args.json else "\n".join(lines))
+        return exit_code
+    except (ParseError, OSError) as exc:
         print(f"framekit {args.command}: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except InvalidParametersError as exc:
         print(f"framekit {args.command}: invalid input: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except OSError as exc:
-        print(f"framekit {args.command}: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except ToolkitError as exc:
         print(f"framekit {args.command}: property violation: {exc}", file=sys.stderr)

@@ -37,6 +37,7 @@ from .operators import (
     Tolerances,
     _apply_spectrum,
     _checked_hermitian,
+    _pow2_scaled,
     _spectrum_bounds,
     as_operator,
     as_vector,
@@ -115,10 +116,16 @@ def identity_controller(dim: int) -> Controller:
 
 
 def commutes(ctrl: Controller, K, tol: Tolerances = DEFAULT_TOL) -> bool:
-    """Whether ``||C K - K C||_F <= rel_eq * ||C||_F * ||K||_F``."""
-    Kop = as_operator(K, dim=ctrl.dim)
-    defect = np.linalg.norm(ctrl.matrix @ Kop - Kop @ ctrl.matrix)
-    return bool(defect <= tol.rel_eq * np.linalg.norm(ctrl.matrix) * np.linalg.norm(Kop))
+    """Whether ``||C K - K C||_F <= rel_eq * ||C||_F * ||K||_F``.
+
+    The test is homogeneous in ``C`` and in ``K``, so each is first scaled by
+    an exact power of two (see :func:`framekit.operators._pow2_scaled`): a huge
+    or tiny operator neither overflows nor underflows the norms.
+    """
+    C, _ = _pow2_scaled(ctrl.matrix)
+    Kop, _ = _pow2_scaled(as_operator(K, dim=ctrl.dim))
+    defect = np.linalg.norm(C @ Kop - Kop @ C)
+    return bool(defect <= tol.rel_eq * np.linalg.norm(C) * np.linalg.norm(Kop))
 
 
 def controlled_operator(frame: FrameSequence, ctrl: Controller) -> np.ndarray:
@@ -176,7 +183,8 @@ def _require_real_product(ctrl: Controller, S, tol: Tolerances) -> np.ndarray:
     """
     L = ctrl.matrix @ S
     if not is_hermitian(L, tol):
-        defect = np.linalg.norm(L - L.conj().T) / np.linalg.norm(L)
+        M, _ = _pow2_scaled(L)  # the relative defect, free of overflow
+        defect = np.linalg.norm(M - M.conj().T) / np.linalg.norm(M)
         raise NonRealFormError(
             f"C S is not Hermitian (relative defect {defect:.3e}); "
             "the controlled form would not be real-valued"

@@ -66,7 +66,10 @@ class FrameSequence:
 
     @cached_property
     def _operator(self) -> np.ndarray:
-        S = hermitian_part(self.matrix @ self.matrix.conj().T)
+        with np.errstate(over="ignore", invalid="ignore"):
+            S = hermitian_part(self.matrix @ self.matrix.conj().T)
+        if not np.isfinite(S).all():
+            raise InvalidParametersError("the frame operator overflows: the frame vectors are too large")
         S.setflags(write=False)
         return S
 

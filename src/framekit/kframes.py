@@ -16,6 +16,7 @@ whether or not ``S`` leaves ``range(K)`` invariant.
 
 from __future__ import annotations
 
+import math
 import zlib
 from dataclasses import dataclass
 
@@ -33,6 +34,7 @@ from .operators import (
     DEFAULT_TOL,
     Tolerances,
     _positivity_slack,
+    _pow2_scaled,
     _rank,
     as_operator,
     hermitian_part,
@@ -108,15 +110,18 @@ class KFrameReport(_RankOnDemand):
     ``lower_opt`` is the optimal lower constant, the smallest quotient
     ``<S f, f> / ||K* f||^2`` over every ``f`` with ``K* f != 0``, and
     ``upper_opt`` the optimal Bessel bound ``lambda_max(S)``.  ``is_kframe``
-    is Douglas' range test: true exactly when ``lower_opt > 0`` (or
-    ``vacuous``), whatever its size, so it is unchanged when the family or
-    ``K`` is rescaled while ``lower_opt`` scales as ``s^2 / t^2``.  ``vacuous``
+    is Douglas' range test: true exactly when the optimal lower constant is
+    positive (or ``vacuous``), whatever its size, so it is unchanged when
+    the family or ``K`` is rescaled while ``lower_opt`` scales as
+    ``s^2 / t^2``.  ``lower_opt`` is a float, so a positive constant below
+    the smallest float (``K`` huge against the family) is reported as
+    ``0.0`` with ``is_kframe`` true, and one above the largest as ``inf``.  ``vacuous``
     flags the rank-zero ``K``, where the lower inequality quantifies over
     nothing and the verdict is true by convention; ``lower_opt`` is reported
     as ``0.0`` there and must not be fed into arithmetic.  ``witness`` is a
     unit vector attaining the minimal quotient, not necessarily in
-    ``range(K)``; when ``lower_opt`` is zero it is a null vector of ``S`` that
-    ``K*`` does not annihilate (``None`` when vacuous).  ``rank_k``, the
+    ``range(K)``; when ``is_kframe`` is false it is a null vector of ``S``
+    that ``K*`` does not annihilate (``None`` when vacuous).  ``rank_k``, the
     numerical rank of ``K``, is ``0`` exactly when ``vacuous``.
     :func:`kframe_check` computes it on its first read (see there), and that
     read raises :class:`PreconditionFailedError` if the checked operator was
@@ -166,24 +171,39 @@ def _douglas_lower(w, U, W, tol: Tolerances):
     ``range(P)``, and then equals ``1 / ||P^{+1/2} W||^2``.  Eigenvalues at or
     below the positivity slack span ``null(P)``.  Returns ``(lower, witness)``
     where ``witness`` is a unit vector whose quotient ``<P f, f> / ||W* f||^2``
-    is ``lower``: a null eigenvector that ``W*`` does not annihilate when
+    is the supremum: a null eigenvector that ``W*`` does not annihilate when
     ``W`` has more than ``rel_eq`` of its weight on ``null(P)``, else the
     top left singular vector of ``M = P^{+1/2} W`` pulled back through
     ``P^{+1/2}``.  The top singular pair is the top eigenpair of the Gram
     matrix ``M M*``: its value from ``eigvalsh`` and its vector from one
     inverse-iteration step, checked by its residual, with a full ``eigh``
     of the Gram matrix as the fallback (see :func:`_top_eigenpair`).
+
+    A tiny or huge ``W``, and then ``M`` and the witness, is scaled by a
+    power of two (see :func:`framekit.operators._pow2_scaled`) so that
+    neither ``U* W``, the Gram matrix nor the witness's norm underflows or
+    overflows, and ``lower`` is scaled back.  The scalings are exact, so
+    they move no result that did not underflow or overflow; ``lower`` is
+    ``inf`` when it exceeds the largest float and ``0.0`` when it falls
+    below the smallest.  So that a positive supremum that underflows is not
+    taken for a failed range test, ``lower`` is ``None`` when the supremum
+    is zero.  The witness is a new array that shares no memory with ``U``.
     """
+    W, e = _pow2_scaled(W)
     null = w <= _positivity_slack(w, tol)
     Wc = U.conj().T @ W
     null_weight = np.linalg.norm(Wc[null], axis=1)
     if np.linalg.norm(null_weight) > tol.rel_eq * np.linalg.norm(Wc):
-        return 0.0, U[:, null][:, np.argmax(null_weight)]
+        return None, U[:, np.flatnonzero(null)[np.argmax(null_weight)]].copy()
     root = np.sqrt(w[~null])
-    M = Wc[~null] / root[:, None]
+    M, f = _pow2_scaled(Wc[~null] / root[:, None])
     top, x = _top_eigenpair(M @ M.conj().T, tol)
-    witness = U[:, ~null] @ (x / root)
-    return float(1.0 / top), witness / np.linalg.norm(witness)
+    witness, _ = _pow2_scaled(U[:, ~null] @ (x / root))
+    try:
+        lower = math.ldexp(1.0 / top, -2 * (e + f))
+    except OverflowError:
+        lower = math.inf
+    return lower, witness / np.linalg.norm(witness)
 
 
 def kframe_check(frame: FrameSequence, K, tol: Tolerances = DEFAULT_TOL) -> KFrameReport:
@@ -230,7 +250,7 @@ def kframe_check(frame: FrameSequence, K, tol: Tolerances = DEFAULT_TOL) -> KFra
         witness.setflags(write=False)
     pending = None if vacuous else _PendingRank(Kop, zlib.crc32(key[0]), tol)
     report = KFrameReport(
-        is_bessel=True, is_kframe=vacuous or lower > 0, lower_opt=lower,
+        is_bessel=True, is_kframe=lower is not None, lower_opt=lower or 0.0,
         upper_opt=float(w[-1]), rank_k=0 if vacuous else pending, vacuous=vacuous, witness=witness,
     )
     frame.__dict__["_kframe_memo"] = (key, report, pending)
@@ -350,11 +370,13 @@ def interchange_dual(
     if frame_f is None:
         frame_f = FrameSequence(Kop @ frame_g.matrix)
     if not bessel_dual_check(frame_f, frame_g, Kop, tol):
-        defect = Kop - frame_f.matrix @ frame_g.matrix.conj().T
-        _, _, Vh = np.linalg.svd(defect)
+        with np.errstate(over="ignore", invalid="ignore"):
+            defect = Kop - frame_f.matrix @ frame_g.matrix.conj().T
+        # An overflowing F G* has no finite defect to take a witness from.
+        witness = np.linalg.svd(defect)[2][0].conj() if np.isfinite(defect).all() else None
         raise PreconditionFailedError(
             "the pair does not factor K (K != F G*); the dual system would not reconstruct",
-            witness=Vh[0].conj(),
+            witness=witness,
         )
     return FrameSequence(pseudo_inverse(Kop, tol).conj().T @ frame_g.matrix)
 

@@ -12,6 +12,7 @@ explicit and configurable rather than hidden in library defaults.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -145,10 +146,32 @@ def hermitian_part(T) -> np.ndarray:
 
 
 def is_hermitian(T, tol: Tolerances = DEFAULT_TOL) -> bool:
-    """Whether ``||T - T*||_F <= rel_eq * ||T||_F``."""
-    M = as_operator(T)
+    """Whether ``||T - T*||_F <= rel_eq * ||T||_F``.
+
+    The test is homogeneous in ``T``, so ``T`` is first scaled by an exact
+    power of two (see :func:`_pow2_scaled`): a huge or tiny ``T`` neither
+    overflows nor underflows the norms.
+    """
+    M, _ = _pow2_scaled(as_operator(T))
     defect = np.linalg.norm(M - M.conj().T)
     return bool(defect <= tol.rel_eq * np.linalg.norm(M))
+
+
+def _pow2_scaled(A):
+    """``(A 2^-e, e)`` for a complex ``A``, exact as ``2^-e`` is a power of
+    two; ``e`` is ``0`` for a zero ``A``.
+
+    ``e`` is ``0``, and ``A`` is returned as is, while the largest real or
+    imaginary part ``m`` of ``A`` lies in ``[2^-128, 2^128)``, where
+    products of entries neither underflow nor overflow.  Outside that
+    range ``e`` brings ``m`` into ``[1/2, 1)``.
+    """
+    parts = np.ascontiguousarray(A).view(np.float64)
+    m = max(parts.max(), -parts.min())
+    if 2.0**-128 <= m < 2.0**128:
+        return A, 0
+    e = math.frexp(m)[1]
+    return np.ldexp(parts, -e).view(np.complex128), e
 
 
 def _checked_hermitian(T, tol: Tolerances) -> np.ndarray:

@@ -622,3 +622,54 @@ def test_the_cached_parser_keeps_no_state_between_calls(tmp_path, capsys):
     assert "paper-example" in capsys.readouterr().out
     assert main(["check", path, "--json", "--deterministic"]) == 0
     assert _json_report(capsys)["manifest"]["inputs"] == {"frame": path}
+
+
+# ---------------------------------------------------------------------------
+# the command runner: every subcommand's manifest, attached by ``main``
+
+
+def _runner_inputs():
+    frame, K, ctrl = commuting_triple(np.random.default_rng(7), 4, 8)
+    save_frame(frame, "frame.json")
+    save_operator(K, "k.json")
+    save_operator(ctrl.matrix, "c.json")
+    save_frame(FrameSequence(np.eye(4)[:, :2]), "deficient.json")
+    save_frame(FrameSequence(np.eye(4)), "onb.json")
+    save_vector(np.arange(1.0, 5.0), "g.json")
+
+
+@pytest.mark.parametrize("argv, expected_code", [
+    (["check", "frame.json", "--k", "k.json", "--c", "c.json"], 0),
+    (["check", "deficient.json"], 2),
+    (["dual", "--g", "onb.json", "--k", "k.json", "--out", "dual-out.json"], 0),
+    (["solve", "frame.json", "--g", "g.json", "--c", "c.json", "--out", "x.json"], 0),
+    (["solve", "frame.json", "--g", "g.json", "--max-iter", "1", "--out", "x.json"], 3),
+    (["solve", "frame.json", "--g", "g.json", "--relaxation", "1e300", "--max-iter", "50",
+      "--out", "x.json"], 2),
+    (["bench", "--dims", "4", "--cond-targets", "10", "--trials", "1", "--out", "b.csv"], 0),
+    (["paper-example"], 0),
+    (["gen", "--kind", "random-frame", "--dim", "3", "--out-prefix", "inst"], 0),
+], ids=lambda value: value[0] if isinstance(value, list) else None)
+def test_the_manifest_names_the_command_its_exit_code_and_the_files_written(
+    argv, expected_code, tmp_path, monkeypatch, capsys,
+):
+    monkeypatch.chdir(tmp_path)
+    _runner_inputs()
+    before = set(os.listdir(tmp_path))
+    code = main([*argv, "--json", "--deterministic"])
+    manifest = _json_report(capsys)["manifest"]
+    assert code == expected_code
+    assert manifest["command"] == argv[0]
+    assert manifest["exit_code"] == code
+    written = set(os.listdir(tmp_path)) - before
+    assert sorted(manifest["outputs"]) == sorted(written)
+
+
+def test_a_negative_seed_is_an_input_error(tmp_path, capsys):
+    path = _write_frame(tmp_path / "onb.json", np.eye(2))
+    for argv in (["check", path], ["gen", "--out-prefix", str(tmp_path / "inst")]):
+        assert main([*argv, "--seed", "-1"]) == 1
+        err = capsys.readouterr().err
+        assert "the seed must be an integer >= 0, got -1" in err
+        assert "Traceback" not in err
+    assert not (tmp_path / "inst-frame.json").exists()

@@ -6,6 +6,8 @@ exercised here; the commuting hypotheses are violated on purpose to check the
 error paths.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -99,6 +101,29 @@ def test_commutes_decides_the_same_after_rescaling():
         assert commutes(make_controller(scale * ctrl.matrix), scale * K)
         assert not commutes(make_controller(scale * diag.matrix), scale * shift)
     assert commutes(ctrl, np.zeros((5, 5)))
+
+
+def test_commutes_and_the_controlled_verdict_hold_for_a_huge_k():
+    # ||K||_F of 1e300 * K0 overflows unless K is scaled first, which made
+    # every such K pass as commuting
+    shift = 1e300 * np.diag(np.ones(3), 1)
+    diag = make_controller(np.diag([1.0, 2.0, 3.0, 4.0]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert not commutes(diag, shift)
+        assert commutes(diag, 1e300 * np.diag([4.0, 3.0, 2.0, 1.0]))
+        report = controlled_kframe_check(FrameSequence(np.eye(4)), 2.0**700 * np.eye(4), diag)
+    assert report.is_controlled_kframe and report.lower_opt == 0.0  # 2^-1400 underflows
+
+
+def test_a_huge_controller_that_does_not_commute_with_s_is_refused_with_a_finite_defect():
+    # C S of norm 1e300 overflows the Frobenius norms of the Hermiticity test
+    # and of the reported defect unless C S is scaled first
+    ctrl = make_controller(1e300 * np.array([[2.0, 1.0], [1.0, 2.0]]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonRealFormError, match=r"relative defect \d"):
+            controlled_kframe_check(FrameSequence(np.diag([1.0, 2.0])), np.eye(2), ctrl)
 
 
 def test_controlled_operator_is_one_sided_product():

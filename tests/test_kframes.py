@@ -8,6 +8,7 @@ reproduced with ``lstsq`` minimal-norm solves column by column.
 """
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -579,6 +580,64 @@ def test_report_witness_is_read_only():
     failing = kframe_check(*deficient_pair(np.random.default_rng(82), 5, 10))
     with pytest.raises(ValueError):
         failing.witness[0] = 1.0
+
+
+def test_failing_witness_owns_its_memory():
+    # the null-space witness is a copy, not a view keeping the d x dim null(S)
+    # columns (and so the eigenvectors of S) alive
+    report = kframe_check(*deficient_pair(np.random.default_rng(0), 64, 128))
+    assert not report.is_kframe
+    assert report.witness.base is None
+    assert not report.witness.flags.writeable
+
+
+@pytest.mark.parametrize("i, j", [(0, 0), (7, 7), (2, 5), (6, 1)])
+def test_a_tiny_nonzero_k_does_not_underflow_the_gram_matrix(i, j):
+    # one subnormal entry: K K* underflows to zero unless K is scaled first
+    K = np.zeros((8, 8))
+    K[i, j] = 5e-324
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = kframe_check(FrameSequence(np.eye(8)), K)
+    assert report.is_kframe and not report.vacuous
+    assert report.lower_opt == np.inf  # 1 / ||K||^2 exceeds the largest float
+    assert abs(report.witness[i]) == 1.0
+
+
+def test_a_huge_k_keeps_its_verdict_when_lower_opt_underflows():
+    # lower_opt = 2^-1400 is below the smallest float, yet range(K) = range(S):
+    # the verdict is the range test, not the sign of the rounded constant
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = kframe_check(FrameSequence(np.eye(8)), 2.0**700 * np.eye(8))
+    assert report.is_kframe and not report.vacuous
+    assert report.lower_opt == 0.0
+    assert np.linalg.norm(report.witness) == pytest.approx(1.0)
+
+
+def test_a_frame_near_the_underflow_threshold_gives_a_unit_witness():
+    # S is about 3e-322, so x / sqrt(w) is near 1e161 and its squared norm
+    # overflows unless the witness is scaled before it is normalised
+    frame = FrameSequence(np.array([[1.26e-161 - 1.32e-161j]]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = kframe_check(frame, np.array([[0.126 - 0.132j]]))
+    assert report.is_kframe and report.lower_opt > 0.0
+    assert abs(report.witness[0]) == 1.0
+
+
+def test_a_tiny_frame_under_a_large_k_does_not_overflow_the_gram_matrix():
+    # S = 2^-840 S0 and K = 2^100 K0: S^{+1/2} K is near 2^520, so its Gram
+    # matrix overflows unless scaled; lower_opt = 2^-1040 lower_opt0 is subnormal
+    rng = np.random.default_rng(9)
+    frame, K = random_frame(rng, 6, 12), rng.normal(size=(6, 6))
+    reference = kframe_check(frame, K)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = kframe_check(FrameSequence(2.0**-420 * frame.matrix), 2.0**100 * K)
+    assert report.is_kframe
+    assert report.lower_opt == pytest.approx(reference.lower_opt * 2.0**-1040, rel=1e-4)
+    np.testing.assert_allclose(abs(np.vdot(report.witness, reference.witness)), 1.0, rtol=1e-9)
 
 
 # ---------------------------------------------------------------------------

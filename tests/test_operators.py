@@ -2,6 +2,8 @@
 against an independent eigensolver / SVD computation or a hand-computed
 matrix."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,7 @@ from framekit import (
     hermitian_part,
     inverse_bounds,
     is_hermitian,
+    make_controller,
     numerical_rank,
     operator_leq,
     operator_norm,
@@ -281,6 +284,18 @@ def test_is_hermitian_refuses_a_tiny_non_hermitian_operator():
         assert not is_hermitian(scale * M)
         assert is_hermitian(scale * hermitian_part(M))
     assert is_hermitian(np.zeros((3, 3)))
+
+
+def test_is_hermitian_refuses_a_huge_non_hermitian_operator():
+    # ||T||_F of 1e300 * M overflows unless T is scaled first, which made
+    # every such T pass as Hermitian (and a controller of it be accepted)
+    M = np.array([[1.0, 1.0], [-1.0, 1.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert not is_hermitian(1e300 * M)
+        assert is_hermitian(1e300 * hermitian_part(M))
+        with pytest.raises(NotHermitianError):
+            make_controller(1e300 * M)
 
 
 def test_operator_leq_decides_the_same_after_rescaling():

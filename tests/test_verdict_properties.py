@@ -11,7 +11,10 @@ so the frame operator does not leave ``range(K)`` invariant.  Properties:
   basis;
 * the verdict does not change when the family, ``K`` or ``C`` is rescaled
   by ``s``, ``t`` or ``c`` anywhere in ``10^[-6, 6]``, while ``lower_opt``
-  scales as ``s^2 / t^2`` and the controlled ``upper_opt`` as ``c s^2``.
+  scales as ``s^2 / t^2`` and the controlled ``upper_opt`` as ``c s^2``;
+* rescaling ``K`` by a power of two ``2^k`` scales ``lower_opt`` by
+  ``4^-k`` and keeps the witness, bit for bit, and the verdict also where
+  ``lower_opt`` underflows to ``0.0``.
 
 Hypothesis draws the sizes, ranks and controller weights; the matrices come
 from a numpy generator seeded by the drawn seed.
@@ -168,3 +171,14 @@ def test_controlled_verdict_is_invariant_under_rescaling(triple, s_exp, t_exp, c
     assert scaled.is_controlled_kframe == report.is_controlled_kframe
     np.testing.assert_allclose(scaled.lower_opt, report.lower_opt * s**2 / t**2, rtol=1e-8)
     np.testing.assert_allclose(scaled.upper_opt, report.upper_opt * c * s**2, rtol=1e-8)
+
+
+@PROPERTIES
+@given(st.one_of(general_pairs(), spanless_pairs()), st.sampled_from([-300, -40, -7, -1, 1, 9, 33, 200, 600]))
+def test_power_of_two_rescaling_of_k_is_exact(pair, k):
+    frame, K = pair
+    report = kframe_check(frame, K)
+    scaled = kframe_check(frame, 2.0**k * K)
+    assert scaled.is_kframe == report.is_kframe
+    assert scaled.lower_opt == np.ldexp(report.lower_opt, -2 * k)
+    assert np.array_equal(scaled.witness, report.witness)
