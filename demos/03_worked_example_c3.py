@@ -16,6 +16,7 @@ from framekit import (
     frame_operator,
     interchange_dual,
     kframe_check,
+    numerical_rank,
     synthesis,
 )
 
@@ -43,7 +44,7 @@ S = frame_operator(frame)
 print(f"\nS = F F* = diag{tuple(float(x) for x in np.diag(S).real)}")
 report = kframe_check(frame, K)
 print(f"K-frame verdict: {report.is_kframe}, optimal bounds "
-      f"({report.lower_opt:g}, {report.upper_opt:g}), rank(K) = {report.rank_k}")
+      f"({report.lower_opt:g}, {report.upper_opt:g}), rank(K) = {numerical_rank(K)}")
 
 # The dual system on range(K) and both reconstruction identities.
 dual = interchange_dual(FrameSequence(basis), K, frame_f=frame)

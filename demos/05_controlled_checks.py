@@ -36,7 +36,8 @@ print(f"plain K-frame bounds:      ({plain.lower_opt:.6f}, {plain.upper_opt:.6f}
 print(f"controlled K-frame bounds: ({controlled.lower_opt:.6f}, {controlled.upper_opt:.6f})")
 print(f"verdicts: plain {plain.is_kframe}, controlled {controlled.is_controlled_kframe}")
 
-# Certified bounds move between the two pictures (with norm factors of C).
+# Certified bounds move between the two pictures: the lower ones as they are,
+# the upper ones with norm factors of C.
 a_t, b_t = bounds_to_kframe(controlled.lower_opt, controlled.upper_opt, ctrl)
 print(f"controlled -> plain transfer: ({a_t:.6f}, {b_t:.6f}) "
       f"(valid: {a_t <= plain.lower_opt + 1e-12 and b_t >= plain.upper_opt - 1e-12})")

@@ -25,8 +25,7 @@ bounds of ``C S``.  The cells of one dimension are then solved together, all
 plain solves as one stack and all controlled solves as another (see
 ``solvers._richardson_stack``); each column stops on its own residual, so
 every count equals that of a separate solve.  Rows are assembled in grid
-order, so the CSV is byte-identical for a fixed seed.  ``workers`` is
-validated but has no effect.
+order, so the CSV is byte-identical for a fixed seed.
 """
 
 from __future__ import annotations
@@ -202,18 +201,15 @@ def run_benchmark(
     trials: int,
     config: SolverConfig = SolverConfig(),
     controller: str = "jacobi",
-    workers: int = 1,
     tol: Tolerances = DEFAULT_TOL,
 ) -> list[BenchRow]:
     """Run the full grid ``kinds x dims x cond_targets x trials``.
 
-    Deterministic for a fixed ``config.seed``: cell seeds are
-    ``seed + cell_index`` and rows are assembled in grid order.  A grid with
-    a dim below 1 or a cond target that is not a finite number >= 1 (or
-    ``None``) raises ``InvalidParametersError`` before any cell runs; a cell
-    whose instance is unusable becomes a NaN row.  The cells
-    of each dimension are solved together as one stack, so ``workers`` has
-    no effect; it is still validated and accepted for compatibility.
+    Deterministic for a fixed ``config.seed`` (see the module docstring).  A
+    grid with a dim below 1, a cond target that is not a finite number >= 1
+    (or ``None``), or fewer than one trial raises ``InvalidParametersError``
+    before any cell runs; a cell whose instance is unusable becomes a NaN
+    row.
     """
     kinds = list(kinds)
     dims = list(dims)
@@ -222,8 +218,6 @@ def run_benchmark(
     dims = [int(d) for d in dims]
     if trials < 1:
         raise InvalidParametersError(f"trials must be at least 1, got {trials}")
-    if workers < 1:
-        raise InvalidParametersError(f"workers must be at least 1, got {workers}")
     cells = list(product(kinds, dims, cond_targets, range(trials)))
     prepared = [
         _prepare_cell(index, kind, dim, cond, controller, config, tol)

@@ -44,7 +44,7 @@ from .errors import (
 from .frames import FrameSequence, frame_bounds, frame_operator, synthesis
 from .instances import INSTANCE_KINDS, c3_example, generate_instance
 from .kframes import interchange_dual, kframe_check
-from .operators import DEFAULT_TOL, OperatorBounds, Tolerances
+from .operators import DEFAULT_TOL, OperatorBounds, Tolerances, numerical_rank
 from .serialize import (
     _dumps,
     _Rendered,
@@ -92,11 +92,12 @@ def _manifest(args, tol: Tolerances, inputs: dict, outputs: list, exit_code: int
     return manifest
 
 
-def _fields_obj(report) -> dict:
-    """Every field of a verdict report, its ``witness`` as a vector object."""
+def _fields_obj(report, rank_k: int) -> dict:
+    """Every field of a verdict report, its ``witness`` as a vector object,
+    and ``rank_k``, the numerical rank of the checked ``K``."""
     obj = {f.name: getattr(report, f.name) for f in dataclasses.fields(report)}
-    obj["witness"] = None if report.witness is None else vector_to_obj(report.witness)
-    return obj
+    witness = None if report.witness is None else vector_to_obj(report.witness)
+    return {**obj, "witness": witness, "rank_k": rank_k}
 
 
 # ---------------------------------------------------------------------------
@@ -122,15 +123,17 @@ def cmd_check(args, tol: Tolerances):
     ]
     holds = fb.is_frame
 
-    K = np.eye(frame.dim, dtype=np.complex128)  # the controlled check's K without --k
+    # Without --k the controlled check takes K = I, whose rank is the dimension.
+    K, rank = np.eye(frame.dim, dtype=np.complex128), frame.dim
     if args.k is not None:
         K = load_operator(args.k)
         inputs["k"] = args.k
         krep = kframe_check(frame, K, tol)
-        report["kframe"] = _fields_obj(krep)
+        rank = numerical_rank(K, tol)  # one SVD of K serves both reports
+        report["kframe"] = _fields_obj(krep, rank)
         verdict = "K-frame" if krep.is_kframe else "not a K-frame"
         lines.append(
-            f"kframe: rank(K)={krep.rank_k}; optimal bounds "
+            f"kframe: rank(K)={rank}; optimal bounds "
             f"({krep.lower_opt}, {krep.upper_opt}) -> {verdict}"
             + (" (vacuous: K = 0)" if krep.vacuous else "")
         )
@@ -140,7 +143,7 @@ def cmd_check(args, tol: Tolerances):
         ctrl = make_controller(load_operator(args.c), tol)
         inputs["c"] = args.c
         crep = controlled_kframe_check(frame, K, ctrl, tol)
-        report["controlled"] = _fields_obj(crep)
+        report["controlled"] = _fields_obj(crep, rank)
         verdict = "controlled K-frame" if crep.is_controlled_kframe else "not a controlled K-frame"
         lines.append(
             f"controlled: optimal bounds ({crep.lower_opt}, {crep.upper_opt}) -> {verdict}"
@@ -268,7 +271,7 @@ def _nulled(obj):
 def cmd_bench(args, tol: Tolerances):
     inputs = {"kinds": list(args.kinds), "dims": list(args.dims),
               "cond_targets": args.cond_targets,
-              "trials": args.trials, "controller": args.controller, "workers": args.workers}
+              "trials": args.trials, "controller": args.controller}
     config = SolverConfig(residual_tol=args.residual_tol, max_iter=args.max_iter, seed=args.seed)
     rows = run_benchmark(**inputs, config=config, tol=tol)
     with open(args.out, "w", encoding="utf-8") as handle:
@@ -324,7 +327,7 @@ def cmd_paper_example(args, tol: Tolerances):
         "swapped_sum_norm_at_e3": swapped_value_norm,
         "swap_gap_norm": gap_norm,
         "frame_operator_defect": s_defect,
-        "kframe": _fields_obj(report_k),
+        "kframe": _fields_obj(report_k, numerical_rank(K, tol)),
         "all_assertions_hold": all_ok,
     }
     lines = [
@@ -446,9 +449,6 @@ def _build_parser() -> _Parser:
                    help="trials per cell (default %(default)s)")
     p.add_argument("--controller", default="jacobi", choices=list(CONTROLLER_STRATEGIES),
                    help="controller strategy (default %(default)s)")
-    p.add_argument("--workers", type=int, default=1,
-                   help="accepted for compatibility and has no effect: the cells of each "
-                        "dimension are solved as one stack (default %(default)s)")
     p.add_argument("--residual-tol", type=float, default=1e-8,
                    help="relative residual stopping tolerance (default %(default)g)")
     p.add_argument("--max-iter", type=int, default=200_000,

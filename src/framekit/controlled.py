@@ -24,13 +24,13 @@ differ from the plain one at the ``rel_eq`` level.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cached_property
 
 import numpy as np
 
 from .errors import CommutationError, NonRealFormError
 from .frames import FrameSequence, frame_operator
-from .kframes import _RankOnDemand, kframe_check
+from .kframes import kframe_check
 from .operators import (
     DEFAULT_TOL,
     OperatorBounds,
@@ -153,7 +153,7 @@ def controlled_form(frame: FrameSequence, ctrl: Controller, f, tol: Tolerances =
 
 
 @dataclass(frozen=True)
-class ControlledReport(_RankOnDemand):
+class ControlledReport:
     """Verdict and certified constants for one ``(family, K, C)`` triple.
 
     Mirrors the uncontrolled report: ``lower_opt`` is the minimal quotient
@@ -161,7 +161,6 @@ class ControlledReport(_RankOnDemand):
     ``upper_opt`` is ``lambda_max(C S)``.  ``vacuous`` marks rank-zero ``K``.
     ``witness`` is a unit vector attaining ``lower_opt``: the plain K-frame
     witness pulled back through ``C^{-1/2}`` (``None`` when vacuous).
-    ``rank_k`` is the plain report's, read from it on first use.
     """
 
     commutes_with_k: bool
@@ -169,7 +168,6 @@ class ControlledReport(_RankOnDemand):
     is_controlled_kframe: bool
     lower_opt: float
     upper_opt: float
-    rank_k: int
     vacuous: bool
     witness: np.ndarray | None
 
@@ -198,7 +196,7 @@ def controlled_kframe_check(frame: FrameSequence, K, ctrl: Controller, tol: Tole
     Requires ``C K = K C`` and ``C S`` Hermitian; failing either is an error,
     not a negative verdict, because the controlled inequality is not even
     well-posed then.  By the equivalence theorem (module docstring) the
-    verdict, lower constant, rank and witness come from :func:`kframe_check`
+    verdict, lower constant and witness come from :func:`kframe_check`
     of ``(frame, K)``, memoised on ``frame``, with the witness ``w`` pulled
     back to ``C^{-1/2} w`` through the controller's eigenpairs; ``upper_opt``
     is ``lambda_max(C S)`` from one ``eigvalsh``.  Near the commutation
@@ -215,12 +213,13 @@ def controlled_kframe_check(frame: FrameSequence, K, ctrl: Controller, tol: Tole
     witness = plain.witness
     if witness is not None:
         w, Q = ctrl._eigh
-        witness = Q @ ((Q.conj().T @ witness) / np.sqrt(w))
+        # A controller with tiny eigenvalues makes the pulled-back vector
+        # huge: an exact power-of-two scaling keeps its norm finite.
+        witness, _ = _pow2_scaled(Q @ ((Q.conj().T @ witness) / np.sqrt(w)))
         witness /= np.linalg.norm(witness)
     return ControlledReport(
         commutes_with_k=True, form_is_real=True, is_controlled_kframe=plain.is_kframe,
-        lower_opt=plain.lower_opt, upper_opt=upper, rank_k=partial(getattr, plain, "rank_k"),
-        vacuous=plain.vacuous, witness=witness,
+        lower_opt=plain.lower_opt, upper_opt=upper, vacuous=plain.vacuous, witness=witness,
     )
 
 
@@ -253,17 +252,15 @@ def sandwich_inequality_check(frame: FrameSequence, K, ctrl: Controller, A: floa
 def bounds_to_kframe(A: float, B: float, ctrl: Controller) -> tuple[float, float]:
     """Transfer controlled bounds ``(A, B)`` to uncontrolled K-frame bounds.
 
-    Returns ``(A / ||C^{1/2}||^2, B * ||C^{-1/2}||^2)``, read off the
-    controller's spectrum as ``||C^{1/2}||^2 = lambda_max(C)`` and
-    ``||C^{-1/2}||^2 = 1 / lambda_min(C)``.  The upper transfer is always
-    valid.  The lower transfer divides by ``lambda_max(C)``, so it is a valid
-    (not optimal) lower K-frame bound whenever ``lambda_max(C) >= 1``; the
-    commuting-family generator normalizes controllers to satisfy that, and
-    callers supplying their own controllers with ``||C|| < 1`` should rescale
-    first.  Scaling ``C`` never changes the controlled verdict, which is the
-    plain K-frame verdict.
+    Returns ``(A, B * ||C^{-1/2}||^2)``, with ``||C^{-1/2}||^2 = 1 /
+    lambda_min(C)`` read off the controller's spectrum.  Both transfers hold
+    for every positive ``C`` under the hypotheses the controlled check
+    verifies (``C K = K C``, ``C S`` Hermitian): congruence by ``C^{-1/2}``
+    maps ``A K C K* <= C S`` onto ``A K K* <= S``, so a controlled lower
+    bound is a plain one as it is.  Scaling ``C`` never changes the
+    controlled verdict, which is the plain K-frame verdict.
     """
-    return (A / ctrl.bounds.upper, B / ctrl.bounds.lower)
+    return (A, B / ctrl.bounds.lower)
 
 
 def bounds_to_controlled(

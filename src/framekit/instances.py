@@ -10,8 +10,7 @@ Design notes baked into the families:
   and realness hypothesis hold by construction and keeps ``range(K)``
   invariant under ``S``.  Controller spectra are normalized so that
   ``lambda_max(C) >= 1``; scaling a controller never changes the controlled
-  verdict, and this normalization is what makes the lower bound transfer of
-  :func:`framekit.controlled.bounds_to_kframe` valid.
+  verdict.
 * ``ill-conditioned`` aligns the frame operator's eigenbasis with the
   coordinate axes (the synthesis matrix is ``diag(sigma) @ V*``), so diagonal
   controllers are spectral functions of ``S`` and the preconditioning story

@@ -17,7 +17,6 @@ whether or not ``S`` leaves ``range(K)`` invariant.
 from __future__ import annotations
 
 import math
-import zlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,7 +37,6 @@ from .operators import (
     _rank,
     as_operator,
     hermitian_part,
-    numerical_rank,
     operator_leq,
     operator_norm,
     pseudo_inverse,
@@ -58,53 +56,8 @@ __all__ = [
 ]
 
 
-class _RankOnDemand:
-    """Lets a frozen report take its ``rank_k`` as a zero-argument callable
-    that is called on the field's first read.
-
-    ``__post_init__`` moves such a callable out of the field; the first read
-    of ``rank_k`` calls it once and stores the result as the field's value.
-    An ``int`` given for ``rank_k`` is stored as is, so direct construction
-    and :func:`dataclasses.replace` behave as for any dataclass.
-    """
-
-    def __post_init__(self):
-        if callable(self.__dict__["rank_k"]):
-            self.__dict__["_rank_source"] = self.__dict__.pop("rank_k")
-
-    def __getattr__(self, name):
-        if name != "rank_k" or "_rank_source" not in self.__dict__:
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        rank = self.__dict__["_rank_source"]()
-        self.__dict__["rank_k"] = rank
-        del self.__dict__["_rank_source"]
-        return rank
-
-
-class _PendingRank:
-    """:func:`numerical_rank` of a checked ``K``, computed when called.
-
-    It holds an operator whose bytes had the CRC-32 ``crc`` at the check,
-    by reference, and refuses to report the rank of that operator once its
-    bytes have changed.
-    """
-
-    __slots__ = ("Kop", "crc", "tol")
-
-    def __init__(self, Kop: np.ndarray, crc: int, tol: Tolerances):
-        self.Kop, self.crc, self.tol = Kop, crc, tol
-
-    def __call__(self) -> int:
-        if zlib.crc32(self.Kop.tobytes()) != self.crc:
-            raise PreconditionFailedError(
-                "K was changed in place after kframe_check and before rank_k was first read; "
-                "check it again for its rank"
-            )
-        return numerical_rank(self.Kop, self.tol)
-
-
 @dataclass(frozen=True)
-class KFrameReport(_RankOnDemand):
+class KFrameReport:
     """Verdict and certified constants for one ``(family, K)`` pair.
 
     ``lower_opt`` is the optimal lower constant, the smallest quotient
@@ -121,19 +74,13 @@ class KFrameReport(_RankOnDemand):
     as ``0.0`` there and must not be fed into arithmetic.  ``witness`` is a
     unit vector attaining the minimal quotient, not necessarily in
     ``range(K)``; when ``is_kframe`` is false it is a null vector of ``S``
-    that ``K*`` does not annihilate (``None`` when vacuous).  ``rank_k``, the
-    numerical rank of ``K``, is ``0`` exactly when ``vacuous``.
-    :func:`kframe_check` computes it on its first read (see there), and that
-    read raises :class:`PreconditionFailedError` if the checked operator was
-    changed in place in between.  Constructed directly, a report takes
-    ``rank_k`` as an ``int``.
+    that ``K*`` does not annihilate (``None`` when vacuous).
     """
 
     is_bessel: bool
     is_kframe: bool
     lower_opt: float
     upper_opt: float
-    rank_k: int
     vacuous: bool
     witness: np.ndarray | None
 
@@ -221,39 +168,27 @@ def kframe_check(frame: FrameSequence, K, tol: Tolerances = DEFAULT_TOL) -> KFra
     since the rank counts singular values above a fraction below one of the
     largest.  Finite families are always Bessel.
 
-    The check runs no SVD.  ``rank_k`` is computed on its first read from
-    the operator given here, which the report keeps by reference rather
-    than as a copy.  A CRC-32 of the operator's bytes, taken here, makes
-    that read refuse an operator changed in place in the meantime instead
-    of reporting the rank of another ``K``.  The report for the last
-    ``(K, tol)`` is memoised on ``frame``, keyed by the exact bytes of
-    ``K``, so a controlled check of the same pair reuses it instead of
-    repeating the Douglas computation.  A call that finds the memo, and so
-    passes an operator with the checked bytes, hands that operator to a
-    ``rank_k`` not read yet, so an operator changed in place since the
-    first check no longer stands in the way.  The report's ``witness`` is
-    read-only; copy it before writing.
+    The check runs no SVD of ``K``; :func:`framekit.operators.numerical_rank`
+    gives its rank.  The report for the last ``(K, tol)`` is memoised on
+    ``frame``, keyed by the exact bytes of ``K``, so a controlled check of
+    the same pair reuses it instead of repeating the Douglas computation.
+    The report's ``witness`` is read-only; copy it before writing.
     """
     Kop = as_operator(K, dim=frame.dim)
     key = (Kop.tobytes(), tol)
     memo = frame.__dict__.get("_kframe_memo")
     if memo and memo[0] == key:
-        # The caller's operator has the checked bytes now; the one an unread
-        # rank holds may have been changed in place since.
-        if memo[2] is not None:
-            memo[2].Kop = Kop
         return memo[1]
     w, U = frame._eigh
     vacuous = not Kop.any()
     lower, witness = (0.0, None) if vacuous else _douglas_lower(w, U, Kop, tol)
     if witness is not None:
         witness.setflags(write=False)
-    pending = None if vacuous else _PendingRank(Kop, zlib.crc32(key[0]), tol)
     report = KFrameReport(
         is_bessel=True, is_kframe=lower is not None, lower_opt=lower or 0.0,
-        upper_opt=float(w[-1]), rank_k=0 if vacuous else pending, vacuous=vacuous, witness=witness,
+        upper_opt=float(w[-1]), vacuous=vacuous, witness=witness,
     )
-    frame.__dict__["_kframe_memo"] = (key, report, pending)
+    frame.__dict__["_kframe_memo"] = (key, report)
     return report
 
 
@@ -418,8 +353,6 @@ def restricted_operator_inequalities(
     frame: FrameSequence,
     K,
     tol: Tolerances = DEFAULT_TOL,
-    samples: int = 500,
-    seed: int = 0,
 ) -> bool:
     """Norm inequalities on ``range(K)`` and its image under ``S``.
 
@@ -443,8 +376,6 @@ def restricted_operator_inequalities(
     the two ``S^{-1}`` inequalities are the first pair restated for
     ``g = S f``.  ``Q`` and ``k = 1 / sigma_r(K)`` come from one SVD of
     ``K``.  Each comparison allows ``rel_eq`` times the larger side.
-    ``samples`` and ``seed`` are accepted so existing callers keep working,
-    but are unused: with nothing sampled, no random numbers are drawn.
 
     Raises :class:`PreconditionFailedError` when the pair is not a K-frame
     (the inequalities are statements about K-frames only).

@@ -96,31 +96,27 @@ def test_run_benchmark_identity_controller_matches_plain_exactly():
         assert row.speedup == 1.0
 
 
-def test_run_benchmark_parallel_equals_serial():
+def test_run_benchmark_reruns_are_identical():
     kwargs = dict(
         kinds=["ill-conditioned"], dims=[4, 5],
         cond_targets=[50.0], trials=2, config=SolverConfig(seed=21),
     )
-    serial = run_benchmark(workers=1, **kwargs)
-    parallel = run_benchmark(workers=3, **kwargs)
-    assert serial == parallel
-    assert rows_to_csv(serial) == rows_to_csv(parallel)
+    first = run_benchmark(**kwargs)
+    again = run_benchmark(**kwargs)
+    assert first == again
+    assert rows_to_csv(first) == rows_to_csv(again)
 
     # a grid with failed cells (NaN metrics) still serializes identically
     kwargs = dict(
         kinds=["ill-conditioned", "random-frame"], dims=[4],
         cond_targets=[50.0], trials=2, config=SolverConfig(seed=21),
     )
-    serial = run_benchmark(workers=1, **kwargs)
-    parallel = run_benchmark(workers=3, **kwargs)
-    assert rows_to_csv(serial) == rows_to_csv(parallel)
+    assert rows_to_csv(run_benchmark(**kwargs)) == rows_to_csv(run_benchmark(**kwargs))
 
 
 def test_run_benchmark_validation():
     with pytest.raises(InvalidParametersError):
         run_benchmark(["random-frame"], [4], [None], trials=0)
-    with pytest.raises(InvalidParametersError):
-        run_benchmark(["random-frame"], [4], [None], trials=1, workers=0)
 
 
 def test_failed_cells_become_nan_rows_not_crashes():

@@ -25,6 +25,7 @@ from framekit import (
     controlled_kframe_check,
     frame_operator,
     make_controller,
+    numerical_rank,
     parseval_frame,
     random_frame,
     save_frame,
@@ -145,7 +146,8 @@ def test_check_json_reports_every_controlled_field_and_the_witness(tmp_path, cap
     controlled = _json_report(capsys)["controlled"]
     expected = controlled_kframe_check(frame, K, make_controller(ctrl.matrix))
     assert code == 0
-    assert set(controlled) == {f.name for f in dataclasses.fields(ControlledReport)}
+    assert set(controlled) == {f.name for f in dataclasses.fields(ControlledReport)} | {"rank_k"}
+    assert controlled["rank_k"] == numerical_rank(K) == 4
     assert controlled["witness"] == vector_to_obj(expected.witness)
     assert controlled["lower_opt"] == expected.lower_opt
 
@@ -391,18 +393,18 @@ def test_solve_with_controller_converges_faster(tmp_path, capsys):
 # bench
 
 
-def test_bench_deterministic_across_reruns_and_workers(tmp_path, capsys):
+def test_bench_deterministic_across_reruns(tmp_path, capsys):
     common = ["bench", "--kinds", "ill-conditioned", "--dims", "4", "--cond-targets", "10",
               "--trials", "2", "--deterministic"]
     out1 = tmp_path / "a.csv"
     out2 = tmp_path / "b.csv"
-    out3 = tmp_path / "c.csv"
     assert main(common + ["--out", str(out1)]) == 0
     assert main(common + ["--out", str(out2)]) == 0
-    assert main(common + ["--out", str(out3), "--workers", "2"]) == 0
-    capsys.readouterr()
     assert out1.read_bytes() == out2.read_bytes()
-    assert out1.read_bytes() == out3.read_bytes()
+    # --workers is not an option: a usage error that writes nothing
+    assert main(common + ["--out", str(tmp_path / "c.csv"), "--workers", "2"]) == 1
+    assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
+    assert not (tmp_path / "c.csv").exists()
 
 
 def test_bench_report_and_csv_shape(tmp_path, capsys):

@@ -29,7 +29,9 @@ from framekit import (
     identity_controller,
     interchange_identity_check,
     kframe_check,
+    kframe_operator_inequality,
     make_controller,
+    numerical_rank,
     operator_norm,
     sandwich_inequality_check,
 )
@@ -292,6 +294,21 @@ def test_bounds_transfer_to_plain_kframe_bounds():
         assert B_t >= plain.upper_opt * (1 - 1e-9)
 
 
+@pytest.mark.parametrize("scale", [1.0, 2.0**-10, 1e-3, 1e-2, 1e3])
+def test_transferred_lower_bound_is_valid_at_every_controller_scale(scale):
+    # at scale 1e-2, lambda_max(C) = 0.024 and A / lambda_max(C) = 8.40, which
+    # kframe_operator_inequality rejects; the plain optimum is 0.2016
+    frame, K, ctrl = commuting_triple(np.random.default_rng(0), 6, 12)
+    scaled = make_controller(scale * ctrl.matrix)
+    creport = controlled_kframe_check(frame, K, scaled)
+    A_t, B_t = bounds_to_kframe(creport.lower_opt, creport.upper_opt, scaled)
+    plain = kframe_check(frame, K)
+    assert A_t == creport.lower_opt == plain.lower_opt
+    np.testing.assert_allclose(A_t, 0.2016, rtol=1e-3)
+    assert kframe_operator_inequality(frame, K, A_t)
+    assert B_t >= plain.upper_opt * (1 - 1e-9)
+
+
 def test_bounds_transfer_from_plain_kframe_bounds():
     rng = np.random.default_rng(54)
     for _ in range(10):
@@ -368,7 +385,7 @@ def _assert_theorem(frame, K, ctrl):
     plain = kframe_check(frame, K)
     report = controlled_kframe_check(frame, K, ctrl)
     assert report.lower_opt == plain.lower_opt
-    assert (report.rank_k, report.vacuous) == (plain.rank_k, plain.vacuous)
+    assert report.vacuous == plain.vacuous
     if plain.witness is not None:
         pulled_back = ctrl.inv_sqrt @ plain.witness
         np.testing.assert_allclose(report.witness, pulled_back / np.linalg.norm(pulled_back), atol=1e-12)
@@ -381,11 +398,27 @@ def test_controlled_optimum_is_the_plain_optimum_on_commuting_triples(rank_share
     for dim in (4, 8, 12, 16):
         frame, K, ctrl = commuting_triple(rng, dim, 2 * dim, zero_k=dim - round(rank_share * dim))
         plain, report = _assert_theorem(frame, K, ctrl)
-        assert report.rank_k == round(rank_share * dim)
+        assert numerical_rank(K) == round(rank_share * dim)
         assert report.is_controlled_kframe and plain.is_kframe
         numerator, denominator = _controlled_quotient(frame, K, ctrl, report.witness)
         np.testing.assert_allclose(numerator / denominator, report.lower_opt, rtol=1e-9)
         np.testing.assert_allclose(np.linalg.norm(report.witness), 1.0, rtol=1e-12)
+
+
+def test_controlled_witness_stays_finite_for_a_subnormal_controller():
+    # C^{-1/2} is about 1e160 here, so the squared norm of the pulled-back
+    # witness overflows unless the vector is scaled before it is normalised
+    frame = FrameSequence(np.eye(3, dtype=complex))
+    K = np.eye(3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = controlled_kframe_check(frame, K, make_controller(1e-320 * np.eye(3)))
+    plain = kframe_check(frame, K)
+    assert np.isfinite(report.witness).all()
+    np.testing.assert_allclose(np.linalg.norm(report.witness), 1.0, rtol=1e-15)
+    # C is scalar, so the pull-back only rescales: parallel to the plain witness
+    np.testing.assert_allclose(abs(np.vdot(plain.witness, report.witness)), 1.0, rtol=1e-15)
+    assert report.lower_opt == plain.lower_opt == 1.0
 
 
 def test_controlled_optimum_is_zero_with_a_null_witness_on_deficient_triples():
