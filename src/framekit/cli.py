@@ -44,7 +44,7 @@ from .errors import (
 from .frames import FrameSequence, frame_bounds, frame_operator, synthesis
 from .instances import INSTANCE_KINDS, c3_example, generate_instance
 from .kframes import interchange_dual, kframe_check
-from .operators import DEFAULT_TOL, OperatorBounds, Tolerances, numerical_rank
+from .operators import DEFAULT_TOL, OperatorBounds, Tolerances, _pow2_scaled, numerical_rank
 from .serialize import (
     _dumps,
     _Rendered,
@@ -168,9 +168,11 @@ def cmd_dual(args, tol: Tolerances):
 
     # Reconstruction residuals on range(K): f = sum <f,h_n> f_n = sum <f,f_n> h_n.
     # Probe s is K (parts[s, 0] + i parts[s, 1]): the draws of one loop over the
-    # samples, taken at once.  Zero probes are skipped.
+    # samples, taken at once.  Zero probes are skipped.  The residuals are
+    # linear in the probes, so K is scaled by one exact power of two first: a
+    # huge or tiny K neither overflows nor underflows the relative residuals.
     parts = np.random.default_rng(args.seed).normal(size=(max(args.samples, 0), 2, frame_g.dim))
-    F = np.asarray(K, dtype=np.complex128) @ (parts[:, 0] + 1j * parts[:, 1]).T
+    F = _pow2_scaled(np.asarray(K, dtype=np.complex128))[0] @ (parts[:, 0] + 1j * parts[:, 1]).T
     norms = np.linalg.norm(F, axis=0)
     F, norms = F[:, norms > 0.0], norms[norms > 0.0]
 

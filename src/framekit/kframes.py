@@ -279,8 +279,32 @@ def bessel_dual_check(frame_f: FrameSequence, frame_g: FrameSequence, K, tol: To
         raise DimensionMismatchError(
             f"paired families must share the ambient dimension, got {frame_f.dim} and {frame_g.dim}"
         )
-    defect = np.linalg.norm(Kop - frame_f.matrix @ frame_g.matrix.conj().T)
-    return bool(defect <= tol.rel_eq * np.linalg.norm(Kop))
+    scaled = _scaled_factor_defect(frame_f, frame_g, Kop)
+    if scaled is None:
+        return False
+    defect, Ks = scaled
+    return bool(np.linalg.norm(defect) <= tol.rel_eq * np.linalg.norm(Ks))
+
+
+def _scaled_factor_defect(frame_f: FrameSequence, frame_g: FrameSequence, Kop):
+    """``(K - F G*, K)`` times one exact power of two, or ``None`` when ``K``
+    is out of reach of ``F G*``.
+
+    ``F`` is scaled by ``2^-a``, ``G`` by ``2^-b`` and ``K`` by ``2^-(a+b)``
+    (see :func:`framekit.operators._pow2_scaled`), so ``F G*`` cannot
+    overflow; the defect and ``K`` then share one more power of two, so
+    neither norm can.  ``None`` means the scaled ``K`` exceeds the largest
+    float while each entry of ``F G*`` stays below ``count 2^256``: the
+    relative defect is about 1.
+    """
+    F, a = _pow2_scaled(frame_f.matrix)
+    G, b = _pow2_scaled(frame_g.matrix)
+    with np.errstate(over="ignore"):
+        Ks = np.ldexp(np.ascontiguousarray(Kop).view(np.float64), -(a + b)).view(np.complex128)
+    if not np.isfinite(Ks).all():
+        return None
+    pair, _ = _pow2_scaled(np.stack([Ks - F @ G.conj().T, Ks]))
+    return pair[0], pair[1]
 
 
 def interchange_dual(
@@ -305,10 +329,8 @@ def interchange_dual(
     if frame_f is None:
         frame_f = FrameSequence(Kop @ frame_g.matrix)
     if not bessel_dual_check(frame_f, frame_g, Kop, tol):
-        with np.errstate(over="ignore", invalid="ignore"):
-            defect = Kop - frame_f.matrix @ frame_g.matrix.conj().T
-        # An overflowing F G* has no finite defect to take a witness from.
-        witness = np.linalg.svd(defect)[2][0].conj() if np.isfinite(defect).all() else None
+        scaled = _scaled_factor_defect(frame_f, frame_g, Kop)
+        witness = None if scaled is None else np.linalg.svd(scaled[0])[2][0].conj()
         raise PreconditionFailedError(
             "the pair does not factor K (K != F G*); the dual system would not reconstruct",
             witness=witness,

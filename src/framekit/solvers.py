@@ -14,17 +14,23 @@ against the original system ``S f = g`` so iteration counts stay honest about
 the problem the caller actually posed.
 
 Both Richardson solvers are the one-column case of one private kernel,
-``_richardson_stack``, which iterates a stack of ``T`` systems with stacked
-``matmul`` calls into preallocated blocks.  The iterations run in blocks of
-1, 2, 4, ... up to 64, so a solve that ends after 1 or 15 iterations (an
-exact-inverse or a Jacobi controller) computes no iteration past its end.
-The residual norms of a whole block are taken at once after it. Each column
-then stops at its own first residual at or below the tolerance, and its
-later iterates in that block are discarded.  Each column's arithmetic is
-the single-system loop's: the stacked matrix-vector products and the
-``sqrt(re.re + im.im)`` norms reach the same BLAS kernels, so deferring the
-norms changes no residual, iterate or count.  The kernel tests compare it
-bit for bit with a per-column loop.
+``_richardson_stack``, which iterates a stack of ``T`` systems into
+preallocated blocks: four numpy calls per plain iteration, five per
+controlled one.  Two or more active columns run as ``(A, d, 1)`` operands
+through stacked ``matmul``; a lone column (every public solve, and the tail
+of a bench stack) runs as 2-D/1-D operands through ``np.dot``, which skips
+the gufunc's per-call overhead.  The layout is chosen whenever the stack is
+(re)built.  The iterations run in blocks of 1, 2, 4, ... up to 64, so a
+solve that ends after 1 or 15 iterations (an exact-inverse or a Jacobi
+controller) computes no iteration past its end.  The residual norms of a
+whole block are taken at once after it.  Each column then stops at its own
+first residual at or below the tolerance (converged), or at its first
+non-finite residual (diverged: a relaxation that does not contract has
+overflowed), and its later iterates in that block are discarded.  Each
+column's arithmetic is the single-system loop's: both operand layouts and
+the ``sqrt(re.re + im.im)`` norms reach the same BLAS kernels, so deferring
+the norms changes no residual, iterate or count.  The kernel tests compare
+it bit for bit with a per-column loop.
 
 Conjugate gradients is included as a second, parameter-free solver; in exact
 arithmetic it terminates within ``dim`` iterations.
@@ -157,7 +163,8 @@ def _richardson_stack(S, rhs, lam, config: SolverConfig, C=None):
     ``C``, when given, is ``(T, d, d)``.  Each column iterates
     ``f += lam * (C r)`` with ``r = rhs - S f`` (``C = None`` is the plain
     iteration) and stops at its own first residual of ``S f = rhs`` at or
-    below ``residual_tol``, or after ``max_iter`` updates.
+    below ``residual_tol`` (converged), at its first non-finite residual
+    (diverged), or after ``max_iter`` updates.
 
     Returns ``(f, histories, converged)``: the ``(T, d)`` final iterates, one
     ``float64`` array of relative residuals per column, and a ``(T,)`` mask.
@@ -170,42 +177,47 @@ def _richardson_stack(S, rhs, lam, config: SolverConfig, C=None):
     converged = norm_g == 0.0
     pieces: list[list[np.ndarray]] = [[] for _ in range(T)]
     active = np.flatnonzero(~converged)
+    mul, add, sub = np.multiply, np.add, np.subtract
     F = None
     done, size = 0, 1
     while active.size and done < config.max_iter:
         if F is None:
             # (Re)build the stack of the active columns; iterates and
-            # residuals of block k live in F[k], R[k].
+            # residuals of block k live in F[k], R[k].  A lone column takes
+            # 2-D/1-D operands through np.dot, several take stacked matmul.
             A = active.size
-            S_a, rhs_a = S[active], rhs[active, :, None]
-            C_a = None if C is None else C[active]
+            mm, mat, vec = (np.dot, (d, d), (d,)) if A == 1 else (np.matmul, (A, d, d), (A, d, 1))
+            S_a, rhs_a = S[active].reshape(mat), rhs[active].reshape(vec)
+            C_a = None if C is None else C[active].reshape(mat)
             # lam as a full complex array: the same product as a real scalar
             # times a complex vector, through numpy's fast contiguous loop.
-            lam_a = np.broadcast_to(lam[active, None, None], (A, d, 1)).astype(rhs.dtype)
-            F = np.empty((_BLOCK_MAX + 1, A, d, 1), dtype=rhs.dtype)
+            lam_a = np.broadcast_to(lam[active, None], (A, d)).astype(rhs.dtype).reshape(vec)
+            F = np.empty((_BLOCK_MAX + 1, *vec), dtype=rhs.dtype)
             R = np.empty_like(F)
-            step = np.empty((A, d, 1), dtype=rhs.dtype)
-            F[0], R[0] = f_now[active, :, None], r_now[active, :, None]
+            step = np.empty(vec, dtype=rhs.dtype)
+            # The same blocks as (k, column, d), whatever the operand layout.
+            F3, R3 = F.reshape(-1, A, d), R.reshape(-1, A, d)
+            F3[0], R3[0] = f_now[active], r_now[active]
             Fk, Rk = list(F), list(R)
         n = min(size, config.max_iter - done)
-        for k in range(n):
-            direction = Rk[k] if C_a is None else np.matmul(C_a, Rk[k], out=step)
-            np.multiply(lam_a, direction, out=step)
-            np.add(Fk[k], step, out=Fk[k + 1])
-            np.matmul(S_a, Fk[k + 1], out=Rk[k + 1])
-            np.subtract(rhs_a, Rk[k + 1], out=Rk[k + 1])
-        res = _norms(R[1 : n + 1, :, :, 0]) / norm_g[active]
+        for f0, r0, f1, r1 in zip(Fk[:n], Rk[:n], Fk[1 : n + 1], Rk[1 : n + 1]):
+            mul(lam_a, r0 if C_a is None else mm(C_a, r0, step), step)
+            add(f0, step, f1)
+            mm(S_a, f1, r1)
+            sub(rhs_a, r1, r1)
+        res = _norms(R3[1 : n + 1]) / norm_g[active]
         hit = res <= config.residual_tol
-        stopped = hit.any(axis=0)
-        stops = np.where(stopped, hit.argmax(axis=0) + 1, n)
+        end = hit | ~np.isfinite(res)
+        stopped = end.any(axis=0)
+        stops = np.where(stopped, end.argmax(axis=0) + 1, n)
         for j, col in enumerate(active):
             pieces[col].append(res[: stops[j], j])
-        f_now[active] = F[stops, np.arange(A), :, 0]
+        f_now[active] = F3[stops, np.arange(A)]
         done += n
         size = min(2 * size, _BLOCK_MAX)
         if stopped.any():
-            converged[active] = stopped
-            r_now[active] = R[n, :, :, 0]
+            converged[active] = hit[stops - 1, np.arange(A)]
+            r_now[active] = R3[n]
             active, F = active[~stopped], None
         else:
             F[0], R[0] = F[n], R[n]

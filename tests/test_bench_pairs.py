@@ -51,3 +51,26 @@ def test_bootstrap_interval_is_reproducible_and_collapses_on_equal_runs():
 def test_summary_needs_matching_pairs():
     with pytest.raises(ValueError):
         bench_pairs.summarize([1.0, 2.0], [1.0], "higher")
+
+
+STAT = """cpu  4451115 0 166388 9941713 27333 0 33147 145852 0 0
+cpu0 2266768 0 84089 4926284 17572 0 14109 72594 0 0
+cpu1 2184346 0 82299 5015429 9761 0 19038 73257 0 0
+intr 123456 0 9
+ctxt 987654
+"""
+
+
+def test_steal_ticks_come_from_the_aggregate_cpu_line():
+    assert bench_pairs.steal_ticks(STAT) == 145852
+    with pytest.raises(ValueError):
+        bench_pairs.steal_ticks("cpu0 1 2 3 4 5 6 7 8 9 10\n")
+
+
+def test_load_snapshot_reads_loadavg_and_stat(tmp_path):
+    (tmp_path / "loadavg").write_text("0.25 0.27 0.35 1/85 12046\n")
+    (tmp_path / "stat").write_text(STAT)
+    assert bench_pairs.load_snapshot(tmp_path) == {
+        "loadavg": "0.25 0.27 0.35 1/85 12046", "steal_ticks": 145852,
+    }
+    assert bench_pairs.load_snapshot(tmp_path / "missing") is None

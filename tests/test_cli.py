@@ -274,6 +274,36 @@ def test_dual_refuses_non_factoring_family(tmp_path, capsys):
     assert "Traceback" not in captured.err
 
 
+def test_dual_of_a_huge_k_reports_finite_residuals_without_warnings(tmp_path, capsys):
+    # The probes K x overflow the residual norms unless K is scaled first.
+    g_path = _write_frame(tmp_path / "g.json", np.eye(4))
+    k_path = _write_operator(tmp_path / "k.json", 1e200 * np.diag([1.0, 2.0, 0.5, 1.0]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["dual", "--g", g_path, "--k", k_path, "--out", str(tmp_path / "dual.json"),
+                     "--json", "--deterministic"])
+    captured = capsys.readouterr()
+    assert code == 0
+    rec = _strict_json(captured.out)["reconstruction"]
+    assert 0.0 <= rec["max_rel_residual_coefficients_in_dual"] < 1e-12
+    assert 0.0 <= rec["max_rel_residual_coefficients_in_frame"] < 1e-12
+    assert "Warning" not in captured.err
+
+
+def test_dual_refuses_a_huge_non_factoring_pair_without_warnings(tmp_path, capsys):
+    # F G* of two families with entries near 1e299 overflows unless scaled.
+    big = _write_frame(tmp_path / "big.json", 1e299 * np.eye(4))
+    k_path = _write_operator(tmp_path / "k.json", np.eye(4))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["dual", "--g", big, "--f", big, "--k", k_path, "--out", str(tmp_path / "dual.json")])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "does not factor K" in captured.err and "witness vector:" in captured.err
+    assert "Warning" not in captured.err and "Traceback" not in captured.err
+    assert not (tmp_path / "dual.json").exists()
+
+
 # ---------------------------------------------------------------------------
 # solve
 
@@ -361,7 +391,10 @@ def test_divergent_solve_writes_nothing_and_reports_strict_json(tmp_path, capsys
     assert not out.exists()
     report = _strict_json(captured.out)
     assert report["solution"] is None
-    assert report["trace"]["converged"] is False and report["trace"]["iterations"] == 50
+    # the kernel stops the column at its first non-finite residual
+    trace = report["trace"]
+    assert trace["converged"] is False and trace["iterations"] < 50
+    assert len(trace["residuals"]) == trace["iterations"] and trace["residuals"][-1] is None
     assert report["manifest"]["outputs"] == [] and report["manifest"]["exit_code"] == 2
     reason = [line for line in captured.err.splitlines() if not line.startswith("tolerances:")]
     assert len(reason) == 1 and "diverged" in reason[0] and "no solution written" in reason[0]

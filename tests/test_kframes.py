@@ -278,6 +278,22 @@ def test_bessel_dual_check_decides_the_same_after_rescaling():
         assert not bessel_dual_check(FrameSequence(scale * F), FrameSequence(scale * G), scale * off)
 
 
+def test_bessel_dual_check_at_extreme_scales_neither_overflows_nor_underflows():
+    # F G* and the Frobenius norms leave the float range unless the operands
+    # are scaled by powers of two; the verdicts are those at scale 1.
+    rng = np.random.default_rng(32)
+    F, G = random_frame(rng, 4, 8).matrix, random_frame(rng, 4, 8).matrix
+    K = F @ G.conj().T
+    off = K * (1 + 1e-6)
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        for a, b in ((1e200, 1e100), (1e-200, 1e-100), (1e299, 1e-299), (1e160, 1.0)):
+            assert bessel_dual_check(FrameSequence(a * F), FrameSequence(b * G), (a * b) * K)
+            assert not bessel_dual_check(FrameSequence(a * F), FrameSequence(b * G), (a * b) * off)
+        # K far beyond what F G* can reach, and F G* far beyond K
+        assert not bessel_dual_check(FrameSequence(1e-200 * F), FrameSequence(1e-200 * G), K)
+        assert not bessel_dual_check(FrameSequence(1e299 * F), FrameSequence(1e299 * G), K)
+
+
 def test_interchange_dual_canonical_case():
     # K = I with a Parseval family: the dual is the family itself
     g = parseval_frame(np.random.default_rng(30), 4, 9)

@@ -230,7 +230,10 @@ def test_trace_final_residual_meets_the_tolerance():
 
 
 def _reference_column(S, rhs, lam, config, C=None):
-    """The single-system Richardson loop, taking each residual norm as it goes."""
+    """The single-system Richardson loop, taking each residual norm as it goes.
+
+    A column stops at its first residual at or below the tolerance
+    (converged) or at its first non-finite residual (diverged)."""
     norm_g = float(np.linalg.norm(rhs))
     if norm_g == 0.0:
         return np.zeros_like(rhs), [], True
@@ -243,15 +246,19 @@ def _reference_column(S, rhs, lam, config, C=None):
         residuals.append(float(np.linalg.norm(r)) / norm_g)
         if residuals[-1] <= config.residual_tol:
             return f, residuals, True
+        if not np.isfinite(residuals[-1]):
+            return f, residuals, False
     return f, residuals, False
 
 
+@np.errstate(over="ignore", invalid="ignore")  # the divergent column overflows
 def test_stacked_kernel_matches_the_per_column_loop_bit_for_bit():
     rng = np.random.default_rng(68)
     d = 6
     # Plain solves: cond 3 and cond 10 stop inside a block, cond 1e3 exhausts
-    # the cap, and one right-hand side is zero.
-    conds = (3.0, 1e3, 50.0, 10.0)
+    # the cap, one right-hand side is zero, and the last column, relaxed far
+    # past 2 / B, diverges until its residual norm overflows.
+    conds = (3.0, 1e3, 50.0, 10.0, 5.0)
     frames = [generate_instance("ill-conditioned", d, cond_target=c, seed=s)[0] for s, c in enumerate(conds)]
     S = np.stack([frame_operator(fr) for fr in frames])
     rhs = rng.normal(size=(len(conds), d)) + 1j * rng.normal(size=(len(conds), d))
@@ -262,6 +269,7 @@ def test_stacked_kernel_matches_the_per_column_loop_bit_for_bit():
         identity_controller(d),
         controller_for("jacobi", S[2]),
         make_controller(spectral_function(S[3], lambda w: 1.0 / w)),
+        controller_for("jacobi", S[4]),
     ]
     plain_lam = np.array([2.0 / (b.lower + b.upper) for b in map(positive_definite_bounds, S)])
     C = np.stack([ctrl.matrix for ctrl in controllers])
@@ -269,6 +277,8 @@ def test_stacked_kernel_matches_the_per_column_loop_bit_for_bit():
         2.0 / (b.lower + b.upper)
         for b in (positive_definite_bounds(c @ s) for c, s in zip(C, S))
     ])
+    plain_lam[4] *= 1e3
+    controlled_lam[4] *= 1e3
 
     outcomes = set()
     for lam, stack_C in ((plain_lam, None), (controlled_lam, C)):
@@ -292,3 +302,40 @@ def test_stacked_kernel_matches_the_per_column_loop_bit_for_bit():
     # and columns that stop inside a block (blocks end after 1, 3, 7, ... 127)
     assert (0, True) in outcomes and (150, False) in outcomes
     assert len({n for n, ok in outcomes if ok and n not in (1, 3, 7, 15, 31, 63, 127)}) >= 2
+    # the divergent column stopped at its first non-finite residual
+    assert any(not ok and n < 150 for n, ok in outcomes)
+
+
+@np.errstate(over="ignore", invalid="ignore")  # the divergent column overflows
+@pytest.mark.parametrize("d", [1, 2, 5, 33, 64])
+def test_lone_column_operands_match_the_per_column_loop_bit_for_bit(d):
+    # A stack of one column runs 2-D/1-D operands through np.dot; several
+    # columns run stacked matmul.  Relaxations are 2 / (A + B) times a factor:
+    # 1 and 0.3 converge, 1e3 diverges and 1e-3 runs alone to the cap once
+    # the others have stopped, so the stack shrinks from four columns to one.
+    rng = np.random.default_rng(69)
+    factors = np.array([1.0, 0.3, 1e3, 1e-3])
+    S = np.stack([random_positive_operator(rng, d, spread=(1.0, 4.0)) for _ in factors])
+    rhs = rng.normal(size=(len(factors), d)) + 1j * rng.normal(size=(len(factors), d))
+    C = np.stack([spectral_function(s, lambda w: 1.0 / np.sqrt(w)) for s in S])
+    config = SolverConfig(max_iter=200)
+    for stack_C in (None, C):
+        Op = S if stack_C is None else C @ S
+        lam = factors * np.array([2.0 / (w[0] + w[-1]) for w in np.linalg.eigvalsh(Op)])
+        f, histories, converged = _richardson_stack(S, rhs, lam, config, C=stack_C)
+        counts = []
+        for t in range(len(factors)):
+            column_C = None if stack_C is None else stack_C[t]
+            f_ref, res_ref, ok_ref = _reference_column(S[t], rhs[t], float(lam[t]), config, column_C)
+            assert histories[t].tolist() == res_ref
+            assert np.array_equal(f[t], f_ref)
+            assert bool(converged[t]) == ok_ref
+            # the same column as a stack of one from the start
+            f_one, trace = _solve_one(S[t], rhs[t], float(lam[t]), config, C=column_C)
+            assert np.array_equal(f_one, f_ref)
+            assert trace.residuals == res_ref and trace.converged == ok_ref
+            counts.append((len(res_ref), ok_ref))
+        (n_fast, ok_fast), (n_slow, ok_slow), (n_div, ok_div), (n_cap, ok_cap) = counts
+        assert ok_fast and ok_slow and n_fast < n_slow < 200
+        assert not ok_div and n_div < 200 and not np.isfinite(histories[2][-1])
+        assert not ok_cap and n_cap == 200 and max(n_fast, n_slow, n_div) < 200

@@ -18,6 +18,11 @@ direction) and the change/parent median ratio with a paired bootstrap 95%
 interval.  The interval is a second view next to the ``BENCHMARK.json``
 bounds, not a replacement for them.  Failed ops are kept per seed.
 
+Each run also keeps the machine's load around it (``load``): the
+``/proc/loadavg`` line and the steal ticks of ``/proc/stat``, both read
+(never written) before and after the run, and the steal ticks in between.
+A set disturbed by other tenants of a shared machine shows there.
+
 Standard library only.
 """
 
@@ -90,6 +95,42 @@ def summarize(parent, change, better: str) -> dict:
 
 
 # ---------------------------------------------------------------------------
+# machine load
+
+
+def steal_ticks(stat_text: str) -> int:
+    """The steal ticks of the aggregate ``cpu`` line of a ``/proc/stat`` text.
+
+    The fields after ``cpu`` are user, nice, system, idle, iowait, irq,
+    softirq and steal, in clock ticks summed over all CPUs.
+    """
+    for line in stat_text.splitlines():
+        fields = line.split()
+        if fields and fields[0] == "cpu":
+            return int(fields[8])
+    raise ValueError("no aggregate cpu line")
+
+
+def load_snapshot(proc: Path = Path("/proc")) -> dict | None:
+    """``/proc/loadavg`` and the ``/proc/stat`` steal ticks now, or ``None`` without them."""
+    try:
+        loadavg = (proc / "loadavg").read_text().strip()
+        steal = steal_ticks((proc / "stat").read_text())
+    except (OSError, ValueError, IndexError):
+        return None
+    return {"loadavg": loadavg, "steal_ticks": steal}
+
+
+def _measured(run):
+    """``run()``'s result and the machine load around it."""
+    before = load_snapshot()
+    result = run()
+    after = load_snapshot()
+    steal = after["steal_ticks"] - before["steal_ticks"] if before and after else None
+    return result, {"before": before, "after": after, "steal_ticks_during": steal}
+
+
+# ---------------------------------------------------------------------------
 # runs
 
 
@@ -97,20 +138,24 @@ def run_perfbench(tree: Path, workload: str, seed: int, trace: int) -> dict:
     """One ``perfbench/run.py`` run: its seed, ``# meta`` line and result line."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--trace", str(trace)]
-    proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True, timeout=RUN_TIMEOUT_S)
+    proc, load = _measured(
+        lambda: subprocess.run(cmd, cwd=tree, capture_output=True, text=True, timeout=RUN_TIMEOUT_S)
+    )
     if proc.returncode != 0:
         raise SystemExit(f"{tree}: {' '.join(cmd[1:])} exited {proc.returncode}:\n{proc.stderr}")
     lines = proc.stdout.strip().splitlines()
     meta = next(json.loads(l[len("# meta "):]) for l in lines if l.startswith("# meta "))
-    return {"seed": seed, "meta": meta, "result": json.loads(lines[-1])}
+    return {"seed": seed, "meta": meta, "result": json.loads(lines[-1]), "load": load}
 
 
 def run_tier1(tree: Path) -> dict:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in ("src", env.get("PYTHONPATH")) if p)
     start = time.perf_counter()
-    proc = subprocess.run([sys.executable, *TIER1], cwd=tree, env=env, capture_output=True,
-                          text=True, timeout=RUN_TIMEOUT_S)
+    proc, load = _measured(
+        lambda: subprocess.run([sys.executable, *TIER1], cwd=tree, env=env, capture_output=True,
+                               text=True, timeout=RUN_TIMEOUT_S)
+    )
     wall = time.perf_counter() - start
     lines = proc.stdout.splitlines()
     summary = next((l.strip("= ") for l in reversed(lines) if re.search(r"\d+ (passed|failed)", l)), "")
@@ -118,17 +163,19 @@ def run_tier1(tree: Path) -> dict:
         {"test": m.group(2), "s": float(m.group(1))}
         for m in (re.match(r"([\d.]+)s \w+\s+(\S+)", l) for l in lines) if m
     ]
-    return {"summary": summary, "wall_s": round(wall, 3), "durations_top5": durations[:5]}
+    return {"summary": summary, "wall_s": round(wall, 3), "durations_top5": durations[:5], "load": load}
 
 
 def paired_runs(trees: dict, workload: str, seeds, metrics: list) -> tuple[dict, dict]:
     """The ``# meta`` of one workload's last run, and the summary of its pairs."""
     runs = {"parent": [], "change": []}
+    loads = {"parent": [], "change": []}
     for k, seed in enumerate(seeds):
         order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
         for side in order:
             run = run_perfbench(trees[side], workload, seed, 0)
             runs[side].append(run["result"])
+            loads[side].append(run["load"])
             print(f"  {workload} seed {seed} {side}: "
                   f"{runs[side][-1]['metrics']['ops_per_s']['value']:.3f} ops/s", file=sys.stderr)
     sides = ("parent", "change")
@@ -138,6 +185,7 @@ def paired_runs(trees: dict, workload: str, seeds, metrics: list) -> tuple[dict,
         "failed_per_seed": {s: [r["failed"] for r in runs[s]] for s in sides},
         "attempted": {s: sum(r["attempted"] for r in runs[s]) for s in sides},
         "correct_all_runs": all(r["correct"] for s in sides for r in runs[s]),
+        "load_per_seed": loads,
         "metrics": {
             m["name"]: summarize(
                 [r["metrics"][m["name"]]["value"] for r in runs["parent"]],
