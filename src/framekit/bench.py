@@ -37,7 +37,7 @@ from itertools import product
 
 import numpy as np
 
-from .controlled import Controller, _require_real_product, identity_controller, make_controller
+from .controlled import Controller, _require_real_product, identity_controller
 from .errors import InvalidParametersError, NotPositiveDefiniteError, ToolkitError
 from .frames import frame_operator
 from .instances import generate_instance
@@ -111,8 +111,14 @@ def controller_for(strategy: str, S, tol: Tolerances = DEFAULT_TOL) -> Controlle
         diag = np.diag(S).real
         if np.any(diag <= 0):
             raise NotPositiveDefiniteError("jacobi controller needs positive diagonal entries")
-        snapped = np.exp2(np.round(np.log2(diag)))
-        return make_controller(np.diag(1.0 / snapped).astype(np.complex128), tol)
+        inverse = 1.0 / np.exp2(np.round(np.log2(diag)))
+        # A diagonal matrix is its own eigendecomposition: the entries in
+        # ascending (stable) order with unit vectors.  That is the pair eigh
+        # returns, up to the order of the columns of a tied entry.
+        order = np.argsort(inverse, kind="stable")
+        eigh = (inverse[order], np.eye(dim, dtype=np.complex128)[:, order])
+        _spectrum_bounds(eigh[0], tol)
+        return Controller(np.diag(inverse).astype(np.complex128), eigh)
     raise InvalidParametersError(
         f"unknown controller strategy {strategy!r}; expected one of {CONTROLLER_STRATEGIES}"
     )

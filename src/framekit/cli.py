@@ -222,14 +222,11 @@ def cmd_solve(args, tol: Tolerances):
     if args.c is not None:
         ctrl = make_controller(load_operator(args.c), tol)
         inputs["c"] = args.c
-    # A relaxation that does not contract can overflow the iterates: that is
-    # reported below as a divergence, not as numpy warnings.
-    with np.errstate(over="ignore", invalid="ignore"):
-        if args.c is not None:
-            f, trace = controlled_richardson_solve(frame, ctrl, g, config, tol=tol)
-        else:
-            bounds = OperatorBounds(fb.lower, fb.upper)
-            f, trace = richardson_solve(frame_operator(frame), g, bounds, config, tol)
+    if args.c is not None:
+        f, trace = controlled_richardson_solve(frame, ctrl, g, config, tol=tol)
+    else:
+        bounds = OperatorBounds(fb.lower, fb.upper)
+        f, trace = richardson_solve(frame_operator(frame), g, bounds, config, tol)
     trace_obj = {
         **{f.name: getattr(trace, f.name) for f in dataclasses.fields(trace)},
         "final_residual": trace.residuals[-1] if trace.residuals else 0.0,

@@ -270,7 +270,13 @@ def bessel_dual_check(frame_f: FrameSequence, frame_g: FrameSequence, K, tol: To
     identity, and the swap genuinely fails for rank-deficient ``K`` (see the
     built-in C^3 example).
     """
-    Kop = as_operator(K, dim=frame_f.dim)
+    return _factor_check(frame_f, frame_g, as_operator(K, dim=frame_f.dim), tol)[0]
+
+
+def _factor_check(frame_f: FrameSequence, frame_g: FrameSequence, Kop, tol: Tolerances):
+    """``(K == F G*, defect)``: the verdict of :func:`bessel_dual_check` and
+    the scaled defect it was decided on (``None`` when ``K`` is out of reach
+    of ``F G*``; see :func:`_scaled_factor_defect`)."""
     if frame_f.count != frame_g.count:
         raise DimensionMismatchError(
             f"paired families must have equal length, got {frame_f.count} and {frame_g.count}"
@@ -281,9 +287,9 @@ def bessel_dual_check(frame_f: FrameSequence, frame_g: FrameSequence, K, tol: To
         )
     scaled = _scaled_factor_defect(frame_f, frame_g, Kop)
     if scaled is None:
-        return False
+        return False, None
     defect, Ks = scaled
-    return bool(np.linalg.norm(defect) <= tol.rel_eq * np.linalg.norm(Ks))
+    return bool(np.linalg.norm(defect) <= tol.rel_eq * np.linalg.norm(Ks)), defect
 
 
 def _scaled_factor_defect(frame_f: FrameSequence, frame_g: FrameSequence, Kop):
@@ -328,9 +334,9 @@ def interchange_dual(
     Kop = as_operator(K, dim=frame_g.dim)
     if frame_f is None:
         frame_f = FrameSequence(Kop @ frame_g.matrix)
-    if not bessel_dual_check(frame_f, frame_g, Kop, tol):
-        scaled = _scaled_factor_defect(frame_f, frame_g, Kop)
-        witness = None if scaled is None else np.linalg.svd(scaled[0])[2][0].conj()
+    factors, defect = _factor_check(frame_f, frame_g, Kop, tol)
+    if not factors:
+        witness = None if defect is None else np.linalg.svd(defect)[2][0].conj()
         raise PreconditionFailedError(
             "the pair does not factor K (K != F G*); the dual system would not reconstruct",
             witness=witness,

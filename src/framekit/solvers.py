@@ -14,23 +14,45 @@ against the original system ``S f = g`` so iteration counts stay honest about
 the problem the caller actually posed.
 
 Both Richardson solvers are the one-column case of one private kernel,
-``_richardson_stack``, which iterates a stack of ``T`` systems into
-preallocated blocks: four numpy calls per plain iteration, five per
-controlled one.  Two or more active columns run as ``(A, d, 1)`` operands
-through stacked ``matmul``; a lone column (every public solve, and the tail
-of a bench stack) runs as 2-D/1-D operands through ``np.dot``, which skips
-the gufunc's per-call overhead.  The layout is chosen whenever the stack is
-(re)built.  The iterations run in blocks of 1, 2, 4, ... up to 64, so a
-solve that ends after 1 or 15 iterations (an exact-inverse or a Jacobi
-controller) computes no iteration past its end.  The residual norms of a
-whole block are taken at once after it.  Each column then stops at its own
-first residual at or below the tolerance (converged), or at its first
-non-finite residual (diverged: a relaxation that does not contract has
-overflowed), and its later iterates in that block are discarded.  Each
-column's arithmetic is the single-system loop's: both operand layouts and
-the ``sqrt(re.re + im.im)`` norms reach the same BLAS kernels, so deferring
-the norms changes no residual, iterate or count.  The kernel tests compare
-it bit for bit with a per-column loop.
+``_richardson_stack``, which iterates a stack of ``T`` systems by the
+residual recurrence
+
+    r_{k+1} = M r_k,    M = I - lam S C    (C = I for the plain iteration),
+
+so each iteration is one matrix-vector product, written into preallocated
+blocks; ``M`` is formed once per stack.  Two or more active columns run as
+``(A, d, 1)`` operands through stacked ``matmul``; a lone column (every
+public solve, and the tail of a bench stack) runs as 2-D/1-D operands
+through ``np.dot``, which skips the gufunc's per-call overhead.  The layout
+is chosen whenever the stack is (re)built.
+
+The iterations run in blocks of 1, 2, 4, ... up to 64 updates, so block ends
+fall after updates 1, 3, 7, 15, 31, 63, 127, 191, ... whatever the stack
+holds, and a solve that ends after 1 or 15 iterations (an exact-inverse or a
+Jacobi controller) computes no iteration past its end.  Iterates are formed
+only at block ends and at stops, as ``f = f_start + lam C (r_0 + ... +
+r_{k-1})``.  At each block end the true residual ``g - S f`` replaces the
+recurrence's and the next block starts from it ("residual replacement",
+H. A. van der Vorst and Q. Ye, SIAM J. Sci. Comput. 22 (2000)), so the
+recurrence never runs more than 64 updates away from a true residual.
+
+The residual norms of a whole block are taken at once after it.  A column
+stops at its first non-finite residual (diverged: a relaxation that does not
+contract has overflowed), not converged.  A recurrence residual at or below
+the tolerance is a candidate stop, confirmed only if the true residual of
+its iterate is at or below the tolerance too; that true value ends the
+history, so ``converged`` means the returned iterate meets the tolerance on
+``S f = g``.  A refused candidate hands the rest of its block to true
+residuals: the column stops at the first of them that meets the tolerance,
+or runs on from the block end.  A capped column ends on the true residual
+of its returned iterate.  Residuals and iterates before the last one differ
+from those of a loop that recomputes ``g - S f`` at every step at rounding
+level; on every grid tested the counts and verdicts did not.
+
+A column's arithmetic does not depend on the stack around it: both operand
+layouts reach the same BLAS kernels, the block sums add in the order of the
+updates, and the norms are ``sqrt(re.re + im.im)``.  The kernel tests
+compare it bit for bit with a per-column loop.
 
 Conjugate gradients is included as a second, parameter-free solver; in exact
 arithmetic it terminates within ``dim`` iterations.
@@ -156,15 +178,63 @@ def _norms(X) -> np.ndarray:
     return np.sqrt(np.swapaxes(re, -1, -2) @ re + np.swapaxes(im, -1, -2) @ im)[..., 0, 0]
 
 
+def _column_iterates(sums, f0, lam, C, S, rhs, norm_g):
+    """Iterates ``f0 + lam C s`` of one column, one per row ``s`` of
+    ``sums``, and their true relative residuals ``|rhs - S f| / norm_g``.
+
+    ``sums`` holds real pairs, ``(m, 2d)``; ``C`` (``None`` for the plain
+    iteration) and ``S`` are ``(d, d)``.  Each product is a matrix-vector
+    product, as at a block end, so an iterate formed here is bitwise the one
+    a block end forms.
+    """
+    sums = sums.view(f0.dtype)
+    F = f0 + lam * (sums if C is None else np.matmul(C, sums[..., None])[..., 0])
+    return F, _norms(rhs - np.matmul(S, F[..., None])[..., 0]) / norm_g
+
+
+def _stops_in_block(res, tol, Rf, f_end, stack):
+    """Where the columns of a block stop, each stop confirmed on a true residual.
+
+    ``res`` is the block's ``(n, A)`` relative residuals, its last row true;
+    ``Rf`` holds the block's residuals as real pairs, ``(n + 1, A, 2d)``; and
+    ``stack`` is ``(f_start, lam, C, S, rhs, norm_g)`` of its ``A`` columns.
+    A column stops at its first residual at or below ``tol`` or non-finite.
+    A recurrence residual at or below ``tol`` inside the block is only a
+    candidate: the true residual of its iterate confirms it, or refuses it,
+    and then the rest of the block takes true residuals too.  True residuals
+    overwrite ``res``, and the iterate of a stop inside the block overwrites
+    its column of ``f_end``.  Returns the ``(n, A)`` mask of stopping rows.
+    """
+    stop = (res <= tol) | ~np.isfinite(res)
+    n = len(res)
+    for j in np.flatnonzero(stop[:-1].any(axis=0)):
+        k = stop[:, j].argmax()
+        column = [None if x is None else x[j] for x in stack]
+        F, true = _column_iterates(np.cumsum(Rf[: k + 1, j], axis=0)[k:], *column)
+        if res[k, j] <= tol and not true[0] <= tol:
+            F, true = _column_iterates(np.cumsum(Rf[: n - 1, j], axis=0)[k:], *column)
+            res[k : n - 1, j] = true
+            stop[k:, j] = (res[k:, j] <= tol) | ~np.isfinite(res[k:, j])
+        elif res[k, j] <= tol:
+            res[k, j] = true[0]
+        i = stop[:, j].argmax()
+        if stop[i, j] and i < n - 1:
+            f_end[j] = F[i - k]
+    return stop
+
+
 def _richardson_stack(S, rhs, lam, config: SolverConfig, C=None):
     """The one Richardson loop, run on a stack of ``T`` systems at once.
 
     ``S`` is ``(T, d, d)``, ``rhs`` is ``(T, d)``, ``lam`` is ``(T,)`` and
-    ``C``, when given, is ``(T, d, d)``.  Each column iterates
-    ``f += lam * (C r)`` with ``r = rhs - S f`` (``C = None`` is the plain
-    iteration) and stops at its own first residual of ``S f = rhs`` at or
-    below ``residual_tol`` (converged), at its first non-finite residual
-    (diverged), or after ``max_iter`` updates.
+    ``C``, when given, is ``(T, d, d)``.  Each column iterates its residual
+    ``r_{k+1} = M r_k`` with ``M = I - lam S C`` (``C = None`` is the plain
+    iteration, ``M = I - lam S``) and forms its iterate
+    ``f = f_start + lam C (r_0 + ... + r_{k-1})`` only at block ends and
+    stops.  At each block end the true residual ``rhs - S f`` replaces the
+    recurrence's, and the next block starts from it.  A column stops as
+    :func:`_stops_in_block` says, or after ``max_iter`` updates.  Overflow
+    of a diverging column raises no numpy warning: its trace reports it.
 
     Returns ``(f, histories, converged)``: the ``(T, d)`` final iterates, one
     ``float64`` array of relative residuals per column, and a ``(T,)`` mask.
@@ -172,55 +242,64 @@ def _richardson_stack(S, rhs, lam, config: SolverConfig, C=None):
     ``converged``.
     """
     T, d = rhs.shape
+    tol = config.residual_tol
     norm_g = _norms(rhs)
     f_now, r_now = np.zeros_like(rhs), rhs.copy()
     converged = norm_g == 0.0
     pieces: list[list[np.ndarray]] = [[] for _ in range(T)]
     active = np.flatnonzero(~converged)
-    mul, add, sub = np.multiply, np.add, np.subtract
-    F = None
+    R = None
     done, size = 0, 1
-    while active.size and done < config.max_iter:
-        if F is None:
-            # (Re)build the stack of the active columns; iterates and
-            # residuals of block k live in F[k], R[k].  A lone column takes
-            # 2-D/1-D operands through np.dot, several take stacked matmul.
-            A = active.size
-            mm, mat, vec = (np.dot, (d, d), (d,)) if A == 1 else (np.matmul, (A, d, d), (A, d, 1))
-            S_a, rhs_a = S[active].reshape(mat), rhs[active].reshape(vec)
-            C_a = None if C is None else C[active].reshape(mat)
-            # lam as a full complex array: the same product as a real scalar
-            # times a complex vector, through numpy's fast contiguous loop.
-            lam_a = np.broadcast_to(lam[active, None], (A, d)).astype(rhs.dtype).reshape(vec)
-            F = np.empty((_BLOCK_MAX + 1, *vec), dtype=rhs.dtype)
-            R = np.empty_like(F)
-            step = np.empty(vec, dtype=rhs.dtype)
-            # The same blocks as (k, column, d), whatever the operand layout.
-            F3, R3 = F.reshape(-1, A, d), R.reshape(-1, A, d)
-            F3[0], R3[0] = f_now[active], r_now[active]
-            Fk, Rk = list(F), list(R)
-        n = min(size, config.max_iter - done)
-        for f0, r0, f1, r1 in zip(Fk[:n], Rk[:n], Fk[1 : n + 1], Rk[1 : n + 1]):
-            mul(lam_a, r0 if C_a is None else mm(C_a, r0, step), step)
-            add(f0, step, f1)
-            mm(S_a, f1, r1)
-            sub(rhs_a, r1, r1)
-        res = _norms(R3[1 : n + 1]) / norm_g[active]
-        hit = res <= config.residual_tol
-        end = hit | ~np.isfinite(res)
-        stopped = end.any(axis=0)
-        stops = np.where(stopped, end.argmax(axis=0) + 1, n)
-        for j, col in enumerate(active):
-            pieces[col].append(res[: stops[j], j])
-        f_now[active] = F3[stops, np.arange(A)]
-        done += n
-        size = min(2 * size, _BLOCK_MAX)
-        if stopped.any():
-            converged[active] = hit[stops - 1, np.arange(A)]
-            r_now[active] = R3[n]
-            active, F = active[~stopped], None
-        else:
-            F[0], R[0] = F[n], R[n]
+    with np.errstate(over="ignore", invalid="ignore"):
+        M = np.eye(d) - lam[:, None, None] * (S if C is None else S @ C)
+        while active.size and done < config.max_iter:
+            if R is None:
+                # (Re)build the stack of the active columns; the residuals of
+                # a block live in R.  A lone column takes 2-D/1-D operands
+                # through np.dot, several take stacked matmul.
+                A = active.size
+                mm, mat, vec = (np.dot, (d, d), (d,)) if A == 1 else (np.matmul, (A, d, d), (A, d, 1))
+                S3, C3 = S[active], None if C is None else C[active]
+                M_a, S_a = M[active].reshape(mat), S3.reshape(mat)
+                C_a = None if C is None else C3.reshape(mat)
+                rhs_a, g_a = rhs[active], norm_g[active]
+                # lam as a full complex array: the same product as a real
+                # scalar times a complex vector, through a contiguous loop.
+                lam_a = np.broadcast_to(lam[active, None], (A, d)).astype(rhs.dtype)
+                R = np.empty((_BLOCK_MAX + 1, *vec), dtype=rhs.dtype)
+                # The block as (k, column, d) whatever the operand layout, and
+                # as real pairs, so that a sum over k adds in the order of k.
+                R3 = R.reshape(-1, A, d)
+                Rf = R3.view(np.float64)
+                R3[0], f_a = r_now[active], f_now[active]
+                Rk = list(R)
+            n = min(size, config.max_iter - done)
+            done += n
+            size = min(2 * size, _BLOCK_MAX)
+            for r0, r1 in zip(Rk[:n], Rk[1 : n + 1]):
+                mm(M_a, r0, r1)
+            total = Rf[:n].sum(axis=0).view(rhs.dtype)
+            f_end = f_a + lam_a * (total if C_a is None else mm(C_a, total.reshape(vec)).reshape(A, d))
+            mm(S_a, f_end.reshape(vec), R[n])
+            np.subtract(rhs_a.reshape(vec), R[n], R[n])
+            res = _norms(R3[1 : n + 1]) / g_a
+            stop = None
+            if not (tol < res.min() and res.max() < np.inf):
+                stop = _stops_in_block(res, tol, Rf, f_end, (f_a, lam_a, C3, S3, rhs_a, g_a))
+            if stop is None or not stop.any():
+                for j, col in enumerate(active):
+                    pieces[col].append(res[:, j])
+                R[0], f_a = R[n], f_end
+                continue
+            stopped = stop.any(axis=0)
+            ends = np.where(stopped, stop.argmax(axis=0) + 1, n)
+            for j, col in enumerate(active):
+                pieces[col].append(res[: ends[j], j])
+            converged[active] = stopped & (res[ends - 1, np.arange(A)] <= tol)
+            f_now[active], r_now[active] = f_end, R3[n]
+            active, R = active[~stopped], None
+        if R is not None:
+            f_now[active] = f_a
     histories = [np.concatenate(p) if p else np.zeros(0) for p in pieces]
     return f_now, histories, converged
 

@@ -12,6 +12,7 @@ from framekit import (
     controlled_richardson_solve,
     controller_for,
     frame_operator,
+    make_controller,
     positive_definite_bounds,
     richardson_solve,
     rows_to_csv,
@@ -64,6 +65,44 @@ def test_controller_for_jacobi_snaps_to_powers_of_two():
     # on a diagonal S that bounds the preconditioned condition number by 2
     bounds = positive_definite_bounds(hermitian_part(ctrl.matrix @ S))
     assert bounds.condition <= 2.0 + 1e-9
+
+
+def _assert_same_controller(ctrl, ref, ties=False):
+    """``ctrl`` equals ``ref`` bit for bit.  With ``ties``, the eigenvector
+    columns of a tied eigenvalue may come in another order: eigh ends with a
+    selection sort, which is not stable, and no derived operator depends on
+    that order."""
+    assert np.array_equal(ctrl.matrix, ref.matrix)
+    w, Q = ctrl._eigh
+    assert np.array_equal(w, ref._eigh[0])
+    if ties:
+        for value in np.unique(w):
+            tied = w == value
+            assert np.array_equal(np.abs(Q[:, tied]).sum(axis=1), np.abs(ref._eigh[1][:, tied]).sum(axis=1))
+    else:
+        assert np.array_equal(Q, ref._eigh[1])
+    for name in ("sqrt", "inv", "inv_sqrt"):
+        assert np.array_equal(getattr(ctrl, name), getattr(ref, name))
+
+
+def test_controller_for_jacobi_decomposes_nothing_and_matches_eigh_bit_for_bit(monkeypatch):
+    for dim, cond, seed in ((4, 10.0, 0), (16, 1e3, 1), (32, 1e4, 2), (64, 1e2, 3)):
+        S = frame_operator(generate_instance("ill-conditioned", dim, cond_target=cond, seed=seed)[0])
+        with monkeypatch.context() as m:
+            for name in ("svd", "eigh", "eigvalsh"):
+                m.setattr(np.linalg, name, None)
+            ctrl = controller_for("jacobi", S)
+        _assert_same_controller(ctrl, make_controller(ctrl.matrix))
+    # Tied snapped entries: 1.1 and 0.9 both snap to 1, 3.1 and 2.9 to 4.
+    # The values ascend, and tied unit vectors keep their index order.
+    tied = controller_for("jacobi", np.diag([1.1, 3.1, 0.9, 2.9]).astype(complex))
+    assert np.array_equal(tied._eigh[0], [0.25, 0.25, 1.0, 1.0])
+    assert np.array_equal(tied._eigh[1], np.eye(4)[:, [1, 3, 0, 2]])
+    _assert_same_controller(tied, make_controller(tied.matrix), ties=True)
+    rng = np.random.default_rng(70)
+    diag = 2.0 ** rng.integers(-3, 3, size=40) * rng.uniform(0.9, 1.1, size=40)
+    many = controller_for("jacobi", np.diag(diag).astype(complex))
+    _assert_same_controller(many, make_controller(many.matrix), ties=True)
 
 
 def test_controller_for_unknown_strategy():

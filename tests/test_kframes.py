@@ -344,6 +344,34 @@ def test_interchange_dual_requires_the_factorization():
     )
 
 
+def test_interchange_dual_forms_the_factor_defect_once_for_a_refused_pair(monkeypatch):
+    import framekit.kframes as kframes_module
+
+    rng = np.random.default_rng(32)
+    g = random_frame(rng, 4, 9)
+    K = random_positive_operator(rng, 4)
+    F = FrameSequence(K @ g.matrix)
+    defect, _ = kframes_module._scaled_factor_defect(F, g, K)
+    calls = []
+    original = kframes_module._scaled_factor_defect
+    monkeypatch.setattr(
+        kframes_module, "_scaled_factor_defect", lambda *args: calls.append(args) or original(*args)
+    )
+    with pytest.raises(PreconditionFailedError) as excinfo:
+        interchange_dual(g, K)
+    assert len(calls) == 1
+    assert str(excinfo.value) == (
+        "the pair does not factor K (K != F G*); the dual system would not reconstruct"
+    )
+    # the witness is the top right singular vector of that one defect
+    np.testing.assert_array_equal(excinfo.value.witness, np.linalg.svd(defect)[2][0].conj())
+    # a pair that factors K also forms it once, and the check alone too
+    calls.clear()
+    interchange_dual(parseval_frame(rng, 4, 9), np.eye(4))
+    bessel_dual_check(F, g, K)
+    assert len(calls) == 2
+
+
 # ---------------------------------------------------------------------------
 # constructions
 

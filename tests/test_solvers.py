@@ -5,8 +5,14 @@ exactly 1/2 per step, so the iteration count for a relative tolerance of
 ``1e-8`` is exactly ``ceil(log2(1e8)) = 27``; several tests pin such closed
 forms."""
 
+import warnings
+from dataclasses import replace
+from itertools import product
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from framekit import (
     CommutationError,
@@ -29,6 +35,7 @@ from framekit import (
 from framekit.instances import (
     commuting_triple,
     generate_instance,
+    haar_unitary,
     random_frame,
     random_positive_operator,
     spectral_function,
@@ -229,8 +236,9 @@ def test_trace_final_residual_meets_the_tolerance():
             assert trace.residuals[-2] > tol_value  # stopped at the first crossing
 
 
-def _reference_column(S, rhs, lam, config, C=None):
-    """The single-system Richardson loop, taking each residual norm as it goes.
+def _true_residual_loop(S, rhs, lam, config, C=None):
+    """The single-system Richardson loop that recomputes ``r = rhs - S f`` and
+    its norm at every step: the count oracle for the recurrence kernel.
 
     A column stops at its first residual at or below the tolerance
     (converged) or at its first non-finite residual (diverged)."""
@@ -251,7 +259,57 @@ def _reference_column(S, rhs, lam, config, C=None):
     return f, residuals, False
 
 
-@np.errstate(over="ignore", invalid="ignore")  # the divergent column overflows
+@np.errstate(over="ignore", invalid="ignore")  # as the kernel: divergence shows in the trace
+def _reference_column(S, rhs, lam, config, C=None):
+    """One column of the recurrence kernel as a plain per-column loop.
+
+    The residual follows ``r = M r`` with ``M = I - lam S C`` in blocks of 1,
+    2, 4, ... 64 updates; each block end replaces it by the true residual
+    ``rhs - S f``.  A recurrence residual at or below the tolerance inside a
+    block is a candidate: the true residual of its iterate confirms it, or
+    refuses it, and then the rest of the block takes true residuals too.  A
+    non-finite residual stops the column, not converged.
+
+    Returns ``(f, residuals, converged, refused)``, ``refused`` counting the
+    refused candidates."""
+    tol = config.residual_tol
+    norm_g = float(np.linalg.norm(rhs))
+    if norm_g == 0.0:
+        return np.zeros_like(rhs), [], True, 0
+
+    def true_residual(f):
+        return float(np.linalg.norm(rhs - S @ f)) / norm_g
+
+    M = np.eye(len(rhs)) - lam * (S if C is None else S @ C)
+    f, r, residuals, refused = np.zeros_like(rhs), rhs.copy(), [], 0
+    done, size = 0, 1
+    while done < config.max_iter:
+        n = min(size, config.max_iter - done)
+        iterates, res, total = [], [], None
+        for _ in range(n):
+            total = r.copy() if total is None else total + r
+            iterates.append(f + lam * (total if C is None else C @ total))
+            r = M @ r
+            res.append(float(np.linalg.norm(r)) / norm_g)
+        r = rhs - S @ iterates[-1]
+        res[-1] = float(np.linalg.norm(r)) / norm_g
+        true_from = n - 1
+        for k in range(n):
+            if k < true_from and res[k] <= tol:
+                res[k] = true_residual(iterates[k])
+                if not res[k] <= tol:
+                    refused += 1
+                    res[k + 1 : n - 1] = [true_residual(x) for x in iterates[k + 1 : n - 1]]
+                    true_from = k
+            if res[k] <= tol or not np.isfinite(res[k]):
+                return iterates[k], residuals + res[: k + 1], res[k] <= tol, refused
+        residuals += res
+        f = iterates[-1]
+        done += n
+        size = min(2 * size, 64)
+    return f, residuals, False, refused
+
+
 def test_stacked_kernel_matches_the_per_column_loop_bit_for_bit():
     rng = np.random.default_rng(68)
     d = 6
@@ -285,7 +343,7 @@ def test_stacked_kernel_matches_the_per_column_loop_bit_for_bit():
         f, histories, converged = _richardson_stack(S, rhs, lam, config, C=stack_C)
         for t in range(len(conds)):
             column_C = None if stack_C is None else stack_C[t]
-            f_ref, res_ref, ok_ref = _reference_column(S[t], rhs[t], float(lam[t]), config, column_C)
+            f_ref, res_ref, ok_ref, _ = _reference_column(S[t], rhs[t], float(lam[t]), config, column_C)
             assert histories[t].dtype == np.float64
             assert histories[t].tolist() == res_ref
             assert np.array_equal(f[t], f_ref)
@@ -306,7 +364,6 @@ def test_stacked_kernel_matches_the_per_column_loop_bit_for_bit():
     assert any(not ok and n < 150 for n, ok in outcomes)
 
 
-@np.errstate(over="ignore", invalid="ignore")  # the divergent column overflows
 @pytest.mark.parametrize("d", [1, 2, 5, 33, 64])
 def test_lone_column_operands_match_the_per_column_loop_bit_for_bit(d):
     # A stack of one column runs 2-D/1-D operands through np.dot; several
@@ -326,7 +383,7 @@ def test_lone_column_operands_match_the_per_column_loop_bit_for_bit(d):
         counts = []
         for t in range(len(factors)):
             column_C = None if stack_C is None else stack_C[t]
-            f_ref, res_ref, ok_ref = _reference_column(S[t], rhs[t], float(lam[t]), config, column_C)
+            f_ref, res_ref, ok_ref, _ = _reference_column(S[t], rhs[t], float(lam[t]), config, column_C)
             assert histories[t].tolist() == res_ref
             assert np.array_equal(f[t], f_ref)
             assert bool(converged[t]) == ok_ref
@@ -339,3 +396,107 @@ def test_lone_column_operands_match_the_per_column_loop_bit_for_bit(d):
         assert ok_fast and ok_slow and n_fast < n_slow < 200
         assert not ok_div and n_div < 200 and not np.isfinite(histories[2][-1])
         assert not ok_cap and n_cap == 200 and max(n_fast, n_slow, n_div) < 200
+
+
+def test_public_solvers_raise_no_warning_for_a_relaxation_that_does_not_contract():
+    rng = np.random.default_rng(71)
+    frame, _, ctrl = commuting_triple(rng, 6, 12)
+    S = frame_operator(frame)
+    g = rng.normal(size=6) + 1j * rng.normal(size=6)
+    plain = positive_definite_bounds(S)
+    controlled = positive_definite_bounds(ctrl.matrix @ S)
+    config = SolverConfig(max_iter=500)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _, t_plain = richardson_solve(
+            S, g, plain, replace(config, relaxation=1e3 * 2.0 / (plain.lower + plain.upper))
+        )
+        _, t_ctrl = controlled_richardson_solve(
+            frame, ctrl, g, replace(config, relaxation=1e3 * 2.0 / (controlled.lower + controlled.upper))
+        )
+    for trace in (t_plain, t_ctrl):
+        assert not trace.converged and trace.iterations < 500
+        assert not np.isfinite(trace.residuals[-1])
+
+
+@pytest.mark.parametrize("controlled", [False, True])
+def test_counts_equal_those_of_the_loop_that_takes_every_true_residual(controlled):
+    # Recurrence residuals differ from true ones at rounding level; every stop
+    # is confirmed on a true residual, so counts and verdicts do not move.
+    cases = 0
+    for d, cond in product((4, 16, 32), (10.0, 1e2, 1e3)):
+        S = frame_operator(generate_instance("ill-conditioned", d, cond_target=cond, seed=d)[0])
+        C = controller_for("jacobi", S).matrix if controlled else None
+        w = np.linalg.eigvalsh(S if C is None else C @ S)
+        lam = 2.0 / (w[0] + w[-1])
+        rng = np.random.default_rng(d)
+        g = rng.normal(size=d) + 1j * rng.normal(size=d)
+        for tol_value in (1e-8, 1e-10, 1e-12):
+            config = SolverConfig(residual_tol=tol_value, max_iter=50_000)
+            _, trace = _solve_one(S, g, lam, config, C=C)
+            _, oracle, ok = _true_residual_loop(S, g, lam, config, C)
+            assert (trace.iterations, trace.converged) == (len(oracle), ok)
+            assert trace.converged
+            cases += 1
+    assert cases == 27
+
+
+@st.composite
+def _solves(draw):
+    """A system, a controller (none, Jacobi or ``S^{-1/2}``), a tolerance and
+    a relaxation: the optimal one, a slower one, or one that diverges."""
+    d = draw(st.integers(2, 12))
+    cond = draw(st.sampled_from([2.0, 10.0, 100.0]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    frame = generate_instance("ill-conditioned", d, cond_target=cond, seed=seed % 1000)[0]
+    rng = np.random.default_rng(seed)
+    U = haar_unitary(rng, d)
+    S = U @ frame_operator(frame) @ U.conj().T  # not diagonal, so Jacobi does not commute
+    controller = draw(st.sampled_from(["plain", "jacobi", "inverse-sqrt"]))
+    C = {
+        "plain": None,
+        "jacobi": np.diag(1.0 / np.diag(S).real).astype(complex),
+        "inverse-sqrt": spectral_function(S, lambda w: 1.0 / np.sqrt(w)),
+    }[controller]
+    w = np.linalg.eigvals(S if C is None else C @ S).real
+    factor = draw(st.sampled_from([1.0, 0.5, 1e3]))
+    lam = factor * 2.0 / (w.min() + w.max())
+    tol_value = 10.0 ** -draw(st.integers(4, 12))
+    g = rng.normal(size=d) + 1j * rng.normal(size=d)
+    return S, g, lam, C, tol_value
+
+
+@settings(derandomize=True, deadline=None, max_examples=80)
+@given(_solves())
+def test_a_converged_trace_ends_on_the_true_residual_of_its_iterate(solve):
+    S, g, lam, C, tol_value = solve
+    config = SolverConfig(residual_tol=tol_value, max_iter=20_000)
+    f, trace = _solve_one(S, g, lam, config, C=C)
+    if trace.converged:
+        assert trace.residuals[-1] == np.linalg.norm(g - S @ f) / np.linalg.norm(g)
+        assert trace.residuals[-1] <= tol_value
+        assert all(r > tol_value for r in trace.residuals[:-1])
+    else:
+        # a relaxation that does not contract: stopped at a non-finite residual
+        assert not np.isfinite(trace.residuals[-1]) and trace.iterations < 20_000
+
+
+def test_a_refused_candidate_hands_the_rest_of_its_block_to_true_residuals():
+    # Found by search at tol 1e-14: the recurrence residual of update 83 is
+    # below the tolerance, the true one (1.009e-14) is not, and the true
+    # residual of update 84 confirms the stop, as in the true-residual loop.
+    rng = np.random.default_rng(60)
+    d = int(rng.integers(2, 17))
+    S = random_positive_operator(rng, d, spread=(1.0, 10.0))
+    g = rng.normal(size=d) + 1j * rng.normal(size=d)
+    w = np.linalg.eigvalsh(S)
+    lam = 2.0 / (w[0] + w[-1])
+    config = SolverConfig(residual_tol=1e-14, max_iter=20_000)
+    f_ref, res_ref, ok_ref, refused = _reference_column(S, g, lam, config)
+    assert refused == 1 and ok_ref and len(res_ref) == 84
+    f, trace = _solve_one(S, g, lam, config)
+    assert np.array_equal(f, f_ref) and trace.residuals == res_ref and trace.converged
+    assert 1e-14 < trace.residuals[-2] < 1.1e-14
+    assert trace.residuals[-1] == np.linalg.norm(g - S @ f) / np.linalg.norm(g)
+    _, oracle, ok = _true_residual_loop(S, g, lam, config)
+    assert (len(oracle), ok) == (84, True)

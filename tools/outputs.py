@@ -1,0 +1,146 @@
+#!/usr/bin/env python3
+"""The deterministic CLI outputs of a checkout, with a SHA-256 manifest.
+
+    python3 tools/outputs.py CHECKOUT OUTDIR     # write CHECKOUT's outputs into OUTDIR
+    python3 tools/outputs.py --compare A B       # name the files of A and B that differ
+
+The first form runs ``framekit`` from ``CHECKOUT/src`` once per entry of
+``COMMANDS``, each in a subprocess with ``OUTDIR`` as its working directory,
+so every path the outputs mention is relative and two checkouts can be
+compared byte for byte.  Each command's standard output goes to
+``<name>.out`` and its standard error to ``<name>.err``, the files it
+writes keep their names, and the exit codes go to ``exit_codes.json``.  ``SHA256SUMS`` then lists every file in the format
+of ``sha256sum``.  The commands cover the ``bench --deterministic`` CSVs of
+acceptance criterion 10 and of a grid over two instance kinds, four dims,
+two condition targets and all three controllers; ``solve --json
+--deterministic`` plain, controlled and capped; and ``check --k --c`` and
+``dual`` (a factoring pair and a refused one) at d=8.
+
+``--compare`` reads both manifests and prints each file whose digest
+differs or that one side lacks.  It exits 1 when it names any, else 0.
+
+Standard library only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import cmath
+import hashlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+MANIFEST = "SHA256SUMS"
+RUN_TIMEOUT_S = 900
+
+# Inputs this tool writes itself: a right-hand side at d=8, and a Parseval
+# family of 16 vectors in C^8 (the unit vectors and the Fourier basis, each
+# scaled by 1/sqrt(2)), which factors every K as K = (K G) G*.
+RHS = {"dim": 8, "entries": [[1.0 + k, 0.5 * (-1) ** k] for k in range(8)]}
+PARSEVAL = {
+    "dim": 8,
+    "vectors": [[[0.5 ** 0.5 * (j == k), 0.0] for k in range(8)] for j in range(8)]
+    + [
+        [[z.real, z.imag] for z in (cmath.exp(2j * cmath.pi * j * k / 8) / 4 for k in range(8))]
+        for j in range(8)
+    ],
+}
+
+_GRID = ["--kinds", "ill-conditioned", "random-frame", "--dims", "1", "4", "16", "64",
+         "--cond-targets", "10", "1e3", "--trials", "2"]
+_SOLVE = ["solve", "ill8-frame.json", "--g", "rhs8.json", "--json", "--deterministic"]
+
+COMMANDS = [
+    ("gen-ill8", ["gen", "--kind", "ill-conditioned", "--dim", "8", "--cond-target", "100",
+                  "--seed", "3", "--out-prefix", "ill8"]),
+    ("gen-fam8", ["gen", "--kind", "commuting-family", "--dim", "8", "--seed", "5",
+                  "--out-prefix", "fam8"]),
+    ("solve-plain", [*_SOLVE, "--out", "solve-plain.json"]),
+    ("solve-controlled", ["solve", "fam8-frame.json", "--g", "rhs8.json", "--c", "fam8-c.json",
+                          "--json", "--deterministic", "--out", "solve-controlled.json"]),
+    ("solve-capped", [*_SOLVE, "--max-iter", "5", "--out", "solve-capped.json"]),
+    ("check", ["check", "fam8-frame.json", "--k", "fam8-k.json", "--c", "fam8-c.json",
+               "--json", "--deterministic"]),
+    ("dual", ["dual", "--g", "parseval8.json", "--k", "fam8-k.json", "--out", "dual-h.json",
+              "--json", "--deterministic"]),
+    ("dual-refused", ["dual", "--g", "fam8-frame.json", "--k", "fam8-k.json",
+                      "--out", "dual-refused-h.json", "--json", "--deterministic"]),
+    ("bench-criterion10", ["bench", "--kinds", "ill-conditioned", "--dims", "4", "8",
+                           "--cond-targets", "10", "100", "--trials", "2", "--seed", "42",
+                           "--deterministic", "--out", "bench-criterion10.csv"]),
+    *(
+        (f"bench-grid-{ctrl}", ["bench", *_GRID, "--controller", ctrl, "--deterministic",
+                                "--out", f"bench-grid-{ctrl}.csv"])
+        for ctrl in ("identity", "exact-inverse", "jacobi")
+    ),
+]
+
+
+def run_cli(checkout: Path, argv: list, cwd: Path) -> subprocess.CompletedProcess:
+    """``framekit ARGV`` from ``checkout/src``, run in ``cwd``."""
+    env = {**os.environ, "PYTHONPATH": str(Path(checkout).resolve() / "src")}
+    return subprocess.run(
+        [sys.executable, "-c", "from framekit.cli import entry; entry()", *argv],
+        cwd=cwd, env=env, capture_output=True, text=True, timeout=RUN_TIMEOUT_S,
+    )
+
+
+def write_manifest(outdir: Path) -> dict:
+    """Hash every file under ``outdir`` but the manifest; write and return it."""
+    digests = {
+        path.relative_to(outdir).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(outdir.rglob("*"))
+        if path.is_file() and path.name != MANIFEST
+    }
+    (outdir / MANIFEST).write_text("".join(f"{d}  {name}\n" for name, d in digests.items()))
+    return digests
+
+
+def read_manifest(outdir: Path) -> dict:
+    digests = {}
+    for line in (Path(outdir) / MANIFEST).read_text().splitlines():
+        digest, name = line.split("  ", 1)
+        digests[name] = digest
+    return digests
+
+
+def differing(a: dict, b: dict) -> list:
+    """Names whose digests differ between two manifests, or that one lacks."""
+    return sorted(name for name in a.keys() | b.keys() if a.get(name) != b.get(name))
+
+
+def write_outputs(checkout: Path, outdir: Path, commands=COMMANDS) -> dict:
+    outdir.mkdir(parents=True, exist_ok=True)
+    for name, obj in (("rhs8.json", RHS), ("parseval8.json", PARSEVAL)):
+        (outdir / name).write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    codes = {}
+    for name, argv in commands:
+        done = run_cli(checkout, argv, outdir)
+        (outdir / f"{name}.out").write_text(done.stdout)
+        (outdir / f"{name}.err").write_text(done.stderr)
+        codes[name] = done.returncode
+    (outdir / "exit_codes.json").write_text(json.dumps(codes, indent=2, sort_keys=True) + "\n")
+    return write_manifest(outdir)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("paths", nargs=2, type=Path, metavar="PATH",
+                        help="CHECKOUT OUTDIR, or with --compare two output directories")
+    parser.add_argument("--compare", action="store_true", help="compare two output directories")
+    args = parser.parse_args(argv)
+    if args.compare:
+        names = differing(read_manifest(args.paths[0]), read_manifest(args.paths[1]))
+        for name in names:
+            print(name)
+        return 1 if names else 0
+    digests = write_outputs(*args.paths)
+    print(f"{len(digests)} files written to {args.paths[1]}")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
