@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from itertools import product
 
 import numpy as np
@@ -47,7 +47,6 @@ from .operators import (
     _apply_spectrum,
     _spectrum_bounds,
     hermitian_part,
-    positive_definite_bounds,
 )
 from .solvers import SolverConfig, _relaxation, _richardson_stack
 
@@ -135,7 +134,7 @@ def _prepare_cell(index, kind, dim, cond_target, controller, config, tol):
         g = rng.normal(size=dim) + 1j * rng.normal(size=dim)
         ctrl = controller_for(controller, S, tol)
         # One decomposition of C S serves cond_precond and the controlled relaxation.
-        precond_bounds = positive_definite_bounds(_require_real_product(ctrl, S, tol), tol)
+        precond_bounds = _spectrum_bounds(np.linalg.eigvalsh(_require_real_product(ctrl, S, tol)), tol)
     except ToolkitError:
         # An unusable cell (e.g. singular frame operator) is reported, not fatal.
         return None
@@ -246,17 +245,11 @@ def _csv_value(value) -> str:
 
 
 def rows_to_csv(rows) -> str:
-    """Serialize rows with shortest round-trip float formatting (deterministic)."""
+    """Serialize rows with shortest round-trip float formatting (deterministic).
+
+    Each line holds a row's fields in :class:`BenchRow` order, the order of
+    ``CSV_COLUMNS``.
+    """
     lines = [",".join(CSV_COLUMNS)]
-    for row in rows:
-        lines.append(
-            ",".join(
-                _csv_value(value)
-                for value in (
-                    row.instance_id, row.dim, row.n_vectors, row.cond_s, row.cond_precond,
-                    row.iters_plain, row.iters_controlled, row.speedup,
-                    row.converged_plain, row.converged_controlled,
-                )
-            )
-        )
+    lines += (",".join(map(_csv_value, astuple(row))) for row in rows)
     return "\n".join(lines) + "\n"

@@ -94,8 +94,9 @@ def _manifest(args, tol: Tolerances, inputs: dict, outputs: list, exit_code: int
 
 def _fields_obj(report, rank_k: int) -> dict:
     """Every field of a verdict report, its ``witness`` as a vector object,
-    and ``rank_k``, the numerical rank of the checked ``K``."""
-    obj = {f.name: getattr(report, f.name) for f in dataclasses.fields(report)}
+    and ``rank_k``, the numerical rank of the checked ``K``.  A non-finite
+    scalar (a ``lower_opt`` beyond the largest float) becomes ``None``."""
+    obj = _nulled({f.name: getattr(report, f.name) for f in dataclasses.fields(report)})
     witness = None if report.witness is None else vector_to_obj(report.witness)
     return {**obj, "witness": witness, "rank_k": rank_k}
 
@@ -222,7 +223,6 @@ def cmd_solve(args, tol: Tolerances):
     if args.c is not None:
         ctrl = make_controller(load_operator(args.c), tol)
         inputs["c"] = args.c
-    if args.c is not None:
         f, trace = controlled_richardson_solve(frame, ctrl, g, config, tol=tol)
     else:
         bounds = OperatorBounds(fb.lower, fb.upper)

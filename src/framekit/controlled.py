@@ -173,11 +173,14 @@ class ControlledReport:
 
 
 def _require_real_product(ctrl: Controller, S, tol: Tolerances) -> np.ndarray:
-    """``C S``, refused with :class:`NonRealFormError` unless it is Hermitian.
+    """The Hermitian part of ``C S``, refused with :class:`NonRealFormError`
+    unless ``C S`` is Hermitian.
 
     The one Hermiticity check on ``C S``: the controlled verdict, the
-    controlled solve and the interchange identity go through it, and the
-    Loewner comparisons leave the check to :func:`operator_leq`.
+    controlled solve, the benchmark cells and the interchange identity go
+    through it, and take the spectrum of ``C S`` from the returned part with
+    ``eigvalsh``.  The Loewner comparisons leave the check to
+    :func:`operator_leq`.
     """
     L = ctrl.matrix @ S
     if not is_hermitian(L, tol):
@@ -187,7 +190,7 @@ def _require_real_product(ctrl: Controller, S, tol: Tolerances) -> np.ndarray:
             f"C S is not Hermitian (relative defect {defect:.3e}); "
             "the controlled form would not be real-valued"
         )
-    return L
+    return hermitian_part(L)
 
 
 def controlled_kframe_check(frame: FrameSequence, K, ctrl: Controller, tol: Tolerances = DEFAULT_TOL) -> ControlledReport:
@@ -207,8 +210,7 @@ def controlled_kframe_check(frame: FrameSequence, K, ctrl: Controller, tol: Tole
     Kop = as_operator(K, dim=frame.dim)
     if not commutes(ctrl, Kop, tol):
         raise CommutationError("controller does not commute with K within tolerance")
-    L = _require_real_product(ctrl, frame_operator(frame), tol)
-    upper = float(np.linalg.eigvalsh(hermitian_part(L))[-1])
+    upper = float(np.linalg.eigvalsh(_require_real_product(ctrl, frame_operator(frame), tol))[-1])
     plain = kframe_check(frame, Kop, tol)
     witness = plain.witness
     if witness is not None:

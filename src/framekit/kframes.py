@@ -68,7 +68,8 @@ class KFrameReport:
     the family or ``K`` is rescaled while ``lower_opt`` scales as
     ``s^2 / t^2``.  ``lower_opt`` is a float, so a positive constant below
     the smallest float (``K`` huge against the family) is reported as
-    ``0.0`` with ``is_kframe`` true, and one above the largest as ``inf``.  ``vacuous``
+    ``0.0`` with ``is_kframe`` true, and one above the largest as ``inf``
+    (``null`` in a JSON report, which has no infinity).  ``vacuous``
     flags the rank-zero ``K``, where the lower inequality quantifies over
     nothing and the verdict is true by convention; ``lower_opt`` is reported
     as ``0.0`` there and must not be fed into arithmetic.  ``witness`` is a
@@ -275,8 +276,15 @@ def bessel_dual_check(frame_f: FrameSequence, frame_g: FrameSequence, K, tol: To
 
 def _factor_check(frame_f: FrameSequence, frame_g: FrameSequence, Kop, tol: Tolerances):
     """``(K == F G*, defect)``: the verdict of :func:`bessel_dual_check` and
-    the scaled defect it was decided on (``None`` when ``K`` is out of reach
-    of ``F G*``; see :func:`_scaled_factor_defect`)."""
+    the defect ``K - F G*`` it was decided on, times one exact power of two.
+
+    ``F`` is scaled by ``2^-a``, ``G`` by ``2^-b`` and ``K`` by ``2^-(a+b)``
+    (see :func:`framekit.operators._pow2_scaled`), so ``F G*`` cannot
+    overflow; the defect and ``K`` then share one more power of two, so
+    neither norm can.  The defect is ``None`` when the scaled ``K`` exceeds
+    the largest float while each entry of ``F G*`` stays below
+    ``count 2^256``: the relative defect is about 1, and the verdict false.
+    """
     if frame_f.count != frame_g.count:
         raise DimensionMismatchError(
             f"paired families must have equal length, got {frame_f.count} and {frame_g.count}"
@@ -285,32 +293,14 @@ def _factor_check(frame_f: FrameSequence, frame_g: FrameSequence, Kop, tol: Tole
         raise DimensionMismatchError(
             f"paired families must share the ambient dimension, got {frame_f.dim} and {frame_g.dim}"
         )
-    scaled = _scaled_factor_defect(frame_f, frame_g, Kop)
-    if scaled is None:
-        return False, None
-    defect, Ks = scaled
-    return bool(np.linalg.norm(defect) <= tol.rel_eq * np.linalg.norm(Ks)), defect
-
-
-def _scaled_factor_defect(frame_f: FrameSequence, frame_g: FrameSequence, Kop):
-    """``(K - F G*, K)`` times one exact power of two, or ``None`` when ``K``
-    is out of reach of ``F G*``.
-
-    ``F`` is scaled by ``2^-a``, ``G`` by ``2^-b`` and ``K`` by ``2^-(a+b)``
-    (see :func:`framekit.operators._pow2_scaled`), so ``F G*`` cannot
-    overflow; the defect and ``K`` then share one more power of two, so
-    neither norm can.  ``None`` means the scaled ``K`` exceeds the largest
-    float while each entry of ``F G*`` stays below ``count 2^256``: the
-    relative defect is about 1.
-    """
     F, a = _pow2_scaled(frame_f.matrix)
     G, b = _pow2_scaled(frame_g.matrix)
     with np.errstate(over="ignore"):
         Ks = np.ldexp(np.ascontiguousarray(Kop).view(np.float64), -(a + b)).view(np.complex128)
     if not np.isfinite(Ks).all():
-        return None
-    pair, _ = _pow2_scaled(np.stack([Ks - F @ G.conj().T, Ks]))
-    return pair[0], pair[1]
+        return False, None
+    (defect, Ks), _ = _pow2_scaled(np.stack([Ks - F @ G.conj().T, Ks]))
+    return bool(np.linalg.norm(defect) <= tol.rel_eq * np.linalg.norm(Ks)), defect
 
 
 def interchange_dual(

@@ -76,10 +76,10 @@ from .operators import (
     DEFAULT_TOL,
     OperatorBounds,
     Tolerances,
+    _spectrum_bounds,
     as_operator,
     as_vector,
     is_hermitian,
-    positive_definite_bounds,
 )
 
 __all__ = [
@@ -137,11 +137,12 @@ class ConvergenceTrace:
 
 
 def _empirical_rate(residuals: list[float]) -> float:
-    path = [1.0] + list(residuals)
-    if len(path) < 2:
+    n = len(residuals)
+    if n == 0:
         return 0.0
-    window = min(10, len(path) - 1)
-    head, tail = path[-1 - window], path[-1]
+    # The last (up to) ten updates; the start's relative residual 1.0 heads a short history.
+    window = min(10, n)
+    head, tail = residuals[-11] if n > 10 else 1.0, residuals[-1]
     if tail == 0.0:
         return 0.0
     if head == 0.0:
@@ -262,10 +263,7 @@ def _richardson_stack(S, rhs, lam, config: SolverConfig, C=None):
                 S3, C3 = S[active], None if C is None else C[active]
                 M_a, S_a = M[active].reshape(mat), S3.reshape(mat)
                 C_a = None if C is None else C3.reshape(mat)
-                rhs_a, g_a = rhs[active], norm_g[active]
-                # lam as a full complex array: the same product as a real
-                # scalar times a complex vector, through a contiguous loop.
-                lam_a = np.broadcast_to(lam[active, None], (A, d)).astype(rhs.dtype)
+                rhs_a, g_a, lam_a = rhs[active], norm_g[active], lam[active, None]
                 R = np.empty((_BLOCK_MAX + 1, *vec), dtype=rhs.dtype)
                 # The block as (k, column, d) whatever the operand layout, and
                 # as real pairs, so that a sum over k adds in the order of k.
@@ -368,7 +366,7 @@ def controlled_richardson_solve(
     rhs = as_vector(g, dim=frame.dim)
     if K is not None and not commutes(ctrl, K, tol):
         raise CommutationError("controller does not commute with K within tolerance")
-    certified = positive_definite_bounds(_require_real_product(ctrl, S, tol), tol)
+    certified = _spectrum_bounds(np.linalg.eigvalsh(_require_real_product(ctrl, S, tol)), tol)
     return _solve_one(S, rhs, _relaxation(config, certified), config, C=ctrl.matrix, kappa=ctrl.condition)
 
 

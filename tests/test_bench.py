@@ -1,7 +1,11 @@
 import re
+from dataclasses import fields
 
 import numpy as np
 import pytest
+
+import framekit.controlled
+import framekit.operators
 
 from framekit import (
     CSV_COLUMNS,
@@ -18,6 +22,7 @@ from framekit import (
     rows_to_csv,
     run_benchmark,
 )
+from framekit.bench import _csv_value
 from framekit.instances import generate_instance
 from framekit.operators import hermitian_part
 
@@ -191,6 +196,62 @@ def test_csv_rows_round_trip_floats():
     assert float(fields[3]) == rows[0].cond_s
     assert float(fields[7]) == rows[0].speedup
     assert int(fields[5]) == rows[0].iters_plain
+
+
+def test_csv_lines_are_the_fields_of_bench_row_in_order():
+    assert len(fields(BenchRow)) == len(CSV_COLUMNS)
+    (converged,) = run_benchmark(["ill-conditioned"], [4], [25.0], 1, config=SolverConfig(seed=31))
+    (unusable,) = run_benchmark(["random-frame"], [4], [None], 1, controller="not-a-strategy")
+    assert converged.converged_plain and converged.converged_controlled
+    assert np.isnan([unusable.cond_s, unusable.cond_precond, unusable.speedup]).all()
+    lines = [",".join(CSV_COLUMNS)] + [
+        ",".join(_csv_value(value) for value in (
+            row.instance_id, row.dim, row.n_vectors, row.cond_s, row.cond_precond,
+            row.iters_plain, row.iters_controlled, row.speedup,
+            row.converged_plain, row.converged_controlled,
+        ))
+        for row in (converged, unusable)
+    ]
+    assert rows_to_csv([converged, unusable]) == "\n".join(lines) + "\n"
+
+
+def _hermiticity_tests_of(monkeypatch, operands):
+    """Patch ``is_hermitian`` where ``controlled`` and ``operators`` call it;
+    the returned list gains the index of each of ``operands`` tested."""
+    original = framekit.operators.is_hermitian
+    hits = []
+
+    def counted(T, *args):
+        hits.extend(i for i, P in enumerate(operands) if np.array_equal(T, P))
+        return original(T, *args)
+
+    for module in (framekit.controlled, framekit.operators):
+        monkeypatch.setattr(module, "is_hermitian", counted)
+    return hits
+
+
+def test_a_controlled_solve_tests_c_s_for_hermiticity_once(monkeypatch):
+    frame, _, _ = generate_instance("ill-conditioned", 6, cond_target=50.0, seed=1)
+    S = frame_operator(frame)
+    ctrl = controller_for("jacobi", S)
+    hits = _hermiticity_tests_of(monkeypatch, [ctrl.matrix @ S])
+    _, trace = controlled_richardson_solve(frame, ctrl, np.ones(6))
+    assert trace.converged
+    assert hits == [0]
+
+
+def test_run_benchmark_tests_each_cells_c_s_for_hermiticity_once(monkeypatch):
+    config = SolverConfig(seed=5)
+    dims, conds = [4, 6], [10.0, 100.0]
+    products = []
+    for index, (dim, cond) in enumerate((d, c) for d in dims for c in conds):
+        frame, _, _ = generate_instance("ill-conditioned", dim, 2 * dim, cond, seed=config.seed + index)
+        S = frame_operator(frame)
+        products.append(controller_for("jacobi", S).matrix @ S)
+    hits = _hermiticity_tests_of(monkeypatch, products)
+    rows = run_benchmark(["ill-conditioned"], dims, conds, 1, config=config)
+    assert all(row.converged_controlled for row in rows)
+    assert sorted(hits) == list(range(len(products)))
 
 
 def test_run_benchmark_matches_cell_by_cell_public_solves():

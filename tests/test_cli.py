@@ -165,6 +165,23 @@ def test_check_json_controlled_witness_is_null_for_rank_zero_k(tmp_path, capsys)
     assert report["kframe"]["witness"] is None
 
 
+def test_check_json_reports_a_lower_bound_beyond_the_largest_float_as_null(tmp_path, capsys):
+    # S = I and K = 1e-200 I: the optimal lower constant 1e400 overflows to inf.
+    f_path = _write_frame(tmp_path / "f.json", np.eye(3))
+    k_path = _write_operator(tmp_path / "k.json", 1e-200 * np.eye(3))
+    c_path = _write_operator(tmp_path / "c.json", np.eye(3))
+    argv = ["check", f_path, "--k", k_path, "--c", c_path, "--deterministic"]
+    assert main([*argv, "--json"]) == 0
+    report = _strict_json(capsys.readouterr().out)
+    for name, verdict in (("kframe", "is_kframe"), ("controlled", "is_controlled_kframe")):
+        assert report[name]["lower_opt"] is None
+        assert report[name][verdict] is True
+        assert report[name]["witness"]["entries"] == [[0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]
+    # the text output keeps the float
+    assert main(argv) == 0
+    assert "optimal bounds (inf, 1.0) -> K-frame" in capsys.readouterr().out
+
+
 # ---------------------------------------------------------------------------
 # dual
 

@@ -8,7 +8,8 @@ tiny or non-finite numbers, and flag values at and beyond their ranges.
 
 * return an exit code in {0, 1, 2, 3} and raise nothing;
 * print no ``Traceback`` on stderr;
-* print, under ``--json``, a stdout that ``json.loads`` parses;
+* print, under ``--json``, a stdout that ``json.loads`` parses as strict
+  JSON (no ``NaN`` or ``Infinity`` token);
 * leave only files that load back through framekit's own loaders.
 """
 
@@ -166,6 +167,10 @@ def solve_runs(draw):
     return draw(inputs(kinds, dim)), argv, {"out.json": load_vector}
 
 
+def _refuse(token):
+    raise ValueError(f"non-standard JSON token {token}")
+
+
 def _run_contract(run, as_json, shared):
     files, argv, loaders = run
     argv = argv + shared + (["--json"] if as_json else [])
@@ -184,7 +189,7 @@ def _run_contract(run, as_json, shared):
         assert code in (0, 1, 2, 3), (argv, code, err.getvalue())
         assert "Traceback" not in err.getvalue(), (argv, err.getvalue())
         if as_json and out.getvalue():
-            json.loads(out.getvalue())
+            json.loads(out.getvalue(), parse_constant=_refuse)
         written = set(os.listdir(work)) - set(files)
         assert written <= set(loaders), (argv, written)
         for name in written:

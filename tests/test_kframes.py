@@ -351,11 +351,11 @@ def test_interchange_dual_forms_the_factor_defect_once_for_a_refused_pair(monkey
     g = random_frame(rng, 4, 9)
     K = random_positive_operator(rng, 4)
     F = FrameSequence(K @ g.matrix)
-    defect, _ = kframes_module._scaled_factor_defect(F, g, K)
+    _, defect = kframes_module._factor_check(F, g, K, Tolerances())
     calls = []
-    original = kframes_module._scaled_factor_defect
+    original = kframes_module._factor_check
     monkeypatch.setattr(
-        kframes_module, "_scaled_factor_defect", lambda *args: calls.append(args) or original(*args)
+        kframes_module, "_factor_check", lambda *args: calls.append(args) or original(*args)
     )
     with pytest.raises(PreconditionFailedError) as excinfo:
         interchange_dual(g, K)

@@ -71,6 +71,20 @@ def test_richardson_exact_iteration_count_on_diagonal_system():
     )
 
 
+@pytest.mark.parametrize("n", [0, 1, 9, 10, 11, 12, 30])
+def test_empirical_rate_is_the_mean_contraction_over_the_last_ten_updates(n):
+    residuals = [0.7 ** (k + 1) * (1.0 + 0.01 * (k % 3)) for k in range(n)]
+    path = [1.0] + residuals  # the start's relative residual heads the history
+    window = min(10, n)
+    expected = (path[-1] / path[-1 - window]) ** (1.0 / window) if n else 0.0
+    assert _empirical_rate(residuals) == expected
+
+
+def test_empirical_rate_of_a_zero_tail_or_head():
+    assert _empirical_rate([0.5, 0.0]) == 0.0
+    assert _empirical_rate([0.0] + [0.5] * 10) == 1.0
+
+
 def test_richardson_identity_operator_converges_in_one_step():
     g = np.array([2.0, -1.0, 0.5], dtype=complex)
     f, trace = richardson_solve(np.eye(3), g, (1.0, 1.0))

@@ -9,12 +9,15 @@ The first form runs ``framekit`` from ``CHECKOUT/src`` once per entry of
 so every path the outputs mention is relative and two checkouts can be
 compared byte for byte.  Each command's standard output goes to
 ``<name>.out`` and its standard error to ``<name>.err``, the files it
-writes keep their names, and the exit codes go to ``exit_codes.json``.  ``SHA256SUMS`` then lists every file in the format
-of ``sha256sum``.  The commands cover the ``bench --deterministic`` CSVs of
-acceptance criterion 10 and of a grid over two instance kinds, four dims,
-two condition targets and all three controllers; ``solve --json
---deterministic`` plain, controlled and capped; and ``check --k --c`` and
-``dual`` (a factoring pair and a refused one) at d=8.
+writes keep their names, and the exit codes go to ``exit_codes.json``.
+``SHA256SUMS`` then lists every file in the format of ``sha256sum``.  The
+commands cover the ``bench --deterministic`` CSVs of acceptance criterion 10
+and of a grid over two instance kinds, four dims, two condition targets and
+all three controllers; ``solve --json --deterministic`` plain, controlled,
+capped and divergent; ``check --k --c`` at d=8 as JSON and as text, and on
+the 3x3 identity frame with ``K = 1e-200 I``, whose optimal lower bound
+exceeds the largest float; ``dual`` (a factoring pair and a refused one) at
+d=8; and ``paper-example`` as text and as JSON.
 
 ``--compare`` reads both manifests and prints each file whose digest
 differs or that one side lacks.  It exits 1 when it names any, else 0.
@@ -36,22 +39,35 @@ from pathlib import Path
 MANIFEST = "SHA256SUMS"
 RUN_TIMEOUT_S = 900
 
-# Inputs this tool writes itself: a right-hand side at d=8, and a Parseval
+
+def _diagonal(value: float, dim: int) -> list:
+    """The entries of ``value * I`` in ``C^dim`` as ``[re, im]`` pairs, column by column."""
+    return [[value * (i == j), 0.0] for j in range(dim) for i in range(dim)]
+
+
+# Inputs this tool writes itself: a right-hand side at d=8; a Parseval
 # family of 16 vectors in C^8 (the unit vectors and the Fourier basis, each
-# scaled by 1/sqrt(2)), which factors every K as K = (K G) G*.
-RHS = {"dim": 8, "entries": [[1.0 + k, 0.5 * (-1) ** k] for k in range(8)]}
-PARSEVAL = {
-    "dim": 8,
-    "vectors": [[[0.5 ** 0.5 * (j == k), 0.0] for k in range(8)] for j in range(8)]
-    + [
-        [[z.real, z.imag] for z in (cmath.exp(2j * cmath.pi * j * k / 8) / 4 for k in range(8))]
-        for j in range(8)
-    ],
+# scaled by 1/sqrt(2)), which factors every K as K = (K G) G*; and the
+# identity frame of C^3 with the operators 1e-200 I and I.
+INPUTS = {
+    "rhs8.json": {"dim": 8, "entries": [[1.0 + k, 0.5 * (-1) ** k] for k in range(8)]},
+    "parseval8.json": {
+        "dim": 8,
+        "vectors": [[[0.5 ** 0.5 * (j == k), 0.0] for k in range(8)] for j in range(8)]
+        + [
+            [[z.real, z.imag] for z in (cmath.exp(2j * cmath.pi * j * k / 8) / 4 for k in range(8))]
+            for j in range(8)
+        ],
+    },
+    "eye3-frame.json": {"dim": 3, "vectors": [[[float(i == j), 0.0] for i in range(3)] for j in range(3)]},
+    "tiny3-k.json": {"dim": 3, "entries": _diagonal(1e-200, 3)},
+    "eye3-c.json": {"dim": 3, "entries": _diagonal(1.0, 3)},
 }
 
 _GRID = ["--kinds", "ill-conditioned", "random-frame", "--dims", "1", "4", "16", "64",
          "--cond-targets", "10", "1e3", "--trials", "2"]
 _SOLVE = ["solve", "ill8-frame.json", "--g", "rhs8.json", "--json", "--deterministic"]
+_CHECK = ["check", "fam8-frame.json", "--k", "fam8-k.json", "--c", "fam8-c.json"]
 
 COMMANDS = [
     ("gen-ill8", ["gen", "--kind", "ill-conditioned", "--dim", "8", "--cond-target", "100",
@@ -62,8 +78,12 @@ COMMANDS = [
     ("solve-controlled", ["solve", "fam8-frame.json", "--g", "rhs8.json", "--c", "fam8-c.json",
                           "--json", "--deterministic", "--out", "solve-controlled.json"]),
     ("solve-capped", [*_SOLVE, "--max-iter", "5", "--out", "solve-capped.json"]),
-    ("check", ["check", "fam8-frame.json", "--k", "fam8-k.json", "--c", "fam8-c.json",
-               "--json", "--deterministic"]),
+    ("solve-divergent", [*_SOLVE, "--relaxation", "1e300", "--max-iter", "50",
+                         "--out", "solve-divergent.json"]),
+    ("check", [*_CHECK, "--json", "--deterministic"]),
+    ("check-text", [*_CHECK, "--deterministic"]),
+    ("check-tiny-k", ["check", "eye3-frame.json", "--k", "tiny3-k.json", "--c", "eye3-c.json",
+                      "--json", "--deterministic"]),
     ("dual", ["dual", "--g", "parseval8.json", "--k", "fam8-k.json", "--out", "dual-h.json",
               "--json", "--deterministic"]),
     ("dual-refused", ["dual", "--g", "fam8-frame.json", "--k", "fam8-k.json",
@@ -76,6 +96,8 @@ COMMANDS = [
                                 "--out", f"bench-grid-{ctrl}.csv"])
         for ctrl in ("identity", "exact-inverse", "jacobi")
     ),
+    ("paper-example", ["paper-example", "--deterministic"]),
+    ("paper-example-json", ["paper-example", "--json", "--deterministic"]),
 ]
 
 
@@ -114,7 +136,7 @@ def differing(a: dict, b: dict) -> list:
 
 def write_outputs(checkout: Path, outdir: Path, commands=COMMANDS) -> dict:
     outdir.mkdir(parents=True, exist_ok=True)
-    for name, obj in (("rhs8.json", RHS), ("parseval8.json", PARSEVAL)):
+    for name, obj in INPUTS.items():
         (outdir / name).write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
     codes = {}
     for name, argv in commands:
