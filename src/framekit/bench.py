@@ -101,11 +101,8 @@ def controller_for(strategy: str, S, tol: Tolerances = DEFAULT_TOL) -> Controlle
     if strategy == "exact-inverse":
         # S's eigenpairs, reversed, are those of S^{-1}: one decomposition.
         w, Q = np.linalg.eigh(hermitian_part(S))
-        if w[0] <= 0:
-            raise NotPositiveDefiniteError("exact-inverse controller needs a positive definite S")
-        inverse_eigh = (1.0 / w[::-1], Q[:, ::-1])
-        _spectrum_bounds(inverse_eigh[0], tol)
-        return Controller(_apply_spectrum(w, Q, lambda v: 1.0 / v), inverse_eigh)
+        _spectrum_bounds(w, tol)  # S clears the positivity slack exactly when S^{-1} does
+        return Controller(_apply_spectrum(w, Q, lambda v: 1.0 / v), (1.0 / w[::-1], Q[:, ::-1]))
     if strategy == "jacobi":
         diag = np.diag(S).real
         if np.any(diag <= 0):
@@ -160,30 +157,20 @@ def _solve_group(prepared, config):
 
 
 def _row(cell, prepared, counts) -> BenchRow:
+    """The row of one cell; an unusable cell (``prepared is None``) has NaN
+    conditions and no iterations."""
     kind, dim, cond_target, trial = cell
     instance_id = f"{kind}-d{dim}-c{'na' if cond_target is None else format(cond_target, 'g')}-t{trial}"
     if prepared is None:
-        return BenchRow(
-            instance_id=instance_id, dim=dim, n_vectors=2 * dim,
-            cond_s=float("nan"), cond_precond=float("nan"),
-            iters_plain=0, iters_controlled=0, speedup=float("nan"),
-            converged_plain=False, converged_controlled=False,
-        )
-    _, _, _, bounds, precond_bounds = prepared
+        conditions, counts = (float("nan"), float("nan")), (0, False, 0, False)
+    else:
+        conditions = (prepared[3].condition, prepared[4].condition)
     iters_plain, converged_plain, iters_controlled, converged_controlled = counts
     both = converged_plain and converged_controlled
     speedup = iters_plain / iters_controlled if both and iters_controlled else float("nan")
     return BenchRow(
-        instance_id=instance_id,
-        dim=dim,
-        n_vectors=2 * dim,
-        cond_s=bounds.condition,
-        cond_precond=precond_bounds.condition,
-        iters_plain=iters_plain,
-        iters_controlled=iters_controlled,
-        speedup=speedup,
-        converged_plain=converged_plain,
-        converged_controlled=converged_controlled,
+        instance_id, dim, 2 * dim, *conditions, iters_plain, iters_controlled, speedup,
+        converged_plain, converged_controlled,
     )
 
 

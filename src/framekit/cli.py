@@ -214,12 +214,7 @@ def cmd_solve(args, tol: Tolerances):
             "the frame operator is singular: this solver inverts S on the whole space "
             "and does not solve restricted systems on range(K)"
         )
-    config = SolverConfig(
-        relaxation=args.relaxation,
-        residual_tol=args.residual_tol,
-        max_iter=args.max_iter,
-        seed=args.seed,
-    )
+    config = SolverConfig(relaxation=args.relaxation, residual_tol=args.residual_tol, max_iter=args.max_iter)
     if args.c is not None:
         ctrl = make_controller(load_operator(args.c), tol)
         inputs["c"] = args.c

@@ -23,6 +23,7 @@ differ from the plain one at the ``rel_eq`` level.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -139,17 +140,27 @@ def controlled_form(frame: FrameSequence, ctrl: Controller, f, tol: Tolerances =
     Equals the coefficient pairing ``sum_n <f, f_n> conj(<f, C f_n>)``.  The
     imaginary part must stay below ``rel_eq * ||C|| * ||S|| * ||f||^2``;
     a larger one means ``C S`` is materially non-Hermitian and the controlled
-    theory does not apply to the pair.
+    theory does not apply to the pair.  Form and bound are homogeneous in
+    ``C``, ``S`` and ``f``, so each is first scaled by an exact power of two
+    (see :func:`framekit.operators._pow2_scaled`): the verdict does not
+    depend on their scale.  The real part is scaled back, ``inf`` when it
+    exceeds the largest float.
     """
-    v = as_vector(f, dim=frame.dim)
-    value = complex(np.vdot(v, ctrl.matrix @ (frame_operator(frame) @ v)))
-    limit = tol.rel_eq * ctrl.bounds.upper * float(frame._eigh[0][-1]) * float(np.vdot(v, v).real)
-    if abs(value.imag) > max(limit, np.finfo(float).tiny):
+    v, e = _pow2_scaled(as_vector(f, dim=frame.dim))
+    C, a = _pow2_scaled(ctrl.matrix)
+    S, b = _pow2_scaled(frame_operator(frame))
+    value = complex(np.vdot(v, C @ (S @ v)))
+    norms = math.ldexp(ctrl.bounds.upper, -a) * math.ldexp(float(frame._eigh[0][-1]), -b)
+    limit = tol.rel_eq * norms * float(np.vdot(v, v).real)
+    if abs(value.imag) > limit:
         raise NonRealFormError(
-            f"form has imaginary part {value.imag:.3e} beyond the admissible {limit:.3e}; "
-            "C S is not Hermitian for this pair"
+            f"the form's imaginary part is {abs(value.imag) / limit:.3e} times the admissible "
+            "rel_eq * ||C|| * ||S|| * ||f||^2; C S is not Hermitian for this pair"
         )
-    return float(value.real)
+    try:
+        return math.ldexp(value.real, a + b + 2 * e)
+    except OverflowError:
+        return math.copysign(math.inf, value.real)
 
 
 @dataclass(frozen=True)

@@ -69,18 +69,6 @@ class NotOrthonormalError(ToolkitError):
     """A family required to be an orthonormal basis is not one."""
 
 
-class RangeDeficiencyError(ToolkitError):
-    """range(K) is not contained in the span of the family.
-
-    ``witness`` is a unit vector ``x`` for which ``K x`` cannot be synthesized
-    from the family.
-    """
-
-    def __init__(self, message, witness=None):
-        self.witness = witness
-        super().__init__(message)
-
-
 class PreconditionFailedError(ToolkitError):
     """A documented precondition of an operation does not hold for the inputs.
 
@@ -90,6 +78,15 @@ class PreconditionFailedError(ToolkitError):
     def __init__(self, message, witness=None):
         self.witness = witness
         super().__init__(message)
+
+
+class RangeDeficiencyError(PreconditionFailedError):
+    """range(K) is not contained in the span of the family: a failed
+    precondition that always carries a witness.
+
+    ``witness`` is a unit vector ``x`` for which ``K x`` cannot be synthesized
+    from the family.
+    """
 
 
 class CommutationError(ToolkitError):

@@ -15,7 +15,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DimensionMismatchError, InvalidParametersError, NotPositiveDefiniteError
-from .operators import DEFAULT_TOL, Tolerances, _spectrum_bounds, as_vector, hermitian_part
+from .operators import DEFAULT_TOL, Tolerances, _spectrum_bounds, _validated_rectangular, as_vector, hermitian_part
 
 __all__ = [
     "FrameSequence",
@@ -38,13 +38,8 @@ class FrameSequence:
     matrix: np.ndarray
 
     def __post_init__(self):
-        M = np.array(self.matrix, dtype=np.complex128, copy=True)
-        if M.ndim != 2 or M.shape[0] == 0 or M.shape[1] == 0:
-            raise InvalidParametersError(
-                f"a frame sequence needs a nonempty d x n matrix, got shape {M.shape}"
-            )
-        if not np.isfinite(M).all():
-            raise InvalidParametersError("frame vectors have non-finite entries")
+        # np.array copies the input once; the validator keeps that copy
+        M = _validated_rectangular(np.array(self.matrix, dtype=np.complex128))
         M.setflags(write=False)
         object.__setattr__(self, "matrix", M)
 

@@ -26,7 +26,6 @@ from .controlled import Controller, identity_controller, make_controller
 from .errors import InvalidParametersError
 from .frames import FrameSequence, frame_operator
 from .operators import DEFAULT_TOL, Tolerances, hermitian_part
-from .operators import spectral_function  # noqa: F401  (importable from here too; declared in operators)
 
 __all__ = [
     "INSTANCE_KINDS",
@@ -201,10 +200,8 @@ def generate_instance(
     if count < dim:
         raise InvalidParametersError(f"need count >= dim for a spanning family, got count={count}, dim={dim}")
 
-    if kind == "random-frame":
-        frame = random_frame(rng, dim, count)
-        return frame, np.eye(dim, dtype=np.complex128), identity_controller(dim)
-
+    if kind == "commuting-family":
+        return commuting_triple(rng, dim, count, tol=tol)
     if kind == "ill-conditioned":
         if cond_target is None or cond_target < 1.0 or not np.isfinite(cond_target):
             raise InvalidParametersError(f"cond_target must be >= 1, got {cond_target!r}")
@@ -212,7 +209,6 @@ def generate_instance(
             raise InvalidParametersError("cond_target > 1 needs dim >= 2")
         sigma = np.geomspace(1.0, cond_target**-0.5, num=dim)
         frame = frame_with_spectrum(rng, dim, count, sigma, mix_basis=False)
-        return frame, np.eye(dim, dtype=np.complex128), identity_controller(dim)
-
-    frame, K, ctrl = commuting_triple(rng, dim, count, tol=tol)
-    return frame, K, ctrl
+    else:
+        frame = random_frame(rng, dim, count)
+    return frame, np.eye(dim, dtype=np.complex128), identity_controller(dim)

@@ -119,15 +119,24 @@ def as_vector(x, dim: int | None = None) -> np.ndarray:
     return v
 
 
+def _validated_rectangular(U) -> np.ndarray:
+    """``U`` as a finite, nonempty, two-dimensional complex array: the
+    package's one array validation."""
+    M = np.asarray(U, dtype=np.complex128)
+    if M.ndim != 2 or M.size == 0:
+        raise InvalidParametersError(f"expected a nonempty matrix, got shape {M.shape}")
+    if not np.isfinite(M).all():
+        raise InvalidParametersError("matrix has non-finite entries")
+    return M
+
+
 def as_operator(T, dim: int | None = None) -> np.ndarray:
     """Validate ``T`` as a finite square complex matrix, optionally ``dim x dim``."""
-    M = np.asarray(T, dtype=np.complex128)
-    if M.ndim != 2 or M.shape[0] != M.shape[1] or M.shape[0] == 0:
+    M = _validated_rectangular(T)
+    if M.shape[0] != M.shape[1]:
         raise InvalidParametersError(f"expected a square operator, got shape {M.shape}")
     if dim is not None and M.shape[0] != dim:
         raise DimensionMismatchError(f"expected a {dim} x {dim} operator, got {M.shape[0]} x {M.shape[1]}")
-    if not np.isfinite(M).all():
-        raise InvalidParametersError("operator has non-finite entries")
     return M
 
 
@@ -175,11 +184,11 @@ def _pow2_scaled(A):
 
 
 def _checked_hermitian(T, tol: Tolerances) -> np.ndarray:
-    """``hermitian_part(T)``, refused unless ``T`` is Hermitian within tolerance."""
-    M = as_operator(T)
-    if not is_hermitian(M, tol):
+    """``hermitian_part(T)``, refused unless ``T`` is Hermitian within tolerance.
+    :func:`is_hermitian` validates ``T``."""
+    if not is_hermitian(T, tol):
         raise NotHermitianError("operator is not Hermitian within tolerance")
-    return hermitian_part(M)
+    return hermitian_part(T)
 
 
 def _positivity_slack(w, tol: Tolerances) -> float:
@@ -243,15 +252,6 @@ def spectral_function(op, fn, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     tolerance.
     """
     return _apply_spectrum(*np.linalg.eigh(_checked_hermitian(op, tol)), fn)
-
-
-def _validated_rectangular(U) -> np.ndarray:
-    M = np.asarray(U, dtype=np.complex128)
-    if M.ndim != 2 or M.size == 0:
-        raise InvalidParametersError(f"expected a nonempty matrix, got shape {M.shape}")
-    if not np.isfinite(M).all():
-        raise InvalidParametersError("matrix has non-finite entries")
-    return M
 
 
 def _rank(s, shape, tol: Tolerances) -> int:

@@ -41,8 +41,8 @@ from framekit.instances import (
     haar_unitary,
     random_frame,
     random_positive_operator,
-    spectral_function,
 )
+from framekit.operators import spectral_function
 
 
 def test_make_controller_caches_consistent_roots():
@@ -139,11 +139,11 @@ def test_controlled_operator_is_one_sided_product():
 
 def test_controlled_form_direct_summation_oracle():
     rng = np.random.default_rng(42)
-    for _ in range(10):
+    for scale in np.repeat([1.0, 2.0**-500, 2.0**500], 10):
         d = int(rng.integers(3, 7))
         frame, _, ctrl = commuting_triple(rng, d, 2 * d)
         f = rng.normal(size=d) + 1j * rng.normal(size=d)
-        value = controlled_form(frame, ctrl, f)
+        value = controlled_form(frame, ctrl, scale * f) / scale**2
         # sum_n <f, f_n> <C f_n, f>, everything in the first-linear convention
         coeffs = analysis(frame, f)
         paired = np.array([np.vdot(f, ctrl.matrix @ frame.matrix[:, n]) for n in range(frame.count)])
@@ -160,8 +160,9 @@ def test_controlled_form_rejects_materially_complex_values():
     assert not commutes(ctrl, S)
     f = np.array([1.0, 1j])
     assert abs(np.vdot(f, ctrl.matrix @ S @ f).imag) > 0.1  # sanity: truly complex
-    with pytest.raises(NonRealFormError):
-        controlled_form(frame, ctrl, f)
+    for scale in (1.0, 1e-160, 1e160):
+        with pytest.raises(NonRealFormError):
+            controlled_form(frame, ctrl, scale * f)
 
 
 def test_identity_controller_reduces_to_plain_kframe_check():

@@ -22,8 +22,8 @@ from framekit.instances import (
     parseval_frame,
     random_frame,
     random_positive_operator,
-    spectral_function,
 )
+from framekit.operators import spectral_function
 
 
 def test_haar_unitary_is_unitary():

@@ -3,8 +3,10 @@
 Each public name is declared once, in the ``__all__`` of the module that
 defines it; ``framekit`` re-exports the union and adds ``__version__``."""
 
+import ast
 import importlib
 import inspect
+from pathlib import Path
 
 import framekit
 
@@ -52,3 +54,28 @@ def test_public_attributes_are_the_declared_names_and_the_layer_modules():
     public = {name for name in dir(framekit) if not name.startswith("_")}
     public.discard("cli")  # an attribute only once something imports framekit.cli
     assert public == (set(framekit.__all__) - {"__version__"}) | set(LAYERS)
+
+
+def _unused_imports(source: str) -> list[tuple[int, str]]:
+    """``(line, name)`` of each name ``source`` imports but neither uses nor
+    lists in ``__all__``; ``from __future__`` imports are directives, not names."""
+    tree = ast.parse(source)
+    imported, used, exported = [], set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__":
+            imported += [(node.lineno, (alias.asname or alias.name).split(".")[0]) for alias in node.names]
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+            exported |= set(ast.literal_eval(node.value))
+    return [(line, name) for line, name in imported if name not in used | exported]
+
+
+def test_no_module_imports_a_name_it_does_not_use():
+    unused = [
+        f"{path.name}:{line} {name}"
+        for path in sorted(Path(framekit.__file__).parent.glob("*.py"))
+        if path.name != "__init__.py"
+        for line, name in _unused_imports(path.read_text(encoding="utf-8"))
+    ]
+    assert unused == []

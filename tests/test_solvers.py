@@ -38,8 +38,8 @@ from framekit.instances import (
     haar_unitary,
     random_frame,
     random_positive_operator,
-    spectral_function,
 )
+from framekit.operators import spectral_function
 from framekit.solvers import _empirical_rate, _richardson_stack, _solve_one
 
 

@@ -14,28 +14,42 @@ so the frame operator does not leave ``range(K)`` invariant.  Properties:
   scales as ``s^2 / t^2`` and the controlled ``upper_opt`` as ``c s^2``;
 * rescaling ``K`` by a power of two ``2^k`` scales ``lower_opt`` by
   ``4^-k`` and keeps the witness, bit for bit, and the verdict also where
-  ``lower_opt`` underflows to ``0.0``.
+  ``lower_opt`` underflows to ``0.0``;
+* every other public function that takes a controller keeps its claim
+  when ``C`` is rescaled by ``c`` anywhere in ``10^[-6, 6]``, each checked
+  against the defining inequality evaluated here with ``eigvalsh``; a
+  controlled solve with ``c = 2^k`` is unchanged bit for bit.
 
 Hypothesis draws the sizes, ranks and controller weights; the matrices come
 from a numpy generator seeded by the drawn seed.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import block_diag
 
 from framekit import (
     FrameSequence,
+    NonRealFormError,
+    SolverConfig,
+    bounds_to_controlled,
+    bounds_to_kframe,
+    controlled_form,
     controlled_kframe_check,
     controlled_operator_inequality,
+    controlled_richardson_solve,
+    frame_operator,
+    interchange_identity_check,
     kframe_check,
     kframe_operator_inequality,
     make_controller,
     numerical_rank,
     rayleigh_quotients,
+    sandwich_inequality_check,
 )
-from framekit.instances import haar_unitary, random_frame
+from framekit.instances import haar_unitary, random_frame, random_positive_operator
 
 PROPERTIES = settings(derandomize=True, deadline=None, max_examples=200)
 EPS = 1e-6
@@ -183,3 +197,124 @@ def test_power_of_two_rescaling_of_k_is_exact(pair, k):
     assert scaled.is_kframe == report.is_kframe
     assert scaled.lower_opt == np.ldexp(report.lower_opt, -2 * k)
     assert np.array_equal(scaled.witness, report.witness)
+
+
+def _leq(lhs, rhs):
+    """``lhs <= rhs`` in the Loewner order, by ``eigvalsh`` of the difference,
+    up to ``1e-9`` times the larger spectral norm."""
+    gap = rhs - lhs
+    smallest = np.linalg.eigvalsh((gap + gap.conj().T) / 2)[0]
+    return bool(smallest >= -1e-9 * max(np.linalg.norm(lhs, 2), np.linalg.norm(rhs, 2)))
+
+
+def _controlled_sides(frame, K, C):
+    """``(K C K*, C S)``: the weight and the operator of the controlled frame inequality."""
+    return K @ C @ K.conj().T, C @ frame_operator(frame)
+
+
+@PROPERTIES
+@given(controlled_triples(), DECADES)
+def test_bounds_to_kframe_gives_k_frame_bounds_at_every_controller_scale(triple, c_exp):
+    frame, K, C = triple
+    ctrl = make_controller(10.0**c_exp * C)
+    report = controlled_kframe_check(frame, K, ctrl)
+    A, B = bounds_to_kframe(report.lower_opt, report.upper_opt, ctrl)
+    S = frame_operator(frame)
+    assert _leq(A * K @ K.conj().T, S)
+    assert _leq(S, B * np.eye(frame.dim))
+    unit = make_controller(C)
+    unit_report = controlled_kframe_check(frame, K, unit)
+    unscaled = bounds_to_kframe(unit_report.lower_opt, unit_report.upper_opt, unit)
+    np.testing.assert_allclose((A, B), unscaled, rtol=1e-8)
+
+
+@PROPERTIES
+@given(controlled_triples(), DECADES)
+def test_bounds_to_controlled_gives_controlled_bounds_at_every_controller_scale(triple, c_exp):
+    frame, K, C = triple
+    c = 10.0**c_exp
+    plain = kframe_check(frame, K)
+    A, B = bounds_to_controlled(plain.lower_opt, plain.upper_opt, make_controller(c * C), K=K)
+    weight, L = _controlled_sides(frame, K, c * C)
+    assert _leq(A * weight, L)
+    assert _leq(L, B * np.eye(frame.dim))
+    unscaled = bounds_to_controlled(plain.lower_opt, plain.upper_opt, make_controller(C), K=K)
+    np.testing.assert_allclose((A, B), (unscaled[0], c * unscaled[1]), rtol=1e-8)
+
+
+@PROPERTIES
+@given(controlled_triples(), DECADES)
+def test_controlled_operator_inequality_is_the_loewner_order_at_every_controller_scale(triple, c_exp):
+    frame, K, C = triple
+    c = 10.0**c_exp
+    lower = controlled_kframe_check(frame, K, make_controller(C)).lower_opt
+    ctrl = make_controller(c * C)
+    L = c * C @ frame_operator(frame)
+    for A, expected in ((lower * (1 - EPS), True), (lower * (1 + EPS), False)):
+        verdict = controlled_operator_inequality(frame, K, ctrl, A)
+        assert verdict == _leq(A * c * C @ K @ K.conj().T, L) == expected
+
+
+@PROPERTIES
+@given(controlled_triples(), DECADES)
+def test_sandwich_inequality_is_both_loewner_comparisons_at_every_controller_scale(triple, c_exp):
+    frame, K, C = triple
+    c = 10.0**c_exp
+    report = controlled_kframe_check(frame, K, make_controller(C))
+    ctrl = make_controller(c * C)
+    weight, L = _controlled_sides(frame, K, c * C)
+    eye = np.eye(frame.dim)
+    for a, b in ((1 - EPS, 1 + EPS), (1 + EPS, 1 + EPS), (1 - EPS, 1 - EPS)):
+        A, B = report.lower_opt * a, c * report.upper_opt * b
+        verdict = sandwich_inequality_check(frame, K, ctrl, A, B)
+        assert verdict == (_leq(A * weight, L) and _leq(L, B * eye)) == (a < 1 < b)
+
+
+@PROPERTIES
+@given(controlled_triples(), DECADES, st.integers(0, 2**32 - 1))
+def test_controlled_form_scales_with_the_controller_and_obeys_the_frame_inequality(triple, c_exp, seed):
+    frame, K, C = triple
+    c = 10.0**c_exp
+    rng = np.random.default_rng(seed)
+    f = rng.normal(size=frame.dim) + 1j * rng.normal(size=frame.dim)
+    report = controlled_kframe_check(frame, K, make_controller(C))
+    value = controlled_form(frame, make_controller(c * C), f)
+    weight, L = _controlled_sides(frame, K, c * C)
+    np.testing.assert_allclose(value, np.vdot(f, L @ f).real, rtol=1e-9)
+    np.testing.assert_allclose(value, c * controlled_form(frame, make_controller(C), f), rtol=1e-9)
+    assert report.lower_opt * np.vdot(f, weight @ f).real <= value * (1 + 1e-9)
+    assert value <= c * report.upper_opt * np.vdot(f, f).real * (1 + 1e-9)
+
+
+@PROPERTIES
+@given(controlled_triples(), DECADES, st.integers(0, 2**32 - 1))
+def test_interchange_identity_is_commutation_at_every_controller_scale(triple, c_exp, seed):
+    frame, _, C = triple
+    c = 10.0**c_exp
+    F, CF = frame.matrix, c * C @ frame.matrix
+    # the two weighted synthesis sums: sum_n <f, f_n> C f_n and sum_n <f, C f_n> f_n
+    defect = np.linalg.norm(CF @ F.conj().T - F @ CF.conj().T)
+    assert defect <= 1e-9 * np.linalg.norm(c * C) * np.linalg.norm(frame_operator(frame))
+    assert interchange_identity_check(frame, make_controller(c * C))
+    # a controller in general position does not commute with S: C S is not
+    # Hermitian, and the check refuses at every scale
+    other = random_positive_operator(np.random.default_rng(seed), frame.dim)
+    with pytest.raises(NonRealFormError):
+        interchange_identity_check(frame, make_controller(c * other))
+
+
+@settings(derandomize=True, deadline=None, max_examples=50)
+@given(controlled_triples(), DECADES, st.integers(-19, 19), st.integers(0, 2**32 - 1))
+def test_controlled_solve_is_exact_under_power_of_two_controller_scaling(triple, c_exp, k, seed):
+    frame, _, C = triple
+    rng = np.random.default_rng(seed)
+    g = rng.normal(size=frame.dim) + 1j * rng.normal(size=frame.dim)
+    config = SolverConfig(residual_tol=1e-10, max_iter=20_000)
+    f, trace = controlled_richardson_solve(frame, make_controller(C), g, config)
+    scaled_f, scaled = controlled_richardson_solve(frame, make_controller(2.0**k * C), g, config)
+    assert scaled == trace and scaled.residuals == trace.residuals
+    assert np.array_equal(scaled_f, f)
+    f, trace = controlled_richardson_solve(frame, make_controller(10.0**c_exp * C), g, config)
+    assert trace.converged
+    S = frame_operator(frame)
+    assert np.linalg.norm(S @ f - g) <= 1e-10 * np.linalg.norm(g) * (1 + 1e-6)
