@@ -10,8 +10,8 @@ The package is organized in layers:
   systems, dual construction on range(K).
 * :mod:`framekit.controlled` — controller algebra and controlled K-frame
   checks; bound transfers in both directions.
-* :mod:`framekit.solvers` / :mod:`framekit.bench` — Richardson and CG solvers
-  and the plain-vs-controlled benchmark grid.
+* :mod:`framekit.solvers` / :mod:`framekit.bench` — plain and controlled
+  Richardson solvers and the plain-vs-controlled benchmark grid.
 * :mod:`framekit.instances` — seeded generators for tests, demos, benchmarks.
 * :mod:`framekit.serialize` / :mod:`framekit.cli` — JSON schemas and the
   ``framekit`` command.

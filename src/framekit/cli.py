@@ -115,9 +115,8 @@ def cmd_check(args, tol: Tolerances):
     inputs = {"frame": args.frame}
 
     fb = frame_bounds(frame, tol)
-    report = {
-        "frame": {"lower": fb.lower, "upper": fb.upper, "is_frame": fb.is_frame},
-    }
+    # a bound beyond the float range is null: strict JSON has no infinity
+    report = {"frame": _nulled({"lower": fb.lower, "upper": fb.upper, "is_frame": fb.is_frame})}
     lines = [
         f"frame: {frame.count} vectors in C^{frame.dim}; "
         f"bounds lower={fb.lower} upper={fb.upper} -> {'frame' if fb.is_frame else 'not a frame'}"
@@ -213,6 +212,11 @@ def cmd_solve(args, tol: Tolerances):
         raise NotPositiveDefiniteError(
             "the frame operator is singular: this solver inverts S on the whole space "
             "and does not solve restricted systems on range(K)"
+        )
+    if not 0.0 < fb.lower <= fb.upper < math.inf:
+        raise InvalidParametersError(
+            f"the frame operator lies outside the float range (frame bounds {fb.lower}, {fb.upper}); "
+            "the solver needs S itself"
         )
     config = SolverConfig(relaxation=args.relaxation, residual_tol=args.residual_tol, max_iter=args.max_iter)
     if args.c is not None:

@@ -39,6 +39,7 @@ from .operators import (
     _apply_spectrum,
     _checked_hermitian,
     _pow2_scaled,
+    _scaled_back,
     _spectrum_bounds,
     as_operator,
     as_vector,
@@ -141,26 +142,24 @@ def controlled_form(frame: FrameSequence, ctrl: Controller, f, tol: Tolerances =
     imaginary part must stay below ``rel_eq * ||C|| * ||S|| * ||f||^2``;
     a larger one means ``C S`` is materially non-Hermitian and the controlled
     theory does not apply to the pair.  Form and bound are homogeneous in
-    ``C``, ``S`` and ``f``, so each is first scaled by an exact power of two
-    (see :func:`framekit.operators._pow2_scaled`): the verdict does not
+    ``C``, ``S`` and ``f``, so they are computed on ``C`` and ``f`` scaled by
+    exact powers of two (see :func:`framekit.operators._pow2_scaled`) and on
+    the frame's scaled operator ``S~ = 2^(-2e) S``: the verdict does not
     depend on their scale.  The real part is scaled back, ``inf`` when it
     exceeds the largest float.
     """
-    v, e = _pow2_scaled(as_vector(f, dim=frame.dim))
+    v, b = _pow2_scaled(as_vector(f, dim=frame.dim))
     C, a = _pow2_scaled(ctrl.matrix)
-    S, b = _pow2_scaled(frame_operator(frame))
+    S, e = frame._scaled
     value = complex(np.vdot(v, C @ (S @ v)))
-    norms = math.ldexp(ctrl.bounds.upper, -a) * math.ldexp(float(frame._eigh[0][-1]), -b)
+    norms = math.ldexp(ctrl.bounds.upper, -a) * float(frame._eigh[0][-1])
     limit = tol.rel_eq * norms * float(np.vdot(v, v).real)
     if abs(value.imag) > limit:
         raise NonRealFormError(
             f"the form's imaginary part is {abs(value.imag) / limit:.3e} times the admissible "
             "rel_eq * ||C|| * ||S|| * ||f||^2; C S is not Hermitian for this pair"
         )
-    try:
-        return math.ldexp(value.real, a + b + 2 * e)
-    except OverflowError:
-        return math.copysign(math.inf, value.real)
+    return _scaled_back(value.real, a + 2 * (b + e))
 
 
 @dataclass(frozen=True)
@@ -213,15 +212,17 @@ def controlled_kframe_check(frame: FrameSequence, K, ctrl: Controller, tol: Tole
     verdict, lower constant and witness come from :func:`kframe_check`
     of ``(frame, K)``, memoised on ``frame``, with the witness ``w`` pulled
     back to ``C^{-1/2} w`` through the controller's eigenpairs; ``upper_opt``
-    is ``lambda_max(C S)`` from one ``eigvalsh``.  Near the commutation
-    tolerance the true controlled optimum may differ from this one at the
-    ``rel_eq`` level.  Scaling ``C`` by ``c > 0`` scales ``upper_opt`` by
+    is ``lambda_max(C S)`` from one ``eigvalsh`` of ``C S~``, with the
+    frame's scaled operator ``S~ = 2^(-2e) S``, scaled back by ``2^(2e)``.
+    Near the commutation tolerance the true controlled optimum may differ
+    from this one at the ``rel_eq`` level.  Scaling ``C`` by ``c > 0`` scales ``upper_opt`` by
     ``c`` and changes neither ``lower_opt`` nor the verdict.
     """
     Kop = as_operator(K, dim=frame.dim)
     if not commutes(ctrl, Kop, tol):
         raise CommutationError("controller does not commute with K within tolerance")
-    upper = float(np.linalg.eigvalsh(_require_real_product(ctrl, frame_operator(frame), tol))[-1])
+    S, e = frame._scaled
+    upper = _scaled_back(float(np.linalg.eigvalsh(_require_real_product(ctrl, S, tol))[-1]), 2 * e)
     plain = kframe_check(frame, Kop, tol)
     witness = plain.witness
     if witness is not None:
@@ -299,11 +300,13 @@ def interchange_identity_check(frame: FrameSequence, ctrl: Controller, tol: Tole
 
     The two weighted synthesis sums are the actions of ``C S`` and ``S C``, so
     the identity is exactly commutation:
-    ``||C S - S C||_F <= rel_eq * ||C||_F * ||S||_F``.  Requires the form to
-    be real-valued in the first place (``C S`` Hermitian); a materially
-    non-Hermitian product raises instead of returning a verdict, because then
-    neither sum defines a controlled frame expression.
+    ``||C S - S C||_F <= rel_eq * ||C||_F * ||S||_F``, decided on the
+    frame's scaled operator ``S~``, as the test is homogeneous in ``S``.
+    Requires the form to be real-valued in the first place (``C S``
+    Hermitian); a materially non-Hermitian product raises instead of
+    returning a verdict, because then neither sum defines a controlled frame
+    expression.
     """
-    S = frame_operator(frame)
+    S = frame._scaled[0]
     _require_real_product(ctrl, S, tol)
     return commutes(ctrl, S, tol)

@@ -5,6 +5,10 @@ analysis map sends ``f`` to its coefficient sequence ``<f, f_n>``, the frame
 operator is ``S = T T*``, and the optimal frame bounds are the extreme
 eigenvalues of ``S``.  Every finite family is Bessel, so the only verdict to
 settle is whether the lower bound clears zero.
+
+A family carries one power-of-two exponent ``e``: its verdicts read the
+scaled frame operator ``S~ = T~ T~*`` of ``T~ = 2^-e T``, which neither
+underflows nor overflows, and report values scaled back by ``2^(2e)``.
 """
 
 from __future__ import annotations
@@ -15,7 +19,10 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DimensionMismatchError, InvalidParametersError, NotPositiveDefiniteError
-from .operators import DEFAULT_TOL, Tolerances, _spectrum_bounds, _validated_rectangular, as_vector, hermitian_part
+from .operators import (
+    DEFAULT_TOL, Tolerances, _pow2_scaled, _scaled_back, _spectrum_bounds, _validated_rectangular, as_vector,
+    hermitian_part,
+)
 
 __all__ = [
     "FrameSequence",
@@ -31,8 +38,14 @@ __all__ = [
 class FrameSequence:
     """A finite vector family in ``C^d``, held as a ``d x n`` synthesis matrix.
 
-    The frame operator and its ascending eigenpairs are computed on first use
-    and cached read-only, so every check on one family shares them.
+    On first use the family computes ``(T~, e) = _pow2_scaled(matrix)`` (see
+    :func:`framekit.operators._pow2_scaled`), the scaled frame operator
+    ``S~ = T~ T~* = 2^(-2e) S`` and the ascending eigenpairs of ``S~``, and
+    caches them read-only, so every check on one family shares them.  ``e``
+    is ``0``, and ``S~`` is ``S``, unless the largest part of ``T`` lies
+    outside ``[2^-128, 2^128)``; ``S~`` then has its largest part near 1,
+    so it neither underflows nor overflows and verdicts read off it do not
+    depend on the scale of the family.
     """
 
     matrix: np.ndarray
@@ -60,17 +73,15 @@ class FrameSequence:
         return self.matrix.shape[1]
 
     @cached_property
-    def _operator(self) -> np.ndarray:
-        with np.errstate(over="ignore", invalid="ignore"):
-            S = hermitian_part(self.matrix @ self.matrix.conj().T)
-        if not np.isfinite(S).all():
-            raise InvalidParametersError("the frame operator overflows: the frame vectors are too large")
+    def _scaled(self) -> tuple[np.ndarray, int]:
+        T, e = _pow2_scaled(self.matrix)
+        S = hermitian_part(T @ T.conj().T)
         S.setflags(write=False)
-        return S
+        return S, e
 
     @cached_property
     def _eigh(self) -> tuple[np.ndarray, np.ndarray]:
-        w, U = np.linalg.eigh(self._operator)
+        w, U = np.linalg.eigh(self._scaled[0])
         w.setflags(write=False)
         U.setflags(write=False)
         return w, U
@@ -82,7 +93,9 @@ class FrameBounds:
 
     ``upper`` is always the optimal Bessel bound ``lambda_max(S)``.  ``lower``
     is the optimal lower frame bound when the family is a frame and ``None``
-    when it is Bessel-only (frame operator numerically singular).
+    when it is Bessel-only (frame operator numerically singular).  Both are
+    floats, so a bound above the largest float is ``inf`` and one below the
+    smallest ``0.0``; ``is_frame`` does not depend on either.
     """
 
     upper: float
@@ -112,9 +125,23 @@ def analysis(frame: FrameSequence, f) -> np.ndarray:
 def frame_operator(frame: FrameSequence) -> np.ndarray:
     """``S = T T*``, acting as ``S f = sum_n <f, f_n> f_n``.
 
-    The array is cached on ``frame`` and read-only; copy it before writing.
+    The scaled operator ``S~`` cached on ``frame`` scaled back by
+    ``2^(2e)``: ``S~`` itself when ``e`` is ``0``, entries below the
+    smallest float flushed to zero.  The array is read-only; copy it before
+    writing.  The verdicts read ``S~`` and never call this; it raises
+    :class:`InvalidParametersError` when an entry of ``S`` exceeds the
+    largest float.
     """
-    return frame._operator
+    S, e = frame._scaled
+    if e:
+        with np.errstate(over="ignore"):
+            S = np.ldexp(S.view(np.float64), 2 * e).view(np.complex128)
+        if not np.isfinite(S).all():
+            raise InvalidParametersError(
+                "the frame operator lies outside the float range: the frame vectors are too large"
+            )
+        S.setflags(write=False)
+    return S
 
 
 def frame_bounds(frame: FrameSequence, tol: Tolerances = DEFAULT_TOL) -> FrameBounds:
@@ -124,10 +151,14 @@ def frame_bounds(frame: FrameSequence, tol: Tolerances = DEFAULT_TOL) -> FrameBo
     positivity slack the family is an ordinary frame with optimal lower bound
     ``lambda_min(S)``; otherwise the report is Bessel-only.  Both extremes are
     attained by the corresponding eigenvectors, so the bounds are tight.
+    The verdict reads the spectrum of the scaled operator ``S~`` cached on
+    ``frame``, so it does not change when the family is rescaled; the bounds
+    are scaled back by ``2^(2e)`` (``inf`` or ``0.0`` beyond the float
+    range).
     """
-    w = frame._eigh[0]
+    w, e = frame._eigh[0], frame._scaled[1]
     try:
-        lower = _spectrum_bounds(w, tol).lower
+        lower = _scaled_back(_spectrum_bounds(w, tol).lower, 2 * e)
     except NotPositiveDefiniteError:
         lower = None
-    return FrameBounds(upper=float(w[-1]), lower=lower)
+    return FrameBounds(upper=_scaled_back(float(w[-1]), 2 * e), lower=lower)

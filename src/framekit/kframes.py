@@ -16,7 +16,6 @@ whether or not ``S`` leaves ``range(K)`` invariant.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +34,7 @@ from .operators import (
     _positivity_slack,
     _pow2_scaled,
     _rank,
+    _scaled_back,
     as_operator,
     hermitian_part,
     operator_leq,
@@ -111,9 +111,9 @@ def _top_eigenpair(G, tol: Tolerances):
     return vals[-1], vecs[:, -1]
 
 
-def _douglas_lower(w, U, W, tol: Tolerances):
-    """``sup {A : A W W* <= P}`` and a minimizer, from the eigenpairs ``(w, U)``
-    of a positive semi-definite ``P``.
+def _douglas_lower(w, U, W, tol: Tolerances, e: int = 0):
+    """``sup {A : A W W* <= 2^(2e) P}`` and a minimizer, from the eigenpairs
+    ``(w, U)`` of a positive semi-definite ``P``.
 
     Douglas' lemma: the supremum is positive iff ``range(W)`` lies in
     ``range(P)``, and then equals ``1 / ||P^{+1/2} W||^2``.  Eigenvalues at or
@@ -127,31 +127,31 @@ def _douglas_lower(w, U, W, tol: Tolerances):
     inverse-iteration step, checked by its residual, with a full ``eigh``
     of the Gram matrix as the fallback (see :func:`_top_eigenpair`).
 
-    A tiny or huge ``W``, and then ``M`` and the witness, is scaled by a
-    power of two (see :func:`framekit.operators._pow2_scaled`) so that
+    ``P`` is a frame's scaled operator ``S~ = 2^(-2e) S`` (see
+    :class:`framekit.frames.FrameSequence`), whose largest eigenvalue lies
+    in ``[2^-256, 2 d n 2^256)``, and a tiny or huge ``W`` is scaled by a
+    power of two ``2^-k`` (see :func:`framekit.operators._pow2_scaled`).
+    Every kept eigenvalue then exceeds ``psd_slack * lambda_max(P)``, so
     neither ``U* W``, the Gram matrix nor the witness's norm underflows or
-    overflows, and ``lower`` is scaled back.  The scalings are exact, so
+    overflows, and ``lower`` is scaled back by ``2^(2e - 2k)`` (see
+    :func:`framekit.operators._scaled_back`).  The scalings are exact, so
     they move no result that did not underflow or overflow; ``lower`` is
     ``inf`` when it exceeds the largest float and ``0.0`` when it falls
     below the smallest.  So that a positive supremum that underflows is not
     taken for a failed range test, ``lower`` is ``None`` when the supremum
     is zero.  The witness is a new array that shares no memory with ``U``.
     """
-    W, e = _pow2_scaled(W)
+    W, k = _pow2_scaled(W)
     null = w <= _positivity_slack(w, tol)
     Wc = U.conj().T @ W
     null_weight = np.linalg.norm(Wc[null], axis=1)
     if np.linalg.norm(null_weight) > tol.rel_eq * np.linalg.norm(Wc):
         return None, U[:, np.flatnonzero(null)[np.argmax(null_weight)]].copy()
     root = np.sqrt(w[~null])
-    M, f = _pow2_scaled(Wc[~null] / root[:, None])
+    M = Wc[~null] / root[:, None]
     top, x = _top_eigenpair(M @ M.conj().T, tol)
-    witness, _ = _pow2_scaled(U[:, ~null] @ (x / root))
-    try:
-        lower = math.ldexp(1.0 / top, -2 * (e + f))
-    except OverflowError:
-        lower = math.inf
-    return lower, witness / np.linalg.norm(witness)
+    witness = U[:, ~null] @ (x / root)
+    return _scaled_back(1.0 / top, 2 * (e - k)), witness / np.linalg.norm(witness)
 
 
 def kframe_check(frame: FrameSequence, K, tol: Tolerances = DEFAULT_TOL) -> KFrameReport:
@@ -159,9 +159,10 @@ def kframe_check(frame: FrameSequence, K, tol: Tolerances = DEFAULT_TOL) -> KFra
 
     The upper constant is ``lambda_max(S)`` and the lower constant the
     Douglas optimum ``1 / ||S^{+1/2} K||^2`` (zero when ``range(K)`` escapes
-    ``range(S)``), both from the eigendecomposition of ``S`` cached on
-    ``frame``; the Douglas optimum takes one ``eigvalsh`` and one linear
-    solve on a Gram matrix (see :func:`_douglas_lower`).  The verdict is the
+    ``range(S)``), both from the eigendecomposition of the scaled operator
+    ``S~ = 2^(-2e) S`` cached on ``frame`` and scaled back by ``2^(2e)``;
+    the Douglas optimum takes one ``eigvalsh`` and one linear solve on a
+    Gram matrix (see :func:`_douglas_lower`).  The verdict is the
     range test alone: positive exactly when the lower constant is, with
     ``range(S)`` spanned by the eigenvalues above ``psd_slack *
     lambda_max(S)`` and ``K`` allowed ``rel_eq`` of its weight off it.  A
@@ -180,14 +181,14 @@ def kframe_check(frame: FrameSequence, K, tol: Tolerances = DEFAULT_TOL) -> KFra
     memo = frame.__dict__.get("_kframe_memo")
     if memo and memo[0] == key:
         return memo[1]
-    w, U = frame._eigh
+    (w, U), e = frame._eigh, frame._scaled[1]
     vacuous = not Kop.any()
-    lower, witness = (0.0, None) if vacuous else _douglas_lower(w, U, Kop, tol)
+    lower, witness = (0.0, None) if vacuous else _douglas_lower(w, U, Kop, tol, e)
     if witness is not None:
         witness.setflags(write=False)
     report = KFrameReport(
         is_bessel=True, is_kframe=lower is not None, lower_opt=lower or 0.0,
-        upper_opt=float(w[-1]), vacuous=vacuous, witness=witness,
+        upper_opt=_scaled_back(float(w[-1]), 2 * e), vacuous=vacuous, witness=witness,
     )
     frame.__dict__["_kframe_memo"] = (key, report)
     return report

@@ -183,6 +183,16 @@ def _pow2_scaled(A):
     return np.ldexp(parts, -e).view(np.complex128), e
 
 
+def _scaled_back(x: float, e: int) -> float:
+    """``x 2^e``, the one way a value computed on power-of-two-scaled
+    operands (see :func:`_pow2_scaled`) is reported: ``inf`` with the sign
+    of ``x`` above the largest float, ``0.0`` below the smallest."""
+    try:
+        return math.ldexp(x, e)
+    except OverflowError:
+        return math.copysign(math.inf, x)
+
+
 def _checked_hermitian(T, tol: Tolerances) -> np.ndarray:
     """``hermitian_part(T)``, refused unless ``T`` is Hermitian within tolerance.
     :func:`is_hermitian` validates ``T``."""

@@ -53,9 +53,6 @@ A column's arithmetic does not depend on the stack around it: both operand
 layouts reach the same BLAS kernels, the block sums add in the order of the
 updates, and the norms are ``sqrt(re.re + im.im)``.  The kernel tests
 compare it bit for bit with a per-column loop.
-
-Conjugate gradients is included as a second, parameter-free solver; in exact
-arithmetic it terminates within ``dim`` iterations.
 """
 
 from __future__ import annotations
@@ -87,7 +84,6 @@ __all__ = [
     "ConvergenceTrace",
     "richardson_solve",
     "controlled_richardson_solve",
-    "cg_solve",
 ]
 
 
@@ -368,45 +364,3 @@ def controlled_richardson_solve(
         raise CommutationError("controller does not commute with K within tolerance")
     certified = _spectrum_bounds(np.linalg.eigvalsh(_require_real_product(ctrl, S, tol)), tol)
     return _solve_one(S, rhs, _relaxation(config, certified), config, C=ctrl.matrix, kappa=ctrl.condition)
-
-
-def cg_solve(op, g, config: SolverConfig = SolverConfig(), tol: Tolerances = DEFAULT_TOL):
-    """Conjugate gradients for Hermitian positive definite systems.
-
-    Parameter-free and exact within ``dim`` iterations in exact arithmetic;
-    included as the fast alternative when no spectral bounds are at hand.
-    """
-    Op = as_operator(op)
-    rhs = as_vector(g, dim=Op.shape[0])
-    if not is_hermitian(Op, tol):
-        raise NotHermitianError("conjugate gradients requires a Hermitian operator")
-
-    norm_g = float(np.linalg.norm(rhs))
-    if norm_g == 0.0:
-        return np.zeros_like(rhs), ConvergenceTrace(0, [], True, 0.0)
-
-    f = np.zeros_like(rhs)
-    r = rhs.copy()
-    p = r.copy()
-    rho = float(np.vdot(r, r).real)
-    residuals: list[float] = []
-    converged = False
-    for _ in range(config.max_iter):
-        q = Op @ p
-        denom = complex(np.vdot(p, q))
-        if denom.real <= 0.0:
-            raise IndefiniteOperatorError(
-                f"search direction has non-positive curvature ({denom.real:.3e}); operator is not positive definite"
-            )
-        alpha = rho / denom.real
-        f = f + alpha * p
-        r = r - alpha * q
-        res = float(np.linalg.norm(r)) / norm_g
-        residuals.append(res)
-        if res <= config.residual_tol:
-            converged = True
-            break
-        rho_next = float(np.vdot(r, r).real)
-        p = r + (rho_next / rho) * p
-        rho = rho_next
-    return f, ConvergenceTrace(len(residuals), residuals, converged, _empirical_rate(residuals))

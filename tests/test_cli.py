@@ -182,6 +182,32 @@ def test_check_json_reports_a_lower_bound_beyond_the_largest_float_as_null(tmp_p
     assert "optimal bounds (inf, 1.0) -> K-frame" in capsys.readouterr().out
 
 
+def test_check_json_reports_a_frame_bound_beyond_the_largest_float_as_null(tmp_path, capsys):
+    # S = 1e320 I overflows, but the frame verdict reads S scaled by a power of two.
+    path = _write_frame(tmp_path / "huge.json", 1e160 * np.eye(3))
+    assert main(["check", path, "--json", "--deterministic"]) == 0
+    report = _strict_json(capsys.readouterr().out)
+    assert report["frame"] == {"lower": None, "upper": None, "is_frame": True}
+
+
+def test_check_certifies_a_frame_whose_operator_underflows(tmp_path, capsys):
+    path = _write_frame(tmp_path / "tiny.json", 1e-170 * np.eye(3))
+    assert main(["check", path]) == 0
+    assert "bounds lower=0.0 upper=0.0 -> frame" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("s", [1e160, 1e-170])
+def test_solve_refuses_a_frame_whose_operator_leaves_the_float_range(tmp_path, capsys, s):
+    f_path = _write_frame(tmp_path / "frame.json", s * np.eye(3))
+    g_path = _write_vector(tmp_path / "g.json", [1.0, 1.0, 1.0])
+    code = main(["solve", f_path, "--g", g_path, "--out", str(tmp_path / "sol.json")])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "the frame operator lies outside the float range" in captured.err
+    assert "Traceback" not in captured.err
+    assert not (tmp_path / "sol.json").exists()
+
+
 # ---------------------------------------------------------------------------
 # dual
 

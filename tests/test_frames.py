@@ -6,8 +6,11 @@ from framekit import (
     FrameSequence,
     InvalidParametersError,
     analysis,
+    controlled_kframe_check,
     frame_bounds,
     frame_operator,
+    identity_controller,
+    kframe_check,
     synthesis,
 )
 from framekit.instances import haar_unitary, parseval_frame, random_frame
@@ -125,6 +128,25 @@ def test_frame_operator_is_cached_and_read_only():
     with pytest.raises(ValueError):
         S[0, 0] = 5.0
     np.testing.assert_allclose(S, 1.5 * np.eye(2), atol=1e-15)
+
+
+@pytest.mark.parametrize("s, bound", [(1e-170, 0.0), (2.0**-600, 0.0), (1e160, np.inf), (1e300, np.inf)])
+def test_a_frame_whose_operator_leaves_the_float_range_keeps_its_verdicts(s, bound):
+    # S = s^2 I under- or overflows; the verdicts read S scaled by one
+    # power of two, and the bounds are scaled back beyond the float range.
+    frame = FrameSequence(s * np.eye(3))
+    fb = frame_bounds(frame)
+    assert fb.is_frame
+    assert (fb.lower, fb.upper) == (bound, bound)
+    report = kframe_check(frame, np.eye(3))
+    assert report.is_kframe and (report.lower_opt, report.upper_opt) == (bound, bound)
+    controlled = controlled_kframe_check(frame, np.eye(3), identity_controller(3))
+    assert controlled.is_controlled_kframe and controlled.upper_opt == bound
+    if bound:
+        with pytest.raises(InvalidParametersError, match="outside the float range"):
+            frame_operator(frame)
+    else:
+        np.testing.assert_array_equal(frame_operator(frame), np.zeros((3, 3)))
 
 
 def test_parseval_frame_operator_is_identity():

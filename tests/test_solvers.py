@@ -23,7 +23,6 @@ from framekit import (
     NotHermitianError,
     OperatorBounds,
     SolverConfig,
-    cg_solve,
     controlled_richardson_solve,
     controller_for,
     frame_operator,
@@ -211,29 +210,6 @@ def test_controlled_solve_accepts_commuting_k():
     assert trace.converged
     S = frame_operator(frame)
     np.testing.assert_allclose(S @ f, g, atol=1e-7 * np.linalg.norm(g))
-
-
-def test_cg_terminates_within_dimension_iterations():
-    rng = np.random.default_rng(66)
-    for _ in range(5):
-        Op = random_positive_operator(rng, 5)
-        g = rng.normal(size=5) + 1j * rng.normal(size=5)
-        f, trace = cg_solve(Op, g)
-        assert trace.converged
-        assert trace.iterations <= 6
-        np.testing.assert_allclose(f, np.linalg.solve(Op, g), rtol=1e-6, atol=1e-8)
-
-
-def test_cg_rejects_indefinite_operators():
-    g = np.array([1.0, 1.0], dtype=complex)
-    with pytest.raises(IndefiniteOperatorError):
-        cg_solve(np.diag([1.0, -1.0]).astype(complex), g)
-
-
-def test_cg_zero_rhs():
-    f, trace = cg_solve(np.eye(3), np.zeros(3))
-    assert trace.iterations == 0 and trace.converged
-    np.testing.assert_array_equal(f, np.zeros(3))
 
 
 def test_trace_final_residual_meets_the_tolerance():

@@ -15,6 +15,10 @@ so the frame operator does not leave ``range(K)`` invariant.  Properties:
 * rescaling ``K`` by a power of two ``2^k`` scales ``lower_opt`` by
   ``4^-k`` and keeps the witness, bit for bit, and the verdict also where
   ``lower_opt`` underflows to ``0.0``;
+* rescaling the family by a power of two ``2^k``, ``k`` in
+  ``[-1000, 1000]``, scales the frame bounds, ``lower_opt``, ``upper_opt``
+  and the controlled ``upper_opt`` by ``4^k`` and keeps the verdicts and
+  the witnesses, bit for bit, also where a value leaves the float range;
 * every other public function that takes a controller keeps its claim
   when ``C`` is rescaled by ``c`` anywhere in ``10^[-6, 6]``, each checked
   against the defining inequality evaluated here with ``eigvalsh``; a
@@ -26,7 +30,7 @@ from a numpy generator seeded by the drawn seed.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import block_diag
 
@@ -40,6 +44,7 @@ from framekit import (
     controlled_kframe_check,
     controlled_operator_inequality,
     controlled_richardson_solve,
+    frame_bounds,
     frame_operator,
     interchange_identity_check,
     kframe_check,
@@ -197,6 +202,45 @@ def test_power_of_two_rescaling_of_k_is_exact(pair, k):
     assert scaled.is_kframe == report.is_kframe
     assert scaled.lower_opt == np.ldexp(report.lower_opt, -2 * k)
     assert np.array_equal(scaled.witness, report.witness)
+
+
+def _ldexp(x, n):
+    """``x 2^n`` as a float, ``inf`` above the largest float."""
+    with np.errstate(over="ignore"):
+        return float(np.ldexp(x, n))
+
+
+def _with_identity(pair):
+    frame, K = pair
+    return frame, K, np.eye(frame.dim)
+
+
+@PROPERTIES
+@given(
+    st.one_of(general_pairs().map(_with_identity), spanless_pairs().map(_with_identity),
+              controlled_triples()),
+    st.integers(-1000, 1000),
+)
+def test_power_of_two_rescaling_of_the_family_is_exact(triple, k):
+    frame, K, C = triple
+    parts = frame.matrix.view(np.float64)
+    exponents = np.frexp(np.abs(parts[parts != 0.0]))[1]
+    assume(exponents.min() - 1 + k >= -1022 and exponents.max() + k <= 1024)  # every part stays normal
+    moved = FrameSequence(np.ldexp(parts, k).view(np.complex128))
+    bounds, moved_bounds = frame_bounds(frame), frame_bounds(moved)
+    assert moved_bounds.upper == _ldexp(bounds.upper, 2 * k)
+    assert moved_bounds.lower == (None if bounds.lower is None else _ldexp(bounds.lower, 2 * k))
+    report, moved_report = kframe_check(frame, K), kframe_check(moved, K)
+    assert moved_report.is_kframe == report.is_kframe
+    assert moved_report.lower_opt == _ldexp(report.lower_opt, 2 * k)
+    assert moved_report.upper_opt == _ldexp(report.upper_opt, 2 * k)
+    assert np.array_equal(moved_report.witness, report.witness)
+    ctrl = make_controller(C)
+    controlled = controlled_kframe_check(frame, K, ctrl)
+    moved_controlled = controlled_kframe_check(moved, K, ctrl)
+    assert moved_controlled.is_controlled_kframe == controlled.is_controlled_kframe
+    assert moved_controlled.upper_opt == _ldexp(controlled.upper_opt, 2 * k)
+    assert np.array_equal(moved_controlled.witness, controlled.witness)
 
 
 def _leq(lhs, rhs):

@@ -16,7 +16,9 @@ and of a grid over two instance kinds, four dims, two condition targets and
 all three controllers; ``solve --json --deterministic`` plain, controlled,
 capped and divergent; ``check --k --c`` at d=8 as JSON and as text, and on
 the 3x3 identity frame with ``K = 1e-200 I``, whose optimal lower bound
-exceeds the largest float; ``dual`` (a factoring pair and a refused one) at
+exceeds the largest float; ``check`` of the frames ``1e160 I`` as JSON and
+``1e-170 I`` as text in ``C^3``, whose frame operators overflow and
+underflow; ``dual`` (a factoring pair and a refused one) at
 d=8; and ``paper-example`` as text and as JSON.
 
 ``--compare`` reads both manifests and prints each file whose digest
@@ -45,10 +47,16 @@ def _diagonal(value: float, dim: int) -> list:
     return [[value * (i == j), 0.0] for j in range(dim) for i in range(dim)]
 
 
+def _diagonal_frame(value: float, dim: int) -> dict:
+    """The frame of the columns of ``value * I`` in ``C^dim``."""
+    return {"dim": dim, "vectors": [[[value * (i == j), 0.0] for i in range(dim)] for j in range(dim)]}
+
+
 # Inputs this tool writes itself: a right-hand side at d=8; a Parseval
 # family of 16 vectors in C^8 (the unit vectors and the Fourier basis, each
-# scaled by 1/sqrt(2)), which factors every K as K = (K G) G*; and the
-# identity frame of C^3 with the operators 1e-200 I and I.
+# scaled by 1/sqrt(2)), which factors every K as K = (K G) G*; the
+# identity frame of C^3 with the operators 1e-200 I and I; and the frames
+# 1e160 I and 1e-170 I of C^3.
 INPUTS = {
     "rhs8.json": {"dim": 8, "entries": [[1.0 + k, 0.5 * (-1) ** k] for k in range(8)]},
     "parseval8.json": {
@@ -59,7 +67,9 @@ INPUTS = {
             for j in range(8)
         ],
     },
-    "eye3-frame.json": {"dim": 3, "vectors": [[[float(i == j), 0.0] for i in range(3)] for j in range(3)]},
+    "eye3-frame.json": _diagonal_frame(1.0, 3),
+    "huge3-frame.json": _diagonal_frame(1e160, 3),
+    "tiny3-frame.json": _diagonal_frame(1e-170, 3),
     "tiny3-k.json": {"dim": 3, "entries": _diagonal(1e-200, 3)},
     "eye3-c.json": {"dim": 3, "entries": _diagonal(1.0, 3)},
 }
@@ -84,6 +94,8 @@ COMMANDS = [
     ("check-text", [*_CHECK, "--deterministic"]),
     ("check-tiny-k", ["check", "eye3-frame.json", "--k", "tiny3-k.json", "--c", "eye3-c.json",
                       "--json", "--deterministic"]),
+    ("check-huge-frame", ["check", "huge3-frame.json", "--json", "--deterministic"]),
+    ("check-tiny-frame", ["check", "tiny3-frame.json", "--deterministic"]),
     ("dual", ["dual", "--g", "parseval8.json", "--k", "fam8-k.json", "--out", "dual-h.json",
               "--json", "--deterministic"]),
     ("dual-refused", ["dual", "--g", "fam8-frame.json", "--k", "fam8-k.json",
