@@ -213,11 +213,7 @@ def cmd_solve(args, tol: Tolerances):
             "the frame operator is singular: this solver inverts S on the whole space "
             "and does not solve restricted systems on range(K)"
         )
-    if not 0.0 < fb.lower <= fb.upper < math.inf:
-        raise InvalidParametersError(
-            f"the frame operator lies outside the float range (frame bounds {fb.lower}, {fb.upper}); "
-            "the solver needs S itself"
-        )
+    S = frame_operator(frame)  # both solvers need S itself, refused beyond the float range
     config = SolverConfig(relaxation=args.relaxation, residual_tol=args.residual_tol, max_iter=args.max_iter)
     if args.c is not None:
         ctrl = make_controller(load_operator(args.c), tol)
@@ -225,7 +221,7 @@ def cmd_solve(args, tol: Tolerances):
         f, trace = controlled_richardson_solve(frame, ctrl, g, config, tol=tol)
     else:
         bounds = OperatorBounds(fb.lower, fb.upper)
-        f, trace = richardson_solve(frame_operator(frame), g, bounds, config, tol)
+        f, trace = richardson_solve(S, g, bounds, config, tol)
     trace_obj = {
         **{f.name: getattr(trace, f.name) for f in dataclasses.fields(trace)},
         "final_residual": trace.residuals[-1] if trace.residuals else 0.0,

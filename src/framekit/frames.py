@@ -41,7 +41,8 @@ class FrameSequence:
     On first use the family computes ``(T~, e) = _pow2_scaled(matrix)`` (see
     :func:`framekit.operators._pow2_scaled`), the scaled frame operator
     ``S~ = T~ T~* = 2^(-2e) S`` and the ascending eigenpairs of ``S~``, and
-    caches them read-only, so every check on one family shares them.  ``e``
+    caches each of them read-only, so every check on one family shares
+    them.  ``e``
     is ``0``, and ``S~`` is ``S``, unless the largest part of ``T`` lies
     outside ``[2^-128, 2^128)``; ``S~`` then has its largest part near 1,
     so it neither underflows nor overflows and verdicts read off it do not
@@ -73,8 +74,14 @@ class FrameSequence:
         return self.matrix.shape[1]
 
     @cached_property
-    def _scaled(self) -> tuple[np.ndarray, int]:
+    def _scaled_matrix(self) -> tuple[np.ndarray, int]:
         T, e = _pow2_scaled(self.matrix)
+        T.setflags(write=False)
+        return T, e
+
+    @cached_property
+    def _scaled(self) -> tuple[np.ndarray, int]:
+        T, e = self._scaled_matrix
         S = hermitian_part(T @ T.conj().T)
         S.setflags(write=False)
         return S, e
@@ -128,17 +135,19 @@ def frame_operator(frame: FrameSequence) -> np.ndarray:
     The scaled operator ``S~`` cached on ``frame`` scaled back by
     ``2^(2e)``: ``S~`` itself when ``e`` is ``0``, entries below the
     smallest float flushed to zero.  The array is read-only; copy it before
-    writing.  The verdicts read ``S~`` and never call this; it raises
-    :class:`InvalidParametersError` when an entry of ``S`` exceeds the
-    largest float.
+    writing.  The verdicts read ``S~`` and never call this.  It raises
+    :class:`InvalidParametersError` when ``S`` lies outside the float
+    range: an entry exceeds the largest float, or the largest diagonal
+    entry, which bounds every entry, falls below the smallest normal one.
     """
     S, e = frame._scaled
     if e:
         with np.errstate(over="ignore"):
             S = np.ldexp(S.view(np.float64), 2 * e).view(np.complex128)
-        if not np.isfinite(S).all():
+        if not (np.isfinite(S).all() and S.diagonal().real.max() >= np.finfo(np.float64).tiny):
             raise InvalidParametersError(
-                "the frame operator lies outside the float range: the frame vectors are too large"
+                "the frame operator lies outside the float range: the frame vectors are too "
+                + ("large" if e > 0 else "small")
             )
         S.setflags(write=False)
     return S

@@ -128,18 +128,21 @@ def _douglas_lower(w, U, W, tol: Tolerances, e: int = 0):
     of the Gram matrix as the fallback (see :func:`_top_eigenpair`).
 
     ``P`` is a frame's scaled operator ``S~ = 2^(-2e) S`` (see
-    :class:`framekit.frames.FrameSequence`), whose largest eigenvalue lies
-    in ``[2^-256, 2 d n 2^256)``, and a tiny or huge ``W`` is scaled by a
-    power of two ``2^-k`` (see :func:`framekit.operators._pow2_scaled`).
-    Every kept eigenvalue then exceeds ``psd_slack * lambda_max(P)``, so
-    neither ``U* W``, the Gram matrix nor the witness's norm underflows or
-    overflows, and ``lower`` is scaled back by ``2^(2e - 2k)`` (see
-    :func:`framekit.operators._scaled_back`).  The scalings are exact, so
-    they move no result that did not underflow or overflow; ``lower`` is
-    ``inf`` when it exceeds the largest float and ``0.0`` when it falls
-    below the smallest.  So that a positive supremum that underflows is not
-    taken for a failed range test, ``lower`` is ``None`` when the supremum
-    is zero.  The witness is a new array that shares no memory with ``U``.
+    :class:`framekit.frames.FrameSequence`).  ``W``, then ``M`` and then
+    the witness are each scaled by an exact power of two (see
+    :func:`framekit.operators._pow2_scaled`): a kept eigenvalue of ``P``
+    is bounded below only by the positivity slack, which a small
+    ``psd_slack`` lets reach a subnormal, so ``M`` can be near ``1e160``
+    even when ``W`` and ``P`` are not scaled.  So neither ``U* W``, the
+    Gram matrix nor the witness's norm underflows or overflows, and
+    ``lower`` is scaled back by ``2^(2e)`` and by the exponents of ``W``
+    and ``M`` (see :func:`framekit.operators._scaled_back`).  The scalings
+    are exact, so they move no result that did not underflow or overflow;
+    ``lower`` is ``inf`` when it exceeds the largest float and ``0.0`` when
+    it falls below the smallest.  So that a positive supremum that
+    underflows is not taken for a failed range test, ``lower`` is ``None``
+    when the supremum is zero.  The witness is a new array that shares no
+    memory with ``U``.
     """
     W, k = _pow2_scaled(W)
     null = w <= _positivity_slack(w, tol)
@@ -148,10 +151,10 @@ def _douglas_lower(w, U, W, tol: Tolerances, e: int = 0):
     if np.linalg.norm(null_weight) > tol.rel_eq * np.linalg.norm(Wc):
         return None, U[:, np.flatnonzero(null)[np.argmax(null_weight)]].copy()
     root = np.sqrt(w[~null])
-    M = Wc[~null] / root[:, None]
+    M, f = _pow2_scaled(Wc[~null] / root[:, None])
     top, x = _top_eigenpair(M @ M.conj().T, tol)
-    witness = U[:, ~null] @ (x / root)
-    return _scaled_back(1.0 / top, 2 * (e - k)), witness / np.linalg.norm(witness)
+    witness, _ = _pow2_scaled(U[:, ~null] @ (x / root))
+    return _scaled_back(1.0 / top, 2 * (e - k - f)), witness / np.linalg.norm(witness)
 
 
 def kframe_check(frame: FrameSequence, K, tol: Tolerances = DEFAULT_TOL) -> KFrameReport:
@@ -279,10 +282,10 @@ def _factor_check(frame_f: FrameSequence, frame_g: FrameSequence, Kop, tol: Tole
     """``(K == F G*, defect)``: the verdict of :func:`bessel_dual_check` and
     the defect ``K - F G*`` it was decided on, times one exact power of two.
 
-    ``F`` is scaled by ``2^-a``, ``G`` by ``2^-b`` and ``K`` by ``2^-(a+b)``
-    (see :func:`framekit.operators._pow2_scaled`), so ``F G*`` cannot
-    overflow; the defect and ``K`` then share one more power of two, so
-    neither norm can.  The defect is ``None`` when the scaled ``K`` exceeds
+    ``F`` and ``G`` are read scaled by their frames' exponents, ``2^-a``
+    and ``2^-b`` (see :class:`framekit.frames.FrameSequence`), and ``K`` is
+    scaled by ``2^-(a+b)``, so ``F G*`` cannot overflow; the defect and
+    ``K`` then share one more power of two, so neither norm can.  The defect is ``None`` when the scaled ``K`` exceeds
     the largest float while each entry of ``F G*`` stays below
     ``count 2^256``: the relative defect is about 1, and the verdict false.
     """
@@ -294,8 +297,7 @@ def _factor_check(frame_f: FrameSequence, frame_g: FrameSequence, Kop, tol: Tole
         raise DimensionMismatchError(
             f"paired families must share the ambient dimension, got {frame_f.dim} and {frame_g.dim}"
         )
-    F, a = _pow2_scaled(frame_f.matrix)
-    G, b = _pow2_scaled(frame_g.matrix)
+    (F, a), (G, b) = frame_f._scaled_matrix, frame_g._scaled_matrix
     with np.errstate(over="ignore"):
         Ks = np.ldexp(np.ascontiguousarray(Kop).view(np.float64), -(a + b)).view(np.complex128)
     if not np.isfinite(Ks).all():

@@ -648,6 +648,20 @@ def test_a_tiny_frame_under_a_large_k_does_not_overflow_the_gram_matrix():
     np.testing.assert_allclose(abs(np.vdot(report.witness, reference.witness)), 1.0, rtol=1e-9)
 
 
+def test_a_subnormal_eigenvalue_kept_by_a_small_psd_slack_does_not_overflow():
+    # S = diag(1e-60, 1e-320) needs no frame exponent, but psd_slack = 1e-300
+    # keeps the subnormal eigenvalue: S^{+1/2} K has an entry near 1e160 and
+    # its Gram matrix, like the witness's squared norm, overflows unless scaled
+    frame = FrameSequence(np.diag([1e-30, 1e-160]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = kframe_check(frame, np.eye(2), Tolerances(psd_slack=1e-300))
+    assert report.is_kframe
+    assert 0.0 < report.lower_opt < 1e-300
+    assert np.isfinite(report.witness).all()
+    assert abs(report.witness[1]) == 1.0
+
+
 # ---------------------------------------------------------------------------
 # counterexamples to a verdict restricted to range(K): S does not leave
 # range(K) invariant, so only the global (Douglas) optimum is right
