@@ -42,11 +42,10 @@ class FrameSequence:
     :func:`framekit.operators._pow2_scaled`), the scaled frame operator
     ``S~ = T~ T~* = 2^(-2e) S`` and the ascending eigenpairs of ``S~``, and
     caches each of them read-only, so every check on one family shares
-    them.  ``e``
-    is ``0``, and ``S~`` is ``S``, unless the largest part of ``T`` lies
-    outside ``[2^-128, 2^128)``; ``S~`` then has its largest part near 1,
-    so it neither underflows nor overflows and verdicts read off it do not
-    depend on the scale of the family.
+    them.  ``e`` is ``0``, and ``S~`` is ``S``, unless the largest part of
+    ``T`` lies outside ``[2^-128, 2^128)``; ``S~`` then has its largest
+    part near 1, so it neither underflows nor overflows and verdicts read
+    off it do not depend on the scale of the family.
     """
 
     matrix: np.ndarray

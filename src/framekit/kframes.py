@@ -133,8 +133,8 @@ def _douglas_lower(w, U, W, tol: Tolerances, e: int = 0):
     :func:`framekit.operators._pow2_scaled`): a kept eigenvalue of ``P``
     is bounded below only by the positivity slack, which a small
     ``psd_slack`` lets reach a subnormal, so ``M`` can be near ``1e160``
-    even when ``W`` and ``P`` are not scaled.  So neither ``U* W``, the
-    Gram matrix nor the witness's norm underflows or overflows, and
+    even when ``W`` and ``P`` are not scaled.  Neither ``U* W``, the
+    Gram matrix nor the witness's norm then underflows or overflows, and
     ``lower`` is scaled back by ``2^(2e)`` and by the exponents of ``W``
     and ``M`` (see :func:`framekit.operators._scaled_back`).  The scalings
     are exact, so they move no result that did not underflow or overflow;
@@ -285,9 +285,10 @@ def _factor_check(frame_f: FrameSequence, frame_g: FrameSequence, Kop, tol: Tole
     ``F`` and ``G`` are read scaled by their frames' exponents, ``2^-a``
     and ``2^-b`` (see :class:`framekit.frames.FrameSequence`), and ``K`` is
     scaled by ``2^-(a+b)``, so ``F G*`` cannot overflow; the defect and
-    ``K`` then share one more power of two, so neither norm can.  The defect is ``None`` when the scaled ``K`` exceeds
-    the largest float while each entry of ``F G*`` stays below
-    ``count 2^256``: the relative defect is about 1, and the verdict false.
+    ``K`` then share one more power of two, so neither norm can.  The
+    defect is ``None`` when the scaled ``K`` exceeds the largest float
+    while each entry of ``F G*`` stays below ``count 2^256``: the relative
+    defect is about 1, and the verdict false.
     """
     if frame_f.count != frame_g.count:
         raise DimensionMismatchError(
