@@ -37,7 +37,7 @@ from itertools import product
 
 import numpy as np
 
-from .controlled import Controller, _require_real_product, identity_controller
+from .controlled import Controller, identity_controller
 from .errors import InvalidParametersError, NotPositiveDefiniteError, ToolkitError
 from .frames import frame_operator
 from .instances import generate_instance
@@ -48,7 +48,7 @@ from .operators import (
     _spectrum_bounds,
     hermitian_part,
 )
-from .solvers import SolverConfig, _relaxation, _richardson_stack
+from .solvers import SolverConfig, _controlled_relaxation, _relaxation, _richardson_stack
 
 __all__ = [
     "CONTROLLER_STRATEGIES",
@@ -114,7 +114,7 @@ def controller_for(strategy: str, S, tol: Tolerances = DEFAULT_TOL) -> Controlle
         order = np.argsort(inverse, kind="stable")
         eigh = (inverse[order], np.eye(dim, dtype=np.complex128)[:, order])
         _spectrum_bounds(eigh[0], tol)
-        return Controller(np.diag(inverse).astype(np.complex128), eigh)
+        return Controller(np.diag(inverse), eigh)  # Controller keeps a complex copy
     raise InvalidParametersError(
         f"unknown controller strategy {strategy!r}; expected one of {CONTROLLER_STRATEGIES}"
     )
@@ -131,11 +131,11 @@ def _prepare_cell(index, kind, dim, cond_target, controller, config, tol):
         g = rng.normal(size=dim) + 1j * rng.normal(size=dim)
         ctrl = controller_for(controller, S, tol)
         # One decomposition of C S serves cond_precond and the controlled relaxation.
-        precond_bounds = _spectrum_bounds(np.linalg.eigvalsh(_require_real_product(ctrl, S, tol)), tol)
+        controlled_lam, precond_bounds = _controlled_relaxation(frame, ctrl, config, tol)
     except ToolkitError:
         # An unusable cell (e.g. singular frame operator) is reported, not fatal.
         return None
-    return S, g, ctrl.matrix, bounds, precond_bounds
+    return S, g, ctrl._scaled[0], bounds, precond_bounds, controlled_lam
 
 
 def _solve_group(prepared, config):
@@ -144,12 +144,11 @@ def _solve_group(prepared, config):
     Returns ``(iters_plain, converged_plain, iters_controlled,
     converged_controlled)`` per cell, in the order of ``prepared``.
     """
-    S, g, C, bounds, precond_bounds = zip(*prepared)
+    S, g, C, bounds, _, controlled_lam = zip(*prepared)
     S, g = np.stack(S), np.stack(g)
     plain_lam = np.array([_relaxation(config, b) for b in bounds])
-    controlled_lam = np.array([_relaxation(config, b) for b in precond_bounds])
     _, plain, plain_ok = _richardson_stack(S, g, plain_lam, config)
-    _, controlled, controlled_ok = _richardson_stack(S, g, controlled_lam, config, C=np.stack(C))
+    _, controlled, controlled_ok = _richardson_stack(S, g, np.array(controlled_lam), config, C=np.stack(C))
     return [
         (p.size, bool(p_ok), c.size, bool(c_ok))
         for p, p_ok, c, c_ok in zip(plain, plain_ok, controlled, controlled_ok)

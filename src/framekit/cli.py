@@ -41,10 +41,10 @@ from .errors import (
     ParseError,
     ToolkitError,
 )
-from .frames import FrameSequence, frame_bounds, frame_operator, synthesis
+from .frames import FrameSequence, _outside_float_range, frame_bounds, frame_operator, synthesis
 from .instances import INSTANCE_KINDS, c3_example, generate_instance
 from .kframes import interchange_dual, kframe_check
-from .operators import DEFAULT_TOL, OperatorBounds, Tolerances, _pow2_scaled, numerical_rank
+from .operators import DEFAULT_TOL, Tolerances, _pow2_scaled, numerical_rank
 from .serialize import (
     _dumps,
     _Rendered,
@@ -213,15 +213,16 @@ def cmd_solve(args, tol: Tolerances):
             "the frame operator is singular: this solver inverts S on the whole space "
             "and does not solve restricted systems on range(K)"
         )
-    S = frame_operator(frame)  # both solvers need S itself, refused beyond the float range
+    if fb.lower == 0.0 or fb.upper == math.inf:
+        # a bound beyond the float range: both solvers need S and its bounds themselves
+        raise _outside_float_range(fb.upper == math.inf)
     config = SolverConfig(relaxation=args.relaxation, residual_tol=args.residual_tol, max_iter=args.max_iter)
     if args.c is not None:
         ctrl = make_controller(load_operator(args.c), tol)
         inputs["c"] = args.c
         f, trace = controlled_richardson_solve(frame, ctrl, g, config, tol=tol)
-    else:
-        bounds = OperatorBounds(fb.lower, fb.upper)
-        f, trace = richardson_solve(S, g, bounds, config, tol)
+    else:  # frame_operator refuses an S beyond the float range
+        f, trace = richardson_solve(frame_operator(frame), g, (fb.lower, fb.upper), config, tol)
     trace_obj = {
         **{f.name: getattr(trace, f.name) for f in dataclasses.fields(trace)},
         "final_residual": trace.residuals[-1] if trace.residuals else 0.0,

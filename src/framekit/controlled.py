@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -36,7 +35,6 @@ from .operators import (
     DEFAULT_TOL,
     OperatorBounds,
     Tolerances,
-    _apply_spectrum,
     _checked_hermitian,
     _pow2_scaled,
     _scaled_back,
@@ -69,14 +67,29 @@ __all__ = [
 class Controller:
     """A certified positive invertible operator with one cached eigendecomposition.
 
-    ``_eigh`` holds the ascending eigenpairs ``(w, Q)`` of ``matrix``.
-    ``bounds`` are the extreme eigenvalues, and ``sqrt``, ``inv`` and
-    ``inv_sqrt`` are built from the same eigenpairs on first use, so they
-    commute with ``matrix`` to rounding and stay mutually consistent.
+    ``matrix`` is a read-only copy of the operator given, and ``_eigh``
+    holds the ascending eigenpairs ``(w, Q)`` of ``matrix``, whose extreme
+    eigenvalues are ``bounds``.  On construction the controller also caches
+    ``(C~, c) = _pow2_scaled(matrix)``, read-only (see
+    :func:`framekit.operators._pow2_scaled`), as a :class:`FrameSequence`
+    caches ``(T~, e)``: ``c`` is ``0``, and ``C~`` is ``C``, unless the
+    largest part of ``C`` lies outside ``[2^-128, 2^128)``.  The controlled
+    paths read ``C~ = 2^-c C`` and the frame's ``S~ = 2^(-2e) S``, so no
+    product of the two under- or overflows, and report values scaled back
+    by ``2^(c + 2e)``.
     """
 
     matrix: np.ndarray
     _eigh: tuple = field(repr=False, compare=False)
+    _scaled: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        M = np.array(self.matrix, dtype=np.complex128)  # the one copy
+        M.setflags(write=False)
+        C, c = _pow2_scaled(M)
+        C.setflags(write=False)
+        object.__setattr__(self, "matrix", M)
+        object.__setattr__(self, "_scaled", (C, c))
 
     @property
     def dim(self) -> int:
@@ -91,18 +104,6 @@ class Controller:
     def condition(self) -> float:
         return self.bounds.condition
 
-    @cached_property
-    def sqrt(self) -> np.ndarray:
-        return _apply_spectrum(*self._eigh, np.sqrt)
-
-    @cached_property
-    def inv(self) -> np.ndarray:
-        return _apply_spectrum(*self._eigh, lambda w: 1.0 / w)
-
-    @cached_property
-    def inv_sqrt(self) -> np.ndarray:
-        return _apply_spectrum(*self._eigh, lambda w: 1.0 / np.sqrt(w))
-
 
 def make_controller(C, tol: Tolerances = DEFAULT_TOL) -> Controller:
     """Validate ``C`` as Hermitian positive definite from one eigendecomposition."""
@@ -113,18 +114,18 @@ def make_controller(C, tol: Tolerances = DEFAULT_TOL) -> Controller:
 
 
 def identity_controller(dim: int) -> Controller:
-    eye = np.eye(dim, dtype=np.complex128)
-    return Controller(eye, (np.ones(dim), eye))
+    return Controller(np.eye(dim, dtype=np.complex128), (np.ones(dim), np.eye(dim, dtype=np.complex128)))
 
 
 def commutes(ctrl: Controller, K, tol: Tolerances = DEFAULT_TOL) -> bool:
     """Whether ``||C K - K C||_F <= rel_eq * ||C||_F * ||K||_F``.
 
-    The test is homogeneous in ``C`` and in ``K``, so each is first scaled by
-    an exact power of two (see :func:`framekit.operators._pow2_scaled`): a huge
-    or tiny operator neither overflows nor underflows the norms.
+    The test is homogeneous in ``C`` and in ``K``, so it reads the
+    controller's cached ``C~`` and ``K`` scaled by an exact power of two
+    (see :func:`framekit.operators._pow2_scaled`): a huge or tiny operator
+    neither overflows nor underflows the norms.
     """
-    C, _ = _pow2_scaled(ctrl.matrix)
+    C = ctrl._scaled[0]
     Kop, _ = _pow2_scaled(as_operator(K, dim=ctrl.dim))
     defect = np.linalg.norm(C @ Kop - Kop @ C)
     return bool(defect <= tol.rel_eq * np.linalg.norm(C) * np.linalg.norm(Kop))
@@ -142,24 +143,23 @@ def controlled_form(frame: FrameSequence, ctrl: Controller, f, tol: Tolerances =
     imaginary part must stay below ``rel_eq * ||C|| * ||S|| * ||f||^2``;
     a larger one means ``C S`` is materially non-Hermitian and the controlled
     theory does not apply to the pair.  Form and bound are homogeneous in
-    ``C``, ``S`` and ``f``, so they are computed on ``C`` and ``f`` scaled by
-    exact powers of two (see :func:`framekit.operators._pow2_scaled`) and on
-    the frame's scaled operator ``S~ = 2^(-2e) S``: the verdict does not
-    depend on their scale.  The real part is scaled back, ``inf`` when it
-    exceeds the largest float.
+    ``C``, ``S`` and ``f``, so they are computed on the controller's cached
+    ``C~ = 2^-c C``, the frame's ``S~ = 2^(-2e) S`` and ``f`` scaled by an
+    exact power of two ``2^-b`` (see :func:`framekit.operators._pow2_scaled`):
+    the verdict does not depend on their scale.  The real part is scaled
+    back by ``2^(c + 2e + 2b)``, ``inf`` when it exceeds the largest float.
     """
     v, b = _pow2_scaled(as_vector(f, dim=frame.dim))
-    C, a = _pow2_scaled(ctrl.matrix)
-    S, e = frame._scaled
+    (C, c), (S, e) = ctrl._scaled, frame._scaled
     value = complex(np.vdot(v, C @ (S @ v)))
-    norms = math.ldexp(ctrl.bounds.upper, -a) * float(frame._eigh[0][-1])
+    norms = math.ldexp(ctrl.bounds.upper, -c) * float(frame._eigh[0][-1])
     limit = tol.rel_eq * norms * float(np.vdot(v, v).real)
     if abs(value.imag) > limit:
         raise NonRealFormError(
             f"the form's imaginary part is {abs(value.imag) / limit:.3e} times the admissible "
             "rel_eq * ||C|| * ||S|| * ||f||^2; C S is not Hermitian for this pair"
         )
-    return _scaled_back(value.real, a + 2 * (b + e))
+    return _scaled_back(value.real, c + 2 * (b + e))
 
 
 @dataclass(frozen=True)
@@ -182,25 +182,30 @@ class ControlledReport:
     witness: np.ndarray | None
 
 
-def _require_real_product(ctrl: Controller, S, tol: Tolerances) -> np.ndarray:
-    """The Hermitian part of ``C S``, refused with :class:`NonRealFormError`
-    unless ``C S`` is Hermitian.
+def _require_real_product(frame: FrameSequence, ctrl: Controller, tol: Tolerances) -> tuple[np.ndarray, int]:
+    """``(H, x)``: the Hermitian part ``H`` of ``C~ S~ = 2^-x C S``, with
+    ``x = c + 2e``, refused with :class:`NonRealFormError` unless the product
+    is Hermitian.
 
     The one Hermiticity check on ``C S``: the controlled verdict, the
     controlled solve, the benchmark cells and the interchange identity go
-    through it, and take the spectrum of ``C S`` from the returned part with
-    ``eigvalsh``.  The Loewner comparisons leave the check to
+    through it, and take the spectrum of ``C S`` from ``H`` with
+    ``eigvalsh``, each value scaled back by ``2^x``.  It reads the
+    controller's cached ``C~ = 2^-c C`` and the frame's ``S~ = T~ T~* =
+    2^(-2e) S``; the largest parts of ``C~`` and ``T~`` lie in
+    ``[2^-128, 2^128)``, so the product and its norms stay far inside the
+    float range.  The Loewner comparisons leave the check to
     :func:`operator_leq`.
     """
-    L = ctrl.matrix @ S
+    (C, c), (S, e) = ctrl._scaled, frame._scaled
+    L = C @ S
     if not is_hermitian(L, tol):
-        M, _ = _pow2_scaled(L)  # the relative defect, free of overflow
-        defect = np.linalg.norm(M - M.conj().T) / np.linalg.norm(M)
+        defect = np.linalg.norm(L - L.conj().T) / np.linalg.norm(L)
         raise NonRealFormError(
             f"C S is not Hermitian (relative defect {defect:.3e}); "
             "the controlled form would not be real-valued"
         )
-    return hermitian_part(L)
+    return hermitian_part(L), c + 2 * e
 
 
 def controlled_kframe_check(frame: FrameSequence, K, ctrl: Controller, tol: Tolerances = DEFAULT_TOL) -> ControlledReport:
@@ -212,17 +217,20 @@ def controlled_kframe_check(frame: FrameSequence, K, ctrl: Controller, tol: Tole
     verdict, lower constant and witness come from :func:`kframe_check`
     of ``(frame, K)``, memoised on ``frame``, with the witness ``w`` pulled
     back to ``C^{-1/2} w`` through the controller's eigenpairs; ``upper_opt``
-    is ``lambda_max(C S)`` from one ``eigvalsh`` of ``C S~``, with the
-    frame's scaled operator ``S~ = 2^(-2e) S``, scaled back by ``2^(2e)``.
-    Near the commutation tolerance the true controlled optimum may differ
-    from this one at the ``rel_eq`` level.  Scaling ``C`` by ``c > 0`` scales ``upper_opt`` by
-    ``c`` and changes neither ``lower_opt`` nor the verdict.
+    is ``lambda_max(C S)`` from one ``eigvalsh`` of ``C~ S~``, the product
+    of the controller's ``C~ = 2^-c C`` and the frame's ``S~ = 2^(-2e) S``,
+    scaled back by ``2^(c + 2e)`` (``inf`` above the largest float).  Near
+    the commutation tolerance the true controlled optimum may differ from
+    this one at the ``rel_eq`` level.  Scaling ``C`` by ``s > 0`` scales
+    ``upper_opt`` by ``s`` and changes neither ``lower_opt`` nor the
+    verdict; for ``s = 2^j`` both hold exactly while every part of ``C``
+    stays normal.
     """
     Kop = as_operator(K, dim=frame.dim)
     if not commutes(ctrl, Kop, tol):
         raise CommutationError("controller does not commute with K within tolerance")
-    S, e = frame._scaled
-    upper = _scaled_back(float(np.linalg.eigvalsh(_require_real_product(ctrl, S, tol))[-1]), 2 * e)
+    H, x = _require_real_product(frame, ctrl, tol)
+    upper = _scaled_back(float(np.linalg.eigvalsh(H)[-1]), x)
     plain = kframe_check(frame, Kop, tol)
     witness = plain.witness
     if witness is not None:
@@ -241,11 +249,13 @@ def controlled_operator_inequality(frame: FrameSequence, K, ctrl: Controller, A:
     """Operator-inequality verdict: ``A * C K K* <= C S`` in the Loewner order.
 
     Both sides must be Hermitian — true whenever ``C`` commutes with ``K`` and
-    with ``S`` — otherwise :func:`operator_leq` refuses the comparison.
+    with ``S`` — otherwise :func:`operator_leq` refuses the comparison.  The
+    comparison is decided on ``C~ = 2^-c C`` and ``S~ = 2^(-2e) S`` after
+    dividing both sides by ``2^(c + 2e)``, so ``A`` moves by ``2^(-2e)``.
     """
     Kop = as_operator(K, dim=frame.dim)
-    left = A * (ctrl.matrix @ Kop @ Kop.conj().T)
-    return operator_leq(left, controlled_operator(frame, ctrl), tol)
+    (C, _), (S, e) = ctrl._scaled, frame._scaled
+    return operator_leq(_scaled_back(A, -2 * e) * (C @ Kop @ Kop.conj().T), C @ S, tol)
 
 
 def sandwich_inequality_check(frame: FrameSequence, K, ctrl: Controller, A: float, B: float, tol: Tolerances = DEFAULT_TOL) -> bool:
@@ -255,12 +265,16 @@ def sandwich_inequality_check(frame: FrameSequence, K, ctrl: Controller, A: floa
     ``K C K*`` reproduces ``||C^{1/2} K* f||^2`` as a quadratic form.  With the
     certified optimal ``(A, B)`` from :func:`controlled_kframe_check` both
     comparisons hold with equality attained at the extremal directions.
+    Both are decided on ``C~ = 2^-c C`` and ``S~ = 2^(-2e) S`` after dividing
+    each side by ``2^(c + 2e)``, so ``A`` moves by ``2^(-2e)`` and ``B`` by
+    ``2^-(c + 2e)``.
     """
     Kop = as_operator(K, dim=frame.dim)
-    L = controlled_operator(frame, ctrl)
-    weight = hermitian_part(Kop @ ctrl.matrix @ Kop.conj().T)
-    eye = np.eye(frame.dim, dtype=np.complex128)
-    return operator_leq(A * weight, L, tol) and operator_leq(L, B * eye, tol)
+    (C, c), (S, e) = ctrl._scaled, frame._scaled
+    L = C @ S
+    lower = _scaled_back(A, -2 * e) * hermitian_part(Kop @ C @ Kop.conj().T)
+    upper = _scaled_back(B, -c - 2 * e) * np.eye(frame.dim, dtype=np.complex128)
+    return operator_leq(lower, L, tol) and operator_leq(L, upper, tol)
 
 
 def bounds_to_kframe(A: float, B: float, ctrl: Controller) -> tuple[float, float]:
@@ -307,6 +321,5 @@ def interchange_identity_check(frame: FrameSequence, ctrl: Controller, tol: Tole
     returning a verdict, because then neither sum defines a controlled frame
     expression.
     """
-    S = frame._scaled[0]
-    _require_real_product(ctrl, S, tol)
-    return commutes(ctrl, S, tol)
+    _require_real_product(frame, ctrl, tol)
+    return commutes(ctrl, frame._scaled[0], tol)

@@ -144,12 +144,16 @@ def frame_operator(frame: FrameSequence) -> np.ndarray:
         with np.errstate(over="ignore"):
             S = np.ldexp(S.view(np.float64), 2 * e).view(np.complex128)
         if not (np.isfinite(S).all() and S.diagonal().real.max() >= np.finfo(np.float64).tiny):
-            raise InvalidParametersError(
-                "the frame operator lies outside the float range: the frame vectors are too "
-                + ("large" if e > 0 else "small")
-            )
+            raise _outside_float_range(e > 0)
         S.setflags(write=False)
     return S
+
+
+def _outside_float_range(large: bool) -> InvalidParametersError:
+    """The refusal of a frame whose frame operator, or one of its bounds,
+    lies outside the float range."""
+    size = "large" if large else "small"
+    return InvalidParametersError(f"the frame operator lies outside the float range: the frame vectors are too {size}")
 
 
 def frame_bounds(frame: FrameSequence, tol: Tolerances = DEFAULT_TOL) -> FrameBounds:

@@ -20,7 +20,9 @@ residual recurrence
     r_{k+1} = M r_k,    M = I - lam S C    (C = I for the plain iteration),
 
 so each iteration is one matrix-vector product, written into preallocated
-blocks; ``M`` is formed once per stack.  Two or more active columns run as
+blocks; ``M`` is formed once per stack.  A controlled solve passes the
+controller's power-of-two-scaled ``C~ = 2^-c C`` and ``2^c lam``, which
+form the same ``M``.  Two or more active columns run as
 ``(A, d, 1)`` operands through stacked ``matmul``; a lone column (every
 public solve, and the tail of a bench stack) runs as 2-D/1-D operands
 through ``np.dot``, which skips the gufunc's per-call overhead.  The layout
@@ -73,6 +75,7 @@ from .operators import (
     DEFAULT_TOL,
     OperatorBounds,
     Tolerances,
+    _scaled_back,
     _spectrum_bounds,
     as_operator,
     as_vector,
@@ -313,6 +316,23 @@ def _relaxation(config: SolverConfig, bounds: OperatorBounds) -> float:
     return config.relaxation if config.relaxation is not None else 2.0 / (bounds.lower + bounds.upper)
 
 
+def _controlled_relaxation(frame: FrameSequence, ctrl: Controller, config: SolverConfig, tol: Tolerances):
+    """``(2^c lam, bounds)``: the relaxation with which the kernel runs on the
+    controller's ``C~ = 2^-c C``, and the certified bounds of ``C~ S~ =
+    2^-x C S`` (see :func:`framekit.controlled._require_real_product`).
+
+    The kernel's ``M = I - (2^c lam) S C~`` is ``I - lam S C`` bit for bit
+    while no entry leaves the normal range, as both scalings are exact.  A
+    fixed relaxation is ``lam``; the optimal ``lam = 2 / (A + B)`` of
+    ``C S`` is ``2^-x`` times that of ``C~ S~``, so ``2^c lam`` is formed
+    without the bounds of ``C S`` themselves, which may leave the float
+    range.
+    """
+    H, x = _require_real_product(frame, ctrl, tol)
+    bounds = _spectrum_bounds(np.linalg.eigvalsh(H), tol)
+    return _scaled_back(_relaxation(config, bounds), ctrl._scaled[1] - (x if config.relaxation is None else 0)), bounds
+
+
 def richardson_solve(op, g, bounds, config: SolverConfig = SolverConfig(), tol: Tolerances = DEFAULT_TOL):
     """Solve ``Op f = g`` by relaxed Richardson iteration.
 
@@ -356,11 +376,15 @@ def controlled_richardson_solve(
     ``cond(C S)``; the stopping criterion is the relative residual of the
     *original* system, making counts directly comparable with
     :func:`richardson_solve`.  With ``C = I`` the arithmetic — and hence the
-    trace — is identical to the plain solve.
+    trace — is identical to the plain solve.  The iteration runs on the
+    controller's ``C~ = 2^-c C`` with the relaxation moved by ``2^c`` (see
+    :func:`_controlled_relaxation`), so rescaling ``C`` by a power of two
+    changes neither the trace nor the iterate while every part of ``C``
+    stays normal.
     """
     S = frame_operator(frame)
     rhs = as_vector(g, dim=frame.dim)
     if K is not None and not commutes(ctrl, K, tol):
         raise CommutationError("controller does not commute with K within tolerance")
-    certified = _spectrum_bounds(np.linalg.eigvalsh(_require_real_product(ctrl, S, tol)), tol)
-    return _solve_one(S, rhs, _relaxation(config, certified), config, C=ctrl.matrix, kappa=ctrl.condition)
+    lam, _ = _controlled_relaxation(frame, ctrl, config, tol)
+    return _solve_one(S, rhs, lam, config, C=ctrl._scaled[0], kappa=ctrl.condition)

@@ -208,6 +208,22 @@ def test_solve_refuses_a_frame_whose_operator_leaves_the_float_range(tmp_path, c
     assert not (tmp_path / "sol.json").exists()
 
 
+@pytest.mark.parametrize("controlled", [False, True], ids=["plain", "controlled"])
+def test_solve_refuses_a_frame_whose_lower_bound_underflows_on_both_paths(tmp_path, capsys, controlled):
+    # A small --tol-psd keeps 2^-1080 as the lower bound of S, which
+    # underflows to 0.0 although the largest entry 2^-1000 is normal.
+    f_path = _write_frame(tmp_path / "frame.json", np.diag([2.0**-500, 2.0**-540]))
+    g_path = _write_vector(tmp_path / "g.json", [1.0, 1.0])
+    flags = ["--c", _write_operator(tmp_path / "c.json", np.eye(2))] if controlled else []
+    code = main(["solve", f_path, "--g", g_path, "--tol-psd", "1e-30", *flags,
+                 "--out", str(tmp_path / "sol.json")])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert ("framekit solve: invalid input: the frame operator lies outside the float range: "
+            "the frame vectors are too small") in captured.err
+    assert not (tmp_path / "sol.json").exists()
+
+
 # ---------------------------------------------------------------------------
 # dual
 

@@ -6,6 +6,7 @@ exercised here; the commuting hypotheses are violated on purpose to check the
 error paths.
 """
 
+import math
 import warnings
 
 import numpy as np
@@ -25,6 +26,7 @@ from framekit import (
     controlled_kframe_check,
     controlled_operator,
     controlled_operator_inequality,
+    controlled_richardson_solve,
     frame_operator,
     identity_controller,
     interchange_identity_check,
@@ -45,13 +47,12 @@ from framekit.instances import (
 from framekit.operators import spectral_function
 
 
-def test_make_controller_caches_consistent_roots():
+def test_make_controller_caches_the_eigenpairs_and_bounds_of_c():
     rng = np.random.default_rng(40)
     C = random_positive_operator(rng, 5)
     ctrl = make_controller(C)
-    np.testing.assert_allclose(ctrl.sqrt @ ctrl.sqrt, C, atol=1e-11)
-    np.testing.assert_allclose(ctrl.inv @ C, np.eye(5), atol=1e-10)
-    np.testing.assert_allclose(ctrl.inv_sqrt @ ctrl.sqrt, np.eye(5), atol=1e-10)
+    w, Q = ctrl._eigh
+    np.testing.assert_allclose((Q * w) @ Q.conj().T, C, atol=1e-11)
     w = np.linalg.eigvalsh(C)
     np.testing.assert_allclose((ctrl.bounds.lower, ctrl.bounds.upper), (w[0], w[-1]), rtol=1e-12)
     np.testing.assert_allclose(ctrl.condition, w[-1] / w[0], rtol=1e-12)
@@ -67,8 +68,8 @@ def test_make_controller_runs_one_decomposition(monkeypatch):
         monkeypatch.setattr(np.linalg, name, counted)
     ctrl = make_controller(C)
     assert calls == ["eigh"]
-    # bounds and roots are read off the same eigenpairs
-    ctrl.bounds, ctrl.sqrt, ctrl.inv, ctrl.inv_sqrt
+    # the bounds are read off the same eigenpairs
+    ctrl.bounds, ctrl.condition
     assert calls == ["eigh"]
 
 
@@ -79,10 +80,23 @@ def test_make_controller_rejects_non_positive():
         make_controller(np.diag([1.0, 0.0]))
 
 
+def test_controller_owns_a_read_only_copy_of_its_matrix():
+    C = np.diag([1.0, 2.0, 3.0]).astype(complex)
+    ctrl = make_controller(C)
+    C[0, 0] = -50.0  # the caller's array changes; the certified controller does not
+    np.testing.assert_array_equal(ctrl.matrix, np.diag([1.0, 2.0, 3.0]))
+    assert (ctrl.bounds.lower, ctrl.bounds.upper) == (1.0, 3.0)
+    for array in (ctrl.matrix, ctrl._scaled[0]):
+        with pytest.raises(ValueError):
+            array[0, 0] = -50.0
+    frame = FrameSequence(np.eye(3))
+    assert controlled_kframe_check(frame, np.eye(3), ctrl).upper_opt == 3.0
+    assert controlled_form(frame, ctrl, [1.0, 0.0, 0.0]) == 1.0
+
+
 def test_identity_controller_is_trivial():
     ctrl = identity_controller(3)
     np.testing.assert_array_equal(ctrl.matrix, np.eye(3))
-    np.testing.assert_array_equal(ctrl.inv, np.eye(3))
     assert ctrl.bounds.lower == ctrl.bounds.upper == 1.0
     assert ctrl.dim == 3
 
@@ -352,6 +366,55 @@ def test_c3_controlled_with_identity_matches_plain_bounds():
 
 
 # ---------------------------------------------------------------------------
+# a family and a controller scaled far apart: formed as is, their product
+# C S under- or overflows
+
+
+def _scaled_triple(k, j):
+    """A commuting triple with the family scaled by ``2^k`` and ``C`` by ``2^j``."""
+    frame, K, ctrl = commuting_triple(np.random.default_rng(0), 4, 8, zero_k=0)
+    moved = FrameSequence(np.ldexp(frame.matrix.view(np.float64), k).view(np.complex128))
+    return frame, moved, K, ctrl, make_controller(np.ldexp(ctrl.matrix.view(np.float64), j).view(np.complex128))
+
+
+def test_a_family_and_a_controller_whose_product_underflows_are_certified():
+    # C S of the scaled operands is about 2^-1050, subnormal: formed as is,
+    # its rounding read as a Hermiticity defect of 5e-8
+    frame, moved, K, ctrl, tiny = _scaled_triple(-100, -850)
+    report, plain = controlled_kframe_check(moved, K, tiny), controlled_kframe_check(frame, K, ctrl)
+    assert report.is_controlled_kframe
+    assert report.lower_opt == math.ldexp(plain.lower_opt, -200)
+    assert report.upper_opt == math.ldexp(plain.upper_opt, -1050)  # rounded to a subnormal
+    assert interchange_identity_check(moved, tiny)
+    A, B = report.lower_opt, report.upper_opt
+    assert controlled_operator_inequality(moved, K, tiny, A * (1 - 1e-6))
+    assert not controlled_operator_inequality(moved, K, tiny, A * (1 + 1e-6))
+    assert sandwich_inequality_check(moved, K, tiny, A * (1 - 1e-6), B * (1 + 1e-6))
+    assert not sandwich_inequality_check(moved, K, tiny, A * (1 - 1e-6), B * (1 - 1e-6))
+    g = np.ones(4)
+    x, trace = controlled_richardson_solve(moved, tiny, g)
+    x_at_c, trace_at_c = controlled_richardson_solve(moved, ctrl, g)
+    assert trace.converged and trace.iterations == 55
+    assert trace.residuals == trace_at_c.residuals
+    assert np.array_equal(x, x_at_c)
+
+
+def test_a_family_and_a_controller_whose_product_overflows_are_certified_without_warnings():
+    frame, moved, K, ctrl, huge = _scaled_triple(100, 830)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = controlled_kframe_check(moved, K, huge)
+        assert interchange_identity_check(moved, huge)
+        assert controlled_operator_inequality(moved, K, huge, report.lower_opt * (1 - 1e-6))
+        assert not controlled_operator_inequality(moved, K, huge, report.lower_opt * (1 + 1e-6))
+        # lambda_max(C S) exceeds the largest float, so no float B bounds C S
+        assert not sandwich_inequality_check(moved, K, huge, report.lower_opt * (1 - 1e-6), np.finfo(float).max)
+    plain = controlled_kframe_check(frame, K, ctrl)
+    assert report.is_controlled_kframe and report.upper_opt == math.inf
+    assert report.lower_opt == math.ldexp(plain.lower_opt, 200)
+
+
+# ---------------------------------------------------------------------------
 # the equivalence theorem: under C K = K C and C S = S C the controlled
 # optimum is the plain one, attained at the plain witness pulled back
 # through C^{-1/2}
@@ -379,7 +442,8 @@ def _deficient_triple(rng, dim):
 def _controlled_quotient(frame, K, ctrl, f):
     """``<C S f, f>`` and ``||C^{1/2} K* f||^2``."""
     numerator = np.vdot(f, ctrl.matrix @ frame_operator(frame) @ f).real
-    return numerator, np.linalg.norm(ctrl.sqrt @ K.conj().T @ f) ** 2
+    w, Q = np.linalg.eigh(ctrl.matrix)
+    return numerator, np.linalg.norm((Q * np.sqrt(w)) @ Q.conj().T @ K.conj().T @ f) ** 2
 
 
 def _assert_theorem(frame, K, ctrl):
@@ -388,7 +452,8 @@ def _assert_theorem(frame, K, ctrl):
     assert report.lower_opt == plain.lower_opt
     assert report.vacuous == plain.vacuous
     if plain.witness is not None:
-        pulled_back = ctrl.inv_sqrt @ plain.witness
+        w, Q = np.linalg.eigh(ctrl.matrix)
+        pulled_back = (Q / np.sqrt(w)) @ Q.conj().T @ plain.witness
         np.testing.assert_allclose(report.witness, pulled_back / np.linalg.norm(pulled_back), atol=1e-12)
     return plain, report
 

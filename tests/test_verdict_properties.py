@@ -19,6 +19,12 @@ so the frame operator does not leave ``range(K)`` invariant.  Properties:
   ``[-1000, 1000]``, scales the frame bounds, ``lower_opt``, ``upper_opt``
   and the controlled ``upper_opt`` by ``4^k`` and keeps the verdicts and
   the witnesses, bit for bit, also where a value leaves the float range;
+* rescaling the family by ``2^k``, ``k`` in ``[-500, 500]``, and ``C`` by
+  ``2^j``, ``j`` in ``[-1000, 1000]``, while every part stays normal, keeps
+  the controlled verdict, ``lower_opt`` up to ``4^k``, the interchange
+  verdict and the controlled solve exactly, scales ``upper_opt`` and
+  ``controlled_form`` by ``2^(2k + j)`` exactly, and keeps the witness to
+  ``1e-14``;
 * every other public function that takes a controller keeps its claim
   when ``C`` is rescaled by ``c`` anywhere in ``10^[-6, 6]``, each checked
   against the defining inequality evaluated here with ``eigvalsh``; a
@@ -210,6 +216,15 @@ def _ldexp(x, n):
         return float(np.ldexp(x, n))
 
 
+def _moved(A, n):
+    """``A 2^n``, exact: the example is dropped unless every nonzero real and
+    imaginary part of ``A`` stays normal."""
+    parts = np.ascontiguousarray(A, dtype=np.complex128).view(np.float64)
+    exponents = np.frexp(np.abs(parts[parts != 0.0]))[1]
+    assume(exponents.min() - 1 + n >= -1022 and exponents.max() + n <= 1024)
+    return np.ldexp(parts, n).view(np.complex128)
+
+
 def _with_identity(pair):
     frame, K = pair
     return frame, K, np.eye(frame.dim)
@@ -223,10 +238,7 @@ def _with_identity(pair):
 )
 def test_power_of_two_rescaling_of_the_family_is_exact(triple, k):
     frame, K, C = triple
-    parts = frame.matrix.view(np.float64)
-    exponents = np.frexp(np.abs(parts[parts != 0.0]))[1]
-    assume(exponents.min() - 1 + k >= -1022 and exponents.max() + k <= 1024)  # every part stays normal
-    moved = FrameSequence(np.ldexp(parts, k).view(np.complex128))
+    moved = FrameSequence(_moved(frame.matrix, k))
     bounds, moved_bounds = frame_bounds(frame), frame_bounds(moved)
     assert moved_bounds.upper == _ldexp(bounds.upper, 2 * k)
     assert moved_bounds.lower == (None if bounds.lower is None else _ldexp(bounds.lower, 2 * k))
@@ -241,6 +253,30 @@ def test_power_of_two_rescaling_of_the_family_is_exact(triple, k):
     assert moved_controlled.is_controlled_kframe == controlled.is_controlled_kframe
     assert moved_controlled.upper_opt == _ldexp(controlled.upper_opt, 2 * k)
     assert np.array_equal(moved_controlled.witness, controlled.witness)
+
+
+@PROPERTIES
+@given(controlled_triples(), st.integers(-500, 500), st.integers(-1000, 1000), st.integers(0, 2**32 - 1))
+def test_power_of_two_rescaling_of_the_controller_and_the_family_is_exact(triple, k, j, seed):
+    frame, K, C = triple
+    moved, ctrl, moved_ctrl = FrameSequence(_moved(frame.matrix, k)), make_controller(C), make_controller(_moved(C, j))
+    report, moved_report = controlled_kframe_check(frame, K, ctrl), controlled_kframe_check(moved, K, moved_ctrl)
+    assert moved_report.is_controlled_kframe == report.is_controlled_kframe
+    assert moved_report.lower_opt == _ldexp(report.lower_opt, 2 * k)
+    assert moved_report.upper_opt == _ldexp(report.upper_opt, 2 * k + j)
+    if report.witness is not None:
+        np.testing.assert_allclose(moved_report.witness, report.witness, rtol=0, atol=1e-14)
+    assert interchange_identity_check(moved, moved_ctrl) == interchange_identity_check(frame, ctrl)
+    rng = np.random.default_rng(seed)
+    f, g = (rng.normal(size=frame.dim) + 1j * rng.normal(size=frame.dim) for _ in range(2))
+    assert controlled_form(moved, moved_ctrl, f) == _ldexp(controlled_form(frame, ctrl, f), j + 2 * k)
+    # the solve needs S itself, so it runs on the unmoved family
+    config = SolverConfig(residual_tol=1e-10, max_iter=20_000)
+    x, trace = controlled_richardson_solve(frame, ctrl, g, config)
+    moved_x, moved_trace = controlled_richardson_solve(frame, moved_ctrl, g, config)
+    assert (moved_trace.iterations, moved_trace.converged) == (trace.iterations, trace.converged)
+    assert moved_trace.residuals == trace.residuals
+    assert np.array_equal(moved_x, x)
 
 
 def _leq(lhs, rhs):

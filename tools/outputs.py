@@ -14,11 +14,14 @@ writes keep their names, and the exit codes go to ``exit_codes.json``.
 commands cover the ``bench --deterministic`` CSVs of acceptance criterion 10
 and of a grid over two instance kinds, four dims, two condition targets and
 all three controllers; ``solve --json --deterministic`` plain, controlled,
-capped and divergent; ``check --k --c`` at d=8 as JSON and as text, and on
-the 3x3 identity frame with ``K = 1e-200 I``, whose optimal lower bound
-exceeds the largest float; ``check`` of the frames ``1e160 I`` as JSON and
-``1e-170 I`` as text in ``C^3``, whose frame operators overflow and
-underflow; ``dual`` (a factoring pair and a refused one) at
+capped and divergent, and controlled on the frame ``1e-30 I`` of ``C^3``
+with ``C = 1e-300 diag(1, 2, 3)``, whose product ``C S`` underflows;
+``check --k --c`` at d=8 as JSON and as text, and on the 3x3 identity
+frame with ``K = 1e-200 I``, whose optimal lower bound exceeds the largest
+float; ``check`` of the frames ``1e160 I`` as JSON and ``1e-170 I`` as text
+in ``C^3``, whose frame operators overflow and underflow, and ``check --c
+--json`` of the frame ``1e30 I`` with ``C = 1e250 diag(1, 2, 3)``, whose
+product ``C S`` overflows; ``dual`` (a factoring pair and a refused one) at
 d=8; and ``paper-example`` as text and as JSON.
 
 ``--compare`` reads both manifests and prints each file whose digest
@@ -42,9 +45,10 @@ MANIFEST = "SHA256SUMS"
 RUN_TIMEOUT_S = 900
 
 
-def _diagonal(value: float, dim: int) -> list:
-    """The entries of ``value * I`` in ``C^dim`` as ``[re, im]`` pairs, column by column."""
-    return [[value * (i == j), 0.0] for j in range(dim) for i in range(dim)]
+def _diagonal(values: list) -> list:
+    """The entries of ``diag(values)`` as ``[re, im]`` pairs, column by column."""
+    dim = len(values)
+    return [[values[i] * (i == j), 0.0] for j in range(dim) for i in range(dim)]
 
 
 def _diagonal_frame(value: float, dim: int) -> dict:
@@ -55,8 +59,9 @@ def _diagonal_frame(value: float, dim: int) -> dict:
 # Inputs this tool writes itself: a right-hand side at d=8; a Parseval
 # family of 16 vectors in C^8 (the unit vectors and the Fourier basis, each
 # scaled by 1/sqrt(2)), which factors every K as K = (K G) G*; the
-# identity frame of C^3 with the operators 1e-200 I and I; and the frames
-# 1e160 I and 1e-170 I of C^3.
+# identity frame of C^3 with the operators 1e-200 I and I; the frames
+# 1e160 I, 1e-170 I, 1e30 I and 1e-30 I of C^3; the controllers
+# 1e250 diag(1, 2, 3) and 1e-300 diag(1, 2, 3); and a right-hand side at d=3.
 INPUTS = {
     "rhs8.json": {"dim": 8, "entries": [[1.0 + k, 0.5 * (-1) ** k] for k in range(8)]},
     "parseval8.json": {
@@ -70,8 +75,13 @@ INPUTS = {
     "eye3-frame.json": _diagonal_frame(1.0, 3),
     "huge3-frame.json": _diagonal_frame(1e160, 3),
     "tiny3-frame.json": _diagonal_frame(1e-170, 3),
-    "tiny3-k.json": {"dim": 3, "entries": _diagonal(1e-200, 3)},
-    "eye3-c.json": {"dim": 3, "entries": _diagonal(1.0, 3)},
+    "tiny3-k.json": {"dim": 3, "entries": _diagonal([1e-200] * 3)},
+    "eye3-c.json": {"dim": 3, "entries": _diagonal([1.0] * 3)},
+    "big3-frame.json": _diagonal_frame(1e30, 3),
+    "small3-frame.json": _diagonal_frame(1e-30, 3),
+    "huge3-c.json": {"dim": 3, "entries": _diagonal([1e250, 2e250, 3e250])},
+    "tiny3-c.json": {"dim": 3, "entries": _diagonal([1e-300, 2e-300, 3e-300])},
+    "rhs3.json": {"dim": 3, "entries": [[1.0, 0.0], [2.0, -0.5], [3.0, 0.5]]},
 }
 
 _GRID = ["--kinds", "ill-conditioned", "random-frame", "--dims", "1", "4", "16", "64",
@@ -90,12 +100,16 @@ COMMANDS = [
     ("solve-capped", [*_SOLVE, "--max-iter", "5", "--out", "solve-capped.json"]),
     ("solve-divergent", [*_SOLVE, "--relaxation", "1e300", "--max-iter", "50",
                          "--out", "solve-divergent.json"]),
+    ("solve-tiny-controller", ["solve", "small3-frame.json", "--g", "rhs3.json", "--c", "tiny3-c.json",
+                               "--json", "--deterministic", "--out", "solve-tiny-controller.json"]),
     ("check", [*_CHECK, "--json", "--deterministic"]),
     ("check-text", [*_CHECK, "--deterministic"]),
     ("check-tiny-k", ["check", "eye3-frame.json", "--k", "tiny3-k.json", "--c", "eye3-c.json",
                       "--json", "--deterministic"]),
     ("check-huge-frame", ["check", "huge3-frame.json", "--json", "--deterministic"]),
     ("check-tiny-frame", ["check", "tiny3-frame.json", "--deterministic"]),
+    ("check-huge-controller", ["check", "big3-frame.json", "--c", "huge3-c.json", "--json",
+                               "--deterministic"]),
     ("dual", ["dual", "--g", "parseval8.json", "--k", "fam8-k.json", "--out", "dual-h.json",
               "--json", "--deterministic"]),
     ("dual-refused", ["dual", "--g", "fam8-frame.json", "--k", "fam8-k.json",
