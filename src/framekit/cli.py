@@ -41,7 +41,7 @@ from .errors import (
     ParseError,
     ToolkitError,
 )
-from .frames import FrameSequence, _outside_float_range, frame_bounds, frame_operator, synthesis
+from .frames import FrameSequence, _require_float_bounds, frame_bounds, frame_operator, synthesis
 from .instances import INSTANCE_KINDS, c3_example, generate_instance
 from .kframes import interchange_dual, kframe_check
 from .operators import DEFAULT_TOL, Tolerances, _pow2_scaled, numerical_rank
@@ -213,9 +213,7 @@ def cmd_solve(args, tol: Tolerances):
             "the frame operator is singular: this solver inverts S on the whole space "
             "and does not solve restricted systems on range(K)"
         )
-    if fb.lower == 0.0 or fb.upper == math.inf:
-        # a bound beyond the float range: both solvers need S and its bounds themselves
-        raise _outside_float_range(fb.upper == math.inf)
+    _require_float_bounds(fb)
     config = SolverConfig(relaxation=args.relaxation, residual_tol=args.residual_tol, max_iter=args.max_iter)
     if args.c is not None:
         ctrl = make_controller(load_operator(args.c), tol)

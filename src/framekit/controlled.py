@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CommutationError, NonRealFormError
-from .frames import FrameSequence, frame_operator
+from .frames import FrameSequence
 from .kframes import kframe_check
 from .operators import (
     DEFAULT_TOL,
@@ -52,7 +52,6 @@ __all__ = [
     "make_controller",
     "identity_controller",
     "commutes",
-    "controlled_operator",
     "controlled_form",
     "controlled_kframe_check",
     "controlled_operator_inequality",
@@ -129,11 +128,6 @@ def commutes(ctrl: Controller, K, tol: Tolerances = DEFAULT_TOL) -> bool:
     Kop, _ = _pow2_scaled(as_operator(K, dim=ctrl.dim))
     defect = np.linalg.norm(C @ Kop - Kop @ C)
     return bool(defect <= tol.rel_eq * np.linalg.norm(C) * np.linalg.norm(Kop))
-
-
-def controlled_operator(frame: FrameSequence, ctrl: Controller) -> np.ndarray:
-    """``L = C S``, one-sided by design; Hermiticity is checked, never imposed."""
-    return ctrl.matrix @ frame_operator(frame)
 
 
 def controlled_form(frame: FrameSequence, ctrl: Controller, f, tol: Tolerances = DEFAULT_TOL) -> float:
@@ -250,12 +244,13 @@ def controlled_operator_inequality(frame: FrameSequence, K, ctrl: Controller, A:
 
     Both sides must be Hermitian — true whenever ``C`` commutes with ``K`` and
     with ``S`` — otherwise :func:`operator_leq` refuses the comparison.  The
-    comparison is decided on ``C~ = 2^-c C`` and ``S~ = 2^(-2e) S`` after
-    dividing both sides by ``2^(c + 2e)``, so ``A`` moves by ``2^(-2e)``.
+    comparison is decided on ``C~ = 2^-c C``, ``S~ = 2^(-2e) S`` and ``K~ =
+    2^-k K`` (see :func:`framekit.operators._pow2_scaled`) after dividing
+    both sides by ``2^(c + 2e)``, so ``A`` moves by ``2^(2k - 2e)``.
     """
-    Kop = as_operator(K, dim=frame.dim)
+    Kop, k = _pow2_scaled(as_operator(K, dim=frame.dim))
     (C, _), (S, e) = ctrl._scaled, frame._scaled
-    return operator_leq(_scaled_back(A, -2 * e) * (C @ Kop @ Kop.conj().T), C @ S, tol)
+    return operator_leq(_scaled_back(A, 2 * (k - e)) * (C @ Kop @ Kop.conj().T), C @ S, tol)
 
 
 def sandwich_inequality_check(frame: FrameSequence, K, ctrl: Controller, A: float, B: float, tol: Tolerances = DEFAULT_TOL) -> bool:
@@ -265,16 +260,19 @@ def sandwich_inequality_check(frame: FrameSequence, K, ctrl: Controller, A: floa
     ``K C K*`` reproduces ``||C^{1/2} K* f||^2`` as a quadratic form.  With the
     certified optimal ``(A, B)`` from :func:`controlled_kframe_check` both
     comparisons hold with equality attained at the extremal directions.
-    Both are decided on ``C~ = 2^-c C`` and ``S~ = 2^(-2e) S`` after dividing
-    each side by ``2^(c + 2e)``, so ``A`` moves by ``2^(-2e)`` and ``B`` by
-    ``2^-(c + 2e)``.
+    Both are decided on ``C~ = 2^-c C``, ``S~ = 2^(-2e) S`` and ``K~ = 2^-k
+    K`` (see :func:`framekit.operators._pow2_scaled`) after dividing each
+    side by ``2^(c + 2e)``, so ``A`` moves by ``2^(2k - 2e)`` and ``B`` by
+    ``2^-(c + 2e)``.  A moved ``B`` of ``inf`` (``upper_opt`` is ``inf``
+    when ``lambda_max(C S)`` exceeds the largest float) bounds every
+    operator, so the upper comparison then holds without being formed.
     """
-    Kop = as_operator(K, dim=frame.dim)
+    Kop, k = _pow2_scaled(as_operator(K, dim=frame.dim))
     (C, c), (S, e) = ctrl._scaled, frame._scaled
     L = C @ S
-    lower = _scaled_back(A, -2 * e) * hermitian_part(Kop @ C @ Kop.conj().T)
-    upper = _scaled_back(B, -c - 2 * e) * np.eye(frame.dim, dtype=np.complex128)
-    return operator_leq(lower, L, tol) and operator_leq(L, upper, tol)
+    lower = _scaled_back(A, 2 * (k - e)) * hermitian_part(Kop @ C @ Kop.conj().T)
+    upper = _scaled_back(B, -c - 2 * e)
+    return operator_leq(lower, L, tol) and (upper == math.inf or operator_leq(L, upper * np.eye(frame.dim), tol))
 
 
 def bounds_to_kframe(A: float, B: float, ctrl: Controller) -> tuple[float, float]:

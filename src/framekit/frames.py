@@ -156,6 +156,17 @@ def _outside_float_range(large: bool) -> InvalidParametersError:
     return InvalidParametersError(f"the frame operator lies outside the float range: the frame vectors are too {size}")
 
 
+def _require_float_bounds(bounds: FrameBounds) -> None:
+    """Raise the error of :func:`_outside_float_range` for a frame whose
+    lower bound underflows to ``0.0`` or whose upper bound overflows to
+    ``inf``: the Richardson solvers need ``S`` and its bounds themselves,
+    not the scaled ``S~``.  ``framekit solve`` calls it for both its
+    paths, and :func:`framekit.solvers.controlled_richardson_solve` for
+    callers of the library."""
+    if bounds.lower == 0.0 or bounds.upper == np.inf:
+        raise _outside_float_range(bounds.upper == np.inf)
+
+
 def frame_bounds(frame: FrameSequence, tol: Tolerances = DEFAULT_TOL) -> FrameBounds:
     """Optimal frame bounds from the spectrum of the frame operator.
 

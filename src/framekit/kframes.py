@@ -27,7 +27,7 @@ from .errors import (
     PreconditionFailedError,
     RangeDeficiencyError,
 )
-from .frames import FrameSequence, frame_operator
+from .frames import FrameSequence
 from .operators import (
     DEFAULT_TOL,
     Tolerances,
@@ -38,7 +38,6 @@ from .operators import (
     as_operator,
     hermitian_part,
     operator_leq,
-    operator_norm,
     pseudo_inverse,
 )
 
@@ -202,31 +201,36 @@ def kframe_operator_inequality(frame: FrameSequence, K, A: float, tol: Tolerance
 
     This is the lower K-frame inequality in operator form, quantified over
     the whole space.  It flips exactly at ``lower_opt`` from
-    :func:`kframe_check`.
+    :func:`kframe_check`.  The comparison is decided on the frame's cached
+    ``S~ = 2^(-2e) S`` and on ``K~ = 2^-k K`` (see
+    :func:`framekit.operators._pow2_scaled`) after dividing both sides by
+    ``2^(2e)``, so ``A`` moves by ``2^(2k - 2e)``: rescaling the family or
+    ``K`` by a power of two leaves the verdict at the moved ``A`` as it is.
     """
     if not (np.isfinite(A) and A > 0.0):
         raise InvalidParametersError(f"the candidate lower bound must be positive, got {A!r}")
-    Kop = as_operator(K, dim=frame.dim)
-    S = frame_operator(frame)
-    return operator_leq(A * hermitian_part(Kop @ Kop.conj().T), S, tol)
+    Kop, k = _pow2_scaled(as_operator(K, dim=frame.dim))
+    S, e = frame._scaled
+    return operator_leq(_scaled_back(A, 2 * (k - e)) * hermitian_part(Kop @ Kop.conj().T), S, tol)
 
 
 def rayleigh_quotients(frame: FrameSequence, K, vectors) -> np.ndarray:
     """``<S f, f> / ||K* f||^2`` column-wise for probe vectors with ``K* f != 0``.
 
     Columns annihilated by ``K*`` yield ``inf`` rather than an error so bulk
-    sampling stays simple.
+    sampling stays simple.  The quotients are taken with the frame's cached
+    ``S~ = 2^(-2e) S`` and ``K~ = 2^-k K`` (see
+    :func:`framekit.operators._pow2_scaled`) and scaled back by
+    ``2^(2e - 2k)``: ``inf`` above the largest float, ``0.0`` below the
+    smallest.
     """
-    Kop = as_operator(K, dim=frame.dim)
-    V = np.asarray(vectors, dtype=np.complex128)
-    if V.ndim == 1:
-        V = V[:, None]
-    S = frame_operator(frame)
+    Kop, k = _pow2_scaled(as_operator(K, dim=frame.dim))
+    V = np.asarray(vectors, dtype=np.complex128).reshape(len(vectors), -1)  # a vector is one column
+    S, e = frame._scaled
     numerators = np.einsum("ij,ij->j", V.conj(), S @ V).real
     denominators = np.linalg.norm(Kop.conj().T @ V, axis=0) ** 2
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.where(denominators > 0.0, numerators / np.where(denominators > 0, denominators, 1.0), np.inf)
-    return out
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        return np.ldexp(np.where(denominators > 0.0, numerators / denominators, np.inf), 2 * (e - k))
 
 
 @dataclass(frozen=True)
@@ -252,20 +256,24 @@ def atomic_system_constant(frame: FrameSequence, K, tol: Tolerances = DEFAULT_TO
     Frobenius norm against ``||K||_F``, as :func:`bessel_dual_check` does.
     One SVD ``T = U_r Sigma_r V_r*`` gives both the projector ``T T^+ =
     U_r U_r*`` and the constant ``||T^+ K|| = ||Sigma_r^{-1} U_r* K||``.
+    The SVD is of the frame's cached ``T~ = 2^-e T``, and ``K`` is read as
+    ``K~ = 2^-k K`` (see :func:`framekit.operators._pow2_scaled`), so
+    neither the test nor the norm depends on their scale; the constant is
+    scaled back by ``2^(k - e)``, ``inf`` or ``0.0`` beyond the float range.
     """
-    Kop = as_operator(K, dim=frame.dim)
-    U, s, _ = np.linalg.svd(frame.matrix, full_matrices=False)
-    r = _rank(s, frame.matrix.shape, tol)
+    Kop, k = _pow2_scaled(as_operator(K, dim=frame.dim))
+    T, e = frame._scaled_matrix
+    U, s, _ = np.linalg.svd(T, full_matrices=False)
+    r = _rank(s, T.shape, tol)
     coeffs = U[:, :r].conj().T @ Kop
     residual = Kop - U[:, :r] @ coeffs
     if np.linalg.norm(residual) > tol.rel_eq * np.linalg.norm(Kop):
-        _, _, Vh = np.linalg.svd(residual)
         raise RangeDeficiencyError(
             "range(K) is not contained in the span of the family; "
             "K x cannot be synthesized for the attached witness x",
-            witness=Vh[0].conj(),
+            witness=np.linalg.svd(residual)[2][0].conj(),
         )
-    return AtomicReport(constant=operator_norm(coeffs / s[:r, None]))
+    return AtomicReport(constant=_scaled_back(float(np.linalg.norm(coeffs / s[:r, None], 2)), k - e))
 
 
 def bessel_dual_check(frame_f: FrameSequence, frame_g: FrameSequence, K, tol: Tolerances = DEFAULT_TOL) -> bool:
@@ -399,8 +407,16 @@ def restricted_operator_inequalities(
     ``g = S f``.  ``Q`` and ``k = 1 / sigma_r(K)`` come from one SVD of
     ``K``.  Each comparison allows ``rel_eq`` times the larger side.
 
+    All three are homogeneous, so they are decided on the frame's cached
+    ``S~ = 2^(-2e) S`` and on ``K~ = 2^-j K`` (see
+    :func:`framekit.operators._pow2_scaled`): ``B`` is ``lambda_max(S~)``
+    and ``A`` is ``lower_opt`` moved by ``2^(2j - 2e)``, so no side
+    depends on the scale of the family or of ``K``.
+
     Raises :class:`PreconditionFailedError` when the pair is not a K-frame
-    (the inequalities are statements about K-frames only).
+    (the inequalities are statements about K-frames only), and
+    :class:`InvalidParametersError` when ``lower_opt`` is not a normal
+    float (``0.0``, subnormal or ``inf``), as its exact value is then lost.
     """
     report = kframe_check(frame, K, tol)
     if not report.is_kframe or report.vacuous:
@@ -408,12 +424,15 @@ def restricted_operator_inequalities(
             "restricted inequalities presuppose a K-frame with nonzero rank",
             witness=report.witness,
         )
-    Kop = as_operator(K, dim=frame.dim)
-    A, B = report.lower_opt, report.upper_opt
+    if not np.finfo(np.float64).tiny <= report.lower_opt < np.inf:
+        raise InvalidParametersError(f"the K-frame bound lower_opt = {report.lower_opt!r} lies outside the float range")
+    Kop, j = _pow2_scaled(as_operator(K, dim=frame.dim))
+    (S, e), w = frame._scaled, frame._eigh[0]
+    A, B = _scaled_back(report.lower_opt, 2 * (j - e)), float(w[-1])
     U, s_k, _ = np.linalg.svd(Kop, full_matrices=False)
     r = _rank(s_k, Kop.shape, tol)
     Q, k_sq = U[:, :r], (1.0 / s_k[r - 1]) ** 2
-    s = np.linalg.svd(frame_operator(frame) @ Q, compute_uv=False)
+    s = np.linalg.svd(S @ Q, compute_uv=False)
     s_k = np.linalg.svd(Kop.conj().T @ Q, compute_uv=False)
     pairs = ((A / k_sq, s[-1]), (s[0], B), (1.0 / k_sq, s_k[-1] ** 2))
     return all(lhs <= rhs + tol.rel_eq * max(lhs, rhs) for lhs, rhs in pairs)

@@ -32,7 +32,6 @@ __all__ = [
     "OperatorBounds",
     "as_vector",
     "as_operator",
-    "operator_norm",
     "is_hermitian",
     "hermitian_part",
     "positive_definite_bounds",
@@ -138,14 +137,6 @@ def as_operator(T, dim: int | None = None) -> np.ndarray:
     if dim is not None and M.shape[0] != dim:
         raise DimensionMismatchError(f"expected a {dim} x {dim} operator, got {M.shape[0]} x {M.shape[1]}")
     return M
-
-
-def operator_norm(T) -> float:
-    """Spectral norm (largest singular value)."""
-    M = np.asarray(T, dtype=np.complex128)
-    if M.size == 0:
-        return 0.0
-    return float(np.linalg.norm(M, 2))
 
 
 def hermitian_part(T) -> np.ndarray:

@@ -70,7 +70,7 @@ from .errors import (
     InvalidParametersError,
     NotHermitianError,
 )
-from .frames import FrameSequence, frame_operator
+from .frames import FrameSequence, _require_float_bounds, frame_bounds, frame_operator
 from .operators import (
     DEFAULT_TOL,
     OperatorBounds,
@@ -380,11 +380,13 @@ def controlled_richardson_solve(
     controller's ``C~ = 2^-c C`` with the relaxation moved by ``2^c`` (see
     :func:`_controlled_relaxation`), so rescaling ``C`` by a power of two
     changes neither the trace nor the iterate while every part of ``C``
-    stays normal.
+    stays normal.  A frame whose bounds leave the float range is refused
+    with :class:`InvalidParametersError`, as the iteration runs on ``S``
+    itself.
     """
-    S = frame_operator(frame)
+    _require_float_bounds(frame_bounds(frame, tol))
     rhs = as_vector(g, dim=frame.dim)
     if K is not None and not commutes(ctrl, K, tol):
         raise CommutationError("controller does not commute with K within tolerance")
     lam, _ = _controlled_relaxation(frame, ctrl, config, tol)
-    return _solve_one(S, rhs, lam, config, C=ctrl._scaled[0], kappa=ctrl.condition)
+    return _solve_one(frame_operator(frame), rhs, lam, config, C=ctrl._scaled[0], kappa=ctrl.condition)

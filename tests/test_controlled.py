@@ -24,7 +24,6 @@ from framekit import (
     commutes,
     controlled_form,
     controlled_kframe_check,
-    controlled_operator,
     controlled_operator_inequality,
     controlled_richardson_solve,
     frame_operator,
@@ -34,7 +33,6 @@ from framekit import (
     kframe_operator_inequality,
     make_controller,
     numerical_rank,
-    operator_norm,
     sandwich_inequality_check,
 )
 from framekit.instances import (
@@ -140,15 +138,6 @@ def test_a_huge_controller_that_does_not_commute_with_s_is_refused_with_a_finite
         warnings.simplefilter("error")
         with pytest.raises(NonRealFormError, match=r"relative defect \d"):
             controlled_kframe_check(FrameSequence(np.diag([1.0, 2.0])), np.eye(2), ctrl)
-
-
-def test_controlled_operator_is_one_sided_product():
-    rng = np.random.default_rng(41)
-    frame = random_frame(rng, 4, 8)
-    ctrl = make_controller(random_positive_operator(rng, 4))
-    np.testing.assert_allclose(
-        controlled_operator(frame, ctrl), ctrl.matrix @ frame_operator(frame), atol=1e-13
-    )
 
 
 def test_controlled_form_direct_summation_oracle():
@@ -334,7 +323,7 @@ def test_bounds_transfer_from_plain_kframe_bounds():
         A_c, B_c = bounds_to_controlled(plain.lower_opt, plain.upper_opt, ctrl, K=K)
         assert A_c <= creport.lower_opt * (1 + 1e-9)
         assert B_c >= creport.upper_opt * (1 - 1e-9)
-        np.testing.assert_allclose(B_c, plain.upper_opt * operator_norm(ctrl.matrix), rtol=1e-12)
+        np.testing.assert_allclose(B_c, plain.upper_opt * np.linalg.norm(ctrl.matrix, 2), rtol=1e-12)
 
 
 def test_bounds_to_controlled_checks_commutation_when_k_is_given():
@@ -412,6 +401,18 @@ def test_a_family_and_a_controller_whose_product_overflows_are_certified_without
     plain = controlled_kframe_check(frame, K, ctrl)
     assert report.is_controlled_kframe and report.upper_opt == math.inf
     assert report.lower_opt == math.ldexp(plain.lower_opt, 200)
+
+
+def test_sandwich_with_an_infinite_upper_bound_holds_on_the_upper_side():
+    # the certified upper_opt of this triple is inf, which bounds every
+    # operator: the upper comparison holds and inf * I is never formed
+    _, moved, K, _, huge = _scaled_triple(100, 830)
+    report = controlled_kframe_check(moved, K, huge)
+    assert report.upper_opt == math.inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert sandwich_inequality_check(moved, K, huge, report.lower_opt * (1 - 1e-6), report.upper_opt)
+        assert not sandwich_inequality_check(moved, K, huge, report.lower_opt * (1 + 1e-6), report.upper_opt)
 
 
 # ---------------------------------------------------------------------------

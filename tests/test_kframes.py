@@ -430,6 +430,23 @@ def test_restricted_inequalities_refuse_non_kframes():
         restricted_operator_inequalities(frame, K)
 
 
+@pytest.mark.parametrize("t", [1e-150, 1e-100, 1.0, 1e100, 1e150])
+def test_restricted_inequalities_hold_at_every_scale_of_k_with_a_normal_lower_bound(t):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert restricted_operator_inequalities(FrameSequence(np.eye(3)), t * np.eye(3))
+
+
+@pytest.mark.parametrize("t", [1e-170, 1e-160, 1e160, 1e170, 1e200])
+def test_restricted_inequalities_refuse_a_lower_bound_outside_the_float_range(t):
+    # lower_opt = 1 / t^2 is inf, subnormal (1e-320 at t = 1e160) or 0.0:
+    # the first inequality needs its exact value, which is lost
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidParametersError, match="outside the float range"):
+            restricted_operator_inequalities(FrameSequence(np.eye(3)), t * np.eye(3))
+
+
 def test_restricted_inequalities_draw_no_random_numbers(monkeypatch):
     rng = np.random.default_rng(38)
     pairs = [commuting_triple(rng, 6, 13)[:2] for _ in range(3)]

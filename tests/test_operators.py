@@ -25,7 +25,6 @@ from framekit import (
     make_controller,
     numerical_rank,
     operator_leq,
-    operator_norm,
     operator_sqrt,
     positive_definite_bounds,
     pseudo_inverse,
@@ -81,14 +80,6 @@ def test_operator_bounds_contract():
         OperatorBounds(2.0, 1.0)
 
 
-def test_operator_norm_is_largest_singular_value():
-    rng = np.random.default_rng(0)
-    for _ in range(20):
-        M = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
-        s = np.linalg.svd(M, compute_uv=False)
-        np.testing.assert_allclose(operator_norm(M), s[0], rtol=1e-12)
-
-
 def test_hermitian_part_and_detection():
     rng = np.random.default_rng(1)
     M = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
@@ -132,7 +123,7 @@ def test_operator_sqrt_squares_back():
         T = random_positive_operator(rng, d)
         R = operator_sqrt(T)
         assert is_hermitian(R)
-        np.testing.assert_allclose(R @ R, T, rtol=0, atol=1e-10 * operator_norm(T))
+        np.testing.assert_allclose(R @ R, T, rtol=0, atol=1e-10 * np.linalg.norm(T, 2))
 
 
 def test_operator_sqrt_known_diagonal():
@@ -165,9 +156,9 @@ def test_pseudo_inverse_penrose_identities():
         rank = int(rng.integers(1, min(rows, cols) + 1))
         U = _random_rank_deficient(rng, rows, cols, rank)
         P = pseudo_inverse(U)
-        scale = operator_norm(U)
+        scale = np.linalg.norm(U, 2)
         np.testing.assert_allclose(U @ P @ U, U, atol=1e-11 * scale)
-        np.testing.assert_allclose(P @ U @ P, P, atol=1e-11 * max(1.0, operator_norm(P)))
+        np.testing.assert_allclose(P @ U @ P, P, atol=1e-11 * max(1.0, np.linalg.norm(P, 2)))
         np.testing.assert_allclose(U @ P, (U @ P).conj().T, atol=1e-12)
         np.testing.assert_allclose(P @ U, (P @ U).conj().T, atol=1e-12)
         # UU+ projects onto range(U): exact on vectors already in the range
@@ -211,7 +202,7 @@ def test_numerical_rank_and_range_basis():
         np.testing.assert_allclose(Q.conj().T @ Q, np.eye(rank), atol=1e-12)
         # the columns of U lie in span(Q)
         proj = Q @ (Q.conj().T @ U)
-        np.testing.assert_allclose(proj, U, atol=1e-11 * operator_norm(U))
+        np.testing.assert_allclose(proj, U, atol=1e-11 * np.linalg.norm(U, 2))
 
 
 def test_rank_cutoff_separates_noise_from_signal():

@@ -79,3 +79,15 @@ def test_no_module_imports_a_name_it_does_not_use():
         for line, name in _unused_imports(path.read_text(encoding="utf-8"))
     ]
     assert unused == []
+
+
+def test_no_verdict_function_calls_frame_operator():
+    # The verdicts read the frame's power-of-two-scaled S~; the unscaled S,
+    # which leaves the float range with the family, is for the solvers.
+    calls = [
+        f"{name}:{node.lineno}"
+        for name in ("kframes.py", "controlled.py")
+        for node in ast.walk(ast.parse((Path(framekit.__file__).parent / name).read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call) and "frame_operator" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+    ]
+    assert calls == []

@@ -23,6 +23,7 @@ from framekit import (
     NotHermitianError,
     OperatorBounds,
     SolverConfig,
+    Tolerances,
     controlled_richardson_solve,
     controller_for,
     frame_operator,
@@ -490,3 +491,14 @@ def test_a_refused_candidate_hands_the_rest_of_its_block_to_true_residuals():
     assert trace.residuals[-1] == np.linalg.norm(g - S @ f) / np.linalg.norm(g)
     _, oracle, ok = _true_residual_loop(S, g, lam, config)
     assert (len(oracle), ok) == (84, True)
+
+
+@pytest.mark.parametrize("diagonal, size", [((2.0**-500, 2.0**-540), "small"), ((2.0**520, 2.0**480), "large")])
+def test_controlled_solve_refuses_a_frame_whose_bounds_leave_the_float_range(diagonal, size):
+    # The bounds of S are the squares of the diagonal.  A small psd_slack
+    # keeps 2^-1080 as the lower bound, which underflows to 0.0 although
+    # the largest entry of S, 2^-1000, is normal; 2^1040 overflows.  The
+    # solve needs S and its bounds themselves.
+    frame = FrameSequence(np.diag(diagonal))
+    with pytest.raises(InvalidParametersError, match=f"outside the float range: the frame vectors are too {size}"):
+        controlled_richardson_solve(frame, identity_controller(2), np.ones(2), tol=Tolerances(psd_slack=1e-30))

@@ -25,6 +25,13 @@ so the frame operator does not leave ``range(K)`` invariant.  Properties:
   verdict and the controlled solve exactly, scales ``upper_opt`` and
   ``controlled_form`` by ``2^(2k + j)`` exactly, and keeps the witness to
   ``1e-14``;
+* rescaling the family by ``2^k`` and ``K`` by ``2^j``, ``k`` and ``j`` in
+  ``[-1000, 1000]``, while every part and both rescaled optima stay
+  normal, keeps each operator-form check exactly: the two Loewner verdicts
+  and the sandwich at the moved optima, the restricted inequalities, the
+  Rayleigh quotients up to ``4^(k - j)`` and the atomic constant up to
+  ``2^(j - k)``; at ``1e+-160`` and ``2^+-600`` on one fixed triple they
+  keep their verdicts, and their values to ``1e-12``;
 * every other public function that takes a controller keeps its claim
   when ``C`` is rescaled by ``c`` anywhere in ``10^[-6, 6]``, each checked
   against the defining inequality evaluated here with ``eigvalsh``; a
@@ -44,6 +51,7 @@ from framekit import (
     FrameSequence,
     NonRealFormError,
     SolverConfig,
+    atomic_system_constant,
     bounds_to_controlled,
     bounds_to_kframe,
     controlled_form,
@@ -58,9 +66,10 @@ from framekit import (
     make_controller,
     numerical_rank,
     rayleigh_quotients,
+    restricted_operator_inequalities,
     sandwich_inequality_check,
 )
-from framekit.instances import haar_unitary, random_frame, random_positive_operator
+from framekit.instances import commuting_triple, haar_unitary, random_frame, random_positive_operator
 
 PROPERTIES = settings(derandomize=True, deadline=None, max_examples=200)
 EPS = 1e-6
@@ -277,6 +286,61 @@ def test_power_of_two_rescaling_of_the_controller_and_the_family_is_exact(triple
     assert (moved_trace.iterations, moved_trace.converged) == (trace.iterations, trace.converged)
     assert moved_trace.residuals == trace.residuals
     assert np.array_equal(moved_x, x)
+
+
+def _operator_form_checks(frame, K, ctrl, lower, upper, probes):
+    """The six operator-form checks of ``(frame, K, ctrl)`` at the optima
+    ``(lower, upper)``: six verdicts, the sandwich's ``None`` when ``upper``
+    is, then the Rayleigh quotients of ``probes`` and the atomic constant."""
+    verdicts = (
+        kframe_operator_inequality(frame, K, lower * (1 - EPS)),
+        kframe_operator_inequality(frame, K, lower * (1 + EPS)),
+        controlled_operator_inequality(frame, K, ctrl, lower * (1 - EPS)),
+        controlled_operator_inequality(frame, K, ctrl, lower * (1 + EPS)),
+        None if upper is None else sandwich_inequality_check(frame, K, ctrl, lower * (1 - EPS), upper * (1 + EPS)),
+        restricted_operator_inequalities(frame, K),
+    )
+    return verdicts, rayleigh_quotients(frame, K, probes), atomic_system_constant(frame, K).constant
+
+
+@PROPERTIES
+@given(controlled_triples(), st.integers(-1000, 1000), st.integers(-1000, 1000))
+def test_power_of_two_rescaling_of_the_family_and_k_keeps_the_operator_form_checks_exact(triple, k, j):
+    frame, K, C = triple
+    moved, moved_K, ctrl = FrameSequence(_moved(frame.matrix, k)), _moved(K, j), make_controller(C)
+    lower, upper = kframe_check(frame, K).lower_opt, controlled_kframe_check(frame, K, ctrl).upper_opt
+    moved_lower, moved_upper = _ldexp(lower, 2 * (k - j)), _ldexp(upper, 2 * k)
+    assume(np.finfo(float).tiny <= min(moved_lower, moved_upper) and max(moved_lower, moved_upper) < np.inf)
+    probes = np.eye(frame.dim) + 1j * np.ones((frame.dim, frame.dim))
+    verdicts, quotients, constant = _operator_form_checks(frame, K, ctrl, lower, upper, probes)
+    assert verdicts == (True, False, True, False, True, True)
+    moved_verdicts, moved_quotients, moved_constant = _operator_form_checks(
+        moved, moved_K, ctrl, moved_lower, moved_upper, probes
+    )
+    assert moved_verdicts == verdicts
+    assert np.array_equal(moved_quotients, np.ldexp(quotients, 2 * (k - j)))
+    assert moved_constant == _ldexp(constant, j - k)
+
+
+@pytest.mark.parametrize("s", [1e160, 1e-160, 2.0**600, 2.0**-600], ids=["1e160", "1e-160", "2^600", "2^-600"])
+def test_the_operator_form_checks_keep_their_verdicts_when_s_leaves_the_float_range(s):
+    # The family and K are both scaled by s, so lower_opt, the quotients
+    # and the atomic constant stay put while S = s^2 S_1 under- or
+    # overflows.  At s < 1 the controlled upper_opt is subnormal, so the
+    # sandwich, which needs it exactly, is left out there.
+    frame, K, ctrl = commuting_triple(np.random.default_rng(0), 4, 8, zero_k=1)
+    moved, moved_K = FrameSequence(s * frame.matrix), s * K
+    lower, upper = kframe_check(frame, K).lower_opt, controlled_kframe_check(frame, K, ctrl).upper_opt
+    moved_lower = kframe_check(moved, moved_K).lower_opt
+    moved_upper = controlled_kframe_check(moved, moved_K, ctrl).upper_opt
+    probes = np.eye(4) + 1j * np.ones((4, 4))
+    verdicts, quotients, constant = _operator_form_checks(frame, K, ctrl, lower, upper, probes)
+    moved_verdicts, moved_quotients, moved_constant = _operator_form_checks(
+        moved, moved_K, ctrl, moved_lower, moved_upper if s > 1 else None, probes
+    )
+    assert moved_verdicts == (verdicts if s > 1 else (*verdicts[:4], None, verdicts[5]))
+    rtol = 0.0 if np.frexp(s)[0] == 0.5 else 1e-12
+    np.testing.assert_allclose((moved_lower, *moved_quotients, moved_constant), (lower, *quotients, constant), rtol=rtol)
 
 
 def _leq(lhs, rhs):
