@@ -93,28 +93,28 @@ class BenchRow:
 
 
 def controller_for(strategy: str, S, tol: Tolerances = DEFAULT_TOL) -> Controller:
-    """Build the benchmark controller for a frame operator ``S``."""
+    """Build the benchmark controller for a frame operator ``S``.
+
+    Each strategy passes the controller only its matrix (see
+    :class:`framekit.controlled.Controller`) and refuses a controller that
+    would not be positive definite with :class:`NotPositiveDefiniteError`.
+    ``identity`` and ``jacobi`` decompose nothing; ``exact-inverse`` runs
+    one ``eigh``, of ``S``.
+    """
     S = np.asarray(S, dtype=np.complex128)
-    dim = S.shape[0]
     if strategy == "identity":
-        return identity_controller(dim)
+        return identity_controller(S.shape[0])
     if strategy == "exact-inverse":
-        # S's eigenpairs, reversed, are those of S^{-1}: one decomposition.
         w, Q = np.linalg.eigh(hermitian_part(S))
         _spectrum_bounds(w, tol)  # S clears the positivity slack exactly when S^{-1} does
-        return Controller(_apply_spectrum(w, Q, lambda v: 1.0 / v), (1.0 / w[::-1], Q[:, ::-1]))
+        return Controller(_apply_spectrum(w, Q, lambda v: 1.0 / v))
     if strategy == "jacobi":
         diag = np.diag(S).real
         if np.any(diag <= 0):
             raise NotPositiveDefiniteError("jacobi controller needs positive diagonal entries")
         inverse = 1.0 / np.exp2(np.round(np.log2(diag)))
-        # A diagonal matrix is its own eigendecomposition: the entries in
-        # ascending (stable) order with unit vectors.  That is the pair eigh
-        # returns, up to the order of the columns of a tied entry.
-        order = np.argsort(inverse, kind="stable")
-        eigh = (inverse[order], np.eye(dim, dtype=np.complex128)[:, order])
-        _spectrum_bounds(eigh[0], tol)
-        return Controller(np.diag(inverse), eigh)  # Controller keeps a complex copy
+        _spectrum_bounds(np.sort(inverse), tol)  # a diagonal matrix's spectrum is its sorted entries
+        return Controller(np.diag(inverse))  # Controller keeps a complex copy
     raise InvalidParametersError(
         f"unknown controller strategy {strategy!r}; expected one of {CONTROLLER_STRATEGIES}"
     )

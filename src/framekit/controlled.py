@@ -25,19 +25,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .errors import CommutationError, NonRealFormError
+from .errors import CommutationError, NonRealFormError, NotHermitianError
 from .frames import FrameSequence
 from .kframes import kframe_check
 from .operators import (
     DEFAULT_TOL,
     OperatorBounds,
     Tolerances,
-    _checked_hermitian,
     _pow2_scaled,
     _scaled_back,
+    _scaled_leq,
     _spectrum_bounds,
     as_operator,
     as_vector,
@@ -64,22 +65,24 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Controller:
-    """A certified positive invertible operator with one cached eigendecomposition.
+    """A positive invertible operator with one cached eigendecomposition.
 
-    ``matrix`` is a read-only copy of the operator given, and ``_eigh``
-    holds the ascending eigenpairs ``(w, Q)`` of ``matrix``, whose extreme
-    eigenvalues are ``bounds``.  On construction the controller also caches
-    ``(C~, c) = _pow2_scaled(matrix)``, read-only (see
-    :func:`framekit.operators._pow2_scaled`), as a :class:`FrameSequence`
-    caches ``(T~, e)``: ``c`` is ``0``, and ``C~`` is ``C``, unless the
-    largest part of ``C`` lies outside ``[2^-128, 2^128)``.  The controlled
-    paths read ``C~ = 2^-c C`` and the frame's ``S~ = 2^(-2e) S``, so no
-    product of the two under- or overflows, and report values scaled back
-    by ``2^(c + 2e)``.
+    ``matrix`` is a read-only copy of the operator given; the controller
+    is a function of it alone.  On first use ``_eigh`` computes the
+    ascending eigenpairs ``(w, Q) = eigh(hermitian_part(matrix))`` and
+    caches them read-only, as a :class:`FrameSequence` caches those of
+    ``S~``; ``bounds`` are its extreme eigenvalues.  On construction the
+    controller also caches ``(C~, c) = _pow2_scaled(matrix)``, read-only
+    (see :func:`framekit.operators._pow2_scaled`), as a
+    :class:`FrameSequence` caches ``(T~, e)``: ``c`` is ``0``, and ``C~``
+    is ``C``, unless the largest part of ``C`` lies outside ``[2^-128,
+    2^128)``.  The controlled paths read ``C~ = 2^-c C`` and the frame's
+    ``S~ = 2^(-2e) S``, so no product of the two under- or overflows, and
+    report values scaled back by ``2^(c + 2e)``.  The constructor certifies
+    nothing: :func:`make_controller` does.
     """
 
     matrix: np.ndarray
-    _eigh: tuple = field(repr=False, compare=False)
     _scaled: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -89,6 +92,13 @@ class Controller:
         C.setflags(write=False)
         object.__setattr__(self, "matrix", M)
         object.__setattr__(self, "_scaled", (C, c))
+
+    @cached_property
+    def _eigh(self) -> tuple[np.ndarray, np.ndarray]:
+        w, Q = np.linalg.eigh(hermitian_part(self.matrix))
+        w.setflags(write=False)
+        Q.setflags(write=False)
+        return w, Q
 
     @property
     def dim(self) -> int:
@@ -105,15 +115,24 @@ class Controller:
 
 
 def make_controller(C, tol: Tolerances = DEFAULT_TOL) -> Controller:
-    """Validate ``C`` as Hermitian positive definite from one eigendecomposition."""
+    """Certify ``C`` as Hermitian positive definite and wrap it in a :class:`Controller`.
+
+    Raises :class:`NotHermitianError` unless ``C`` is Hermitian within
+    ``rel_eq``, and :class:`NotPositiveDefiniteError` unless its smallest
+    eigenvalue clears the positivity slack.  The positivity test reads the
+    controller's own eigenpairs, so the one eigendecomposition it runs is
+    the one the controller caches.
+    """
     M = as_operator(C)
-    w, Q = np.linalg.eigh(_checked_hermitian(M, tol))
-    _spectrum_bounds(w, tol)          # raises unless positive definite
-    return Controller(M, (w, Q))
+    if not is_hermitian(M, tol):
+        raise NotHermitianError("operator is not Hermitian within tolerance")
+    ctrl = Controller(M)
+    _spectrum_bounds(ctrl._eigh[0], tol)  # raises unless positive definite
+    return ctrl
 
 
 def identity_controller(dim: int) -> Controller:
-    return Controller(np.eye(dim, dtype=np.complex128), (np.ones(dim), np.eye(dim, dtype=np.complex128)))
+    return Controller(np.eye(dim, dtype=np.complex128))
 
 
 def commutes(ctrl: Controller, K, tol: Tolerances = DEFAULT_TOL) -> bool:
@@ -246,11 +265,12 @@ def controlled_operator_inequality(frame: FrameSequence, K, ctrl: Controller, A:
     with ``S`` — otherwise :func:`operator_leq` refuses the comparison.  The
     comparison is decided on ``C~ = 2^-c C``, ``S~ = 2^(-2e) S`` and ``K~ =
     2^-k K`` (see :func:`framekit.operators._pow2_scaled`) after dividing
-    both sides by ``2^(c + 2e)``, so ``A`` moves by ``2^(2k - 2e)``.
+    both sides by ``2^(c + 2e)``, so ``A`` moves by ``2^(2k - 2e)``; the
+    moved ``A`` is never formed (see :func:`framekit.operators._scaled_leq`).
     """
     Kop, k = _pow2_scaled(as_operator(K, dim=frame.dim))
     (C, _), (S, e) = ctrl._scaled, frame._scaled
-    return operator_leq(_scaled_back(A, 2 * (k - e)) * (C @ Kop @ Kop.conj().T), C @ S, tol)
+    return _scaled_leq(A, 2 * (k - e), C @ Kop @ Kop.conj().T, C @ S, tol)
 
 
 def sandwich_inequality_check(frame: FrameSequence, K, ctrl: Controller, A: float, B: float, tol: Tolerances = DEFAULT_TOL) -> bool:
@@ -263,16 +283,18 @@ def sandwich_inequality_check(frame: FrameSequence, K, ctrl: Controller, A: floa
     Both are decided on ``C~ = 2^-c C``, ``S~ = 2^(-2e) S`` and ``K~ = 2^-k
     K`` (see :func:`framekit.operators._pow2_scaled`) after dividing each
     side by ``2^(c + 2e)``, so ``A`` moves by ``2^(2k - 2e)`` and ``B`` by
-    ``2^-(c + 2e)``.  A moved ``B`` of ``inf`` (``upper_opt`` is ``inf``
-    when ``lambda_max(C S)`` exceeds the largest float) bounds every
-    operator, so the upper comparison then holds without being formed.
+    ``2^-(c + 2e)``.  The moved ``A`` is never formed, as in
+    :func:`controlled_operator_inequality`.  A moved ``B`` of ``inf``
+    (``upper_opt`` is ``inf`` when ``lambda_max(C S)`` exceeds the largest
+    float) bounds every operator, so the upper comparison then holds
+    without being formed.
     """
     Kop, k = _pow2_scaled(as_operator(K, dim=frame.dim))
     (C, c), (S, e) = ctrl._scaled, frame._scaled
     L = C @ S
-    lower = _scaled_back(A, 2 * (k - e)) * hermitian_part(Kop @ C @ Kop.conj().T)
+    lower_holds = _scaled_leq(A, 2 * (k - e), hermitian_part(Kop @ C @ Kop.conj().T), L, tol)
     upper = _scaled_back(B, -c - 2 * e)
-    return operator_leq(lower, L, tol) and (upper == math.inf or operator_leq(L, upper * np.eye(frame.dim), tol))
+    return lower_holds and (upper == math.inf or operator_leq(L, upper * np.eye(frame.dim), tol))
 
 
 def bounds_to_kframe(A: float, B: float, ctrl: Controller) -> tuple[float, float]:

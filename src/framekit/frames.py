@@ -20,8 +20,8 @@ import numpy as np
 
 from .errors import DimensionMismatchError, InvalidParametersError, NotPositiveDefiniteError
 from .operators import (
-    DEFAULT_TOL, Tolerances, _pow2_scaled, _scaled_back, _spectrum_bounds, _validated_rectangular, as_vector,
-    hermitian_part,
+    DEFAULT_TOL, Tolerances, _pow2_scaled, _scaled_back, _spectrum_bounds, _times_pow2, _validated_rectangular,
+    as_vector, hermitian_part,
 )
 
 __all__ = [
@@ -55,14 +55,6 @@ class FrameSequence:
         M = _validated_rectangular(np.array(self.matrix, dtype=np.complex128))
         M.setflags(write=False)
         object.__setattr__(self, "matrix", M)
-
-    @classmethod
-    def from_vectors(cls, vectors) -> "FrameSequence":
-        """Build from an iterable of length-``d`` vectors."""
-        cols = [as_vector(v) for v in vectors]
-        if not cols:
-            raise InvalidParametersError("a frame sequence needs at least one vector")
-        return cls(np.stack(cols, axis=1))
 
     @property
     def dim(self) -> int:
@@ -142,7 +134,7 @@ def frame_operator(frame: FrameSequence) -> np.ndarray:
     S, e = frame._scaled
     if e:
         with np.errstate(over="ignore"):
-            S = np.ldexp(S.view(np.float64), 2 * e).view(np.complex128)
+            S = _times_pow2(S, 2 * e)
         if not (np.isfinite(S).all() and S.diagonal().real.max() >= np.finfo(np.float64).tiny):
             raise _outside_float_range(e > 0)
         S.setflags(write=False)

@@ -35,9 +35,10 @@ from .operators import (
     _pow2_scaled,
     _rank,
     _scaled_back,
+    _scaled_leq,
+    _times_pow2,
     as_operator,
     hermitian_part,
-    operator_leq,
     pseudo_inverse,
 )
 
@@ -206,12 +207,15 @@ def kframe_operator_inequality(frame: FrameSequence, K, A: float, tol: Tolerance
     :func:`framekit.operators._pow2_scaled`) after dividing both sides by
     ``2^(2e)``, so ``A`` moves by ``2^(2k - 2e)``: rescaling the family or
     ``K`` by a power of two leaves the verdict at the moved ``A`` as it is.
+    The moved ``A`` is never formed: its exponent goes on whichever side
+    it shrinks (see :func:`framekit.operators._scaled_leq`), so an ``A``
+    far above the optimum is refused, not overflowed.
     """
     if not (np.isfinite(A) and A > 0.0):
         raise InvalidParametersError(f"the candidate lower bound must be positive, got {A!r}")
     Kop, k = _pow2_scaled(as_operator(K, dim=frame.dim))
     S, e = frame._scaled
-    return operator_leq(_scaled_back(A, 2 * (k - e)) * hermitian_part(Kop @ Kop.conj().T), S, tol)
+    return _scaled_leq(A, 2 * (k - e), hermitian_part(Kop @ Kop.conj().T), S, tol)
 
 
 def rayleigh_quotients(frame: FrameSequence, K, vectors) -> np.ndarray:
@@ -219,13 +223,15 @@ def rayleigh_quotients(frame: FrameSequence, K, vectors) -> np.ndarray:
 
     Columns annihilated by ``K*`` yield ``inf`` rather than an error so bulk
     sampling stays simple.  The quotients are taken with the frame's cached
-    ``S~ = 2^(-2e) S`` and ``K~ = 2^-k K`` (see
-    :func:`framekit.operators._pow2_scaled`) and scaled back by
-    ``2^(2e - 2k)``: ``inf`` above the largest float, ``0.0`` below the
+    ``S~ = 2^(-2e) S``, ``K~ = 2^-k K`` and each probe column scaled by its
+    own power of two (see :func:`framekit.operators._pow2_scaled`), as a
+    quotient does not depend on the scale of its column, and scaled back
+    by ``2^(2e - 2k)``: ``inf`` above the largest float, ``0.0`` below the
     smallest.
     """
     Kop, k = _pow2_scaled(as_operator(K, dim=frame.dim))
     V = np.asarray(vectors, dtype=np.complex128).reshape(len(vectors), -1)  # a vector is one column
+    V = np.stack([_pow2_scaled(v)[0] for v in V.T], axis=1)  # each quotient is homogeneous in its column
     S, e = frame._scaled
     numerators = np.einsum("ij,ij->j", V.conj(), S @ V).real
     denominators = np.linalg.norm(Kop.conj().T @ V, axis=0) ** 2
@@ -308,7 +314,7 @@ def _factor_check(frame_f: FrameSequence, frame_g: FrameSequence, Kop, tol: Tole
         )
     (F, a), (G, b) = frame_f._scaled_matrix, frame_g._scaled_matrix
     with np.errstate(over="ignore"):
-        Ks = np.ldexp(np.ascontiguousarray(Kop).view(np.float64), -(a + b)).view(np.complex128)
+        Ks = _times_pow2(Kop, -(a + b))
     if not np.isfinite(Ks).all():
         return False, None
     (defect, Ks), _ = _pow2_scaled(np.stack([Ks - F @ G.conj().T, Ks]))

@@ -171,7 +171,13 @@ def _pow2_scaled(A):
     if 2.0**-128 <= m < 2.0**128:
         return A, 0
     e = math.frexp(m)[1]
-    return np.ldexp(parts, -e).view(np.complex128), e
+    return _times_pow2(A, -e), e
+
+
+def _times_pow2(A, n: int) -> np.ndarray:
+    """``A 2^n`` for a complex ``A``, part by part: exact while no part
+    leaves the normal range."""
+    return np.ldexp(np.ascontiguousarray(A).view(np.float64), n).view(np.complex128)
 
 
 def _scaled_back(x: float, e: int) -> float:
@@ -298,14 +304,35 @@ def operator_leq(T1, T2, tol: Tolerances = DEFAULT_TOL) -> bool:
     so the comparison takes one decomposition, of ``T2 - T1``.  Both operands
     must be Hermitian; comparing non-Hermitian operators is a category error,
     not a numerical question, and raises :class:`NonHermitianComparisonError`.
+    The test is homogeneous in the pair, so both operands are first scaled
+    by one exact power of two (see :func:`_pow2_scaled`): a huge or tiny
+    pair neither overflows nor underflows the difference or the norms.
     """
     A = as_operator(T1)
     B = as_operator(T2, dim=A.shape[0])
+    (A, B), _ = _pow2_scaled(np.stack([A, B]))
     if not is_hermitian(A, tol) or not is_hermitian(B, tol):
         raise NonHermitianComparisonError("Loewner comparison requires Hermitian operands")
     gap = float(np.linalg.eigvalsh(hermitian_part(B) - hermitian_part(A))[0])
     slack = tol.psd_slack * max(np.linalg.norm(A), np.linalg.norm(B))
     return bool(gap >= -slack)
+
+
+def _scaled_leq(A: float, p: int, W, P, tol: Tolerances) -> bool:
+    """Loewner comparison ``A 2^p W <= P`` without forming ``A 2^p``, which
+    may leave the float range.
+
+    ``W`` and ``P`` are operands scaled by :func:`_pow2_scaled`.  With ``A
+    = m 2^a`` and ``m`` in ``[1/2, 1)`` (:func:`math.frexp`), the exponent
+    ``q = a + p`` goes on whichever side it shrinks: ``m W <= 2^-q P`` for
+    ``q > 0``, else ``2^q m W <= P``.  So no operand overflows however far
+    ``A`` lies from the optimum, and the verdict is that of the unscaled
+    comparison.
+    """
+    m, a = math.frexp(A)
+    q = a + p
+    W, P = (m * W, _times_pow2(P, -q)) if q > 0 else (_times_pow2(m * W, q), P)
+    return operator_leq(W, P, tol)
 
 
 def inverse_bounds(bounds: OperatorBounds) -> OperatorBounds:

@@ -63,13 +63,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .controlled import Controller, _require_real_product, commutes
-from .errors import (
-    CommutationError,
-    IndefiniteOperatorError,
-    InvalidParametersError,
-    NotHermitianError,
-)
+from .controlled import Controller, _require_real_product
+from .errors import InvalidParametersError, NotHermitianError
 from .frames import FrameSequence, _require_float_bounds, frame_bounds, frame_operator
 from .operators import (
     DEFAULT_TOL,
@@ -156,11 +151,7 @@ def _coerce_bounds(bounds) -> OperatorBounds:
         lower, upper = (float(b) for b in bounds)
     except (TypeError, ValueError) as exc:
         raise InvalidParametersError(f"bounds must be an OperatorBounds or a (lower, upper) pair: {exc}")
-    if not (np.isfinite(lower) and np.isfinite(upper)) or lower <= 0.0 or upper < lower:
-        raise IndefiniteOperatorError(
-            f"Richardson iteration needs certified bounds 0 < lower <= upper, got ({lower!r}, {upper!r})"
-        )
-    return OperatorBounds(lower, upper)
+    return OperatorBounds(lower, upper)  # raises unless 0 < lower <= upper, both finite
 
 
 _BLOCK_MAX = 64
@@ -343,7 +334,9 @@ def richardson_solve(op, g, bounds, config: SolverConfig = SolverConfig(), tol: 
     g : array_like
         Right-hand side.
     bounds : OperatorBounds or (lower, upper)
-        Certified spectral bounds of ``op``.
+        Certified spectral bounds of ``op``.  A pair is checked once, by
+        building an :class:`OperatorBounds`: one that is not finite with
+        ``0 < lower <= upper`` raises :class:`InvalidParametersError`.
     config : SolverConfig
         Relaxation, stopping tolerance and iteration cap.
 
@@ -365,13 +358,14 @@ def controlled_richardson_solve(
     ctrl: Controller,
     g,
     config: SolverConfig = SolverConfig(),
-    K=None,
     tol: Tolerances = DEFAULT_TOL,
 ):
     """Solve ``S f = g`` by Richardson iteration on the controlled system ``C S f = C g``.
 
-    The controller must form a valid controlled instance: ``C S`` Hermitian
-    (and ``C K = K C`` when ``K`` is supplied).  The relaxation comes from the
+    The controller must form a valid controlled instance with the frame:
+    ``C S`` Hermitian.  The solve inverts ``S``, so it takes no ``K``; the
+    commutation ``C K = K C`` is a hypothesis of the controlled K-frame
+    verdict, not of the iteration.  The relaxation comes from the
     certified bounds of ``C S``, so the iteration count is governed by
     ``cond(C S)``; the stopping criterion is the relative residual of the
     *original* system, making counts directly comparable with
@@ -386,7 +380,5 @@ def controlled_richardson_solve(
     """
     _require_float_bounds(frame_bounds(frame, tol))
     rhs = as_vector(g, dim=frame.dim)
-    if K is not None and not commutes(ctrl, K, tol):
-        raise CommutationError("controller does not commute with K within tolerance")
     lam, _ = _controlled_relaxation(frame, ctrl, config, tol)
     return _solve_one(frame_operator(frame), rhs, lam, config, C=ctrl._scaled[0], kappa=ctrl.condition)

@@ -11,6 +11,7 @@ from framekit import (
     CSV_COLUMNS,
     BenchRow,
     InvalidParametersError,
+    NotPositiveDefiniteError,
     SolverConfig,
     ToolkitError,
     controlled_richardson_solve,
@@ -103,12 +104,37 @@ def test_controller_for_jacobi_decomposes_nothing_and_matches_eigh_bit_for_bit(m
     # The values ascend, and tied unit vectors keep their index order.
     tied = controller_for("jacobi", np.diag([1.1, 3.1, 0.9, 2.9]).astype(complex))
     assert np.array_equal(tied._eigh[0], [0.25, 0.25, 1.0, 1.0])
-    assert np.array_equal(tied._eigh[1], np.eye(4)[:, [1, 3, 0, 2]])
     _assert_same_controller(tied, make_controller(tied.matrix), ties=True)
     rng = np.random.default_rng(70)
     diag = 2.0 ** rng.integers(-3, 3, size=40) * rng.uniform(0.9, 1.1, size=40)
     many = controller_for("jacobi", np.diag(diag).astype(complex))
     _assert_same_controller(many, make_controller(many.matrix), ties=True)
+
+
+def test_controller_for_jacobi_refuses_a_non_positive_diagonal_entry():
+    for entry in (0.0, -1.0):
+        with pytest.raises(NotPositiveDefiniteError, match="positive diagonal entries"):
+            controller_for("jacobi", np.diag([1.0, entry, 2.0]))
+
+
+@pytest.mark.parametrize("strategy", ["identity", "exact-inverse", "jacobi"])
+def test_controller_for_gives_a_controller_whose_eigenpairs_are_those_of_its_matrix(monkeypatch, strategy):
+    S = frame_operator(generate_instance("ill-conditioned", 8, cond_target=1e3, seed=5)[0])
+    calls = []
+    for name in ("svd", "eigh", "eigvalsh"):
+        def counted(a, *args, _name=name, _original=getattr(np.linalg, name), **kwargs):
+            calls.append(_name)
+            return _original(a, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+    ctrl = controller_for(strategy, S)
+    assert calls == (["eigh"] if strategy == "exact-inverse" else [])  # identity and jacobi decompose nothing
+    monkeypatch.undo()
+    w, Q = ctrl._eigh
+    expected = np.linalg.eigh(hermitian_part(ctrl.matrix))
+    assert np.array_equal(w, expected[0]) and np.array_equal(Q, expected[1])
+    for array in (w, Q):
+        with pytest.raises(ValueError):
+            array[0] = 0.0
 
 
 def test_controller_for_unknown_strategy():

@@ -6,6 +6,7 @@ exercised here; the commuting hypotheses are violated on purpose to check the
 error paths.
 """
 
+import dataclasses
 import math
 import warnings
 
@@ -14,6 +15,7 @@ import pytest
 
 from framekit import (
     CommutationError,
+    Controller,
     FrameSequence,
     NonHermitianComparisonError,
     NonRealFormError,
@@ -42,7 +44,7 @@ from framekit.instances import (
     random_frame,
     random_positive_operator,
 )
-from framekit.operators import spectral_function
+from framekit.operators import hermitian_part, spectral_function
 
 
 def test_make_controller_caches_the_eigenpairs_and_bounds_of_c():
@@ -90,6 +92,21 @@ def test_controller_owns_a_read_only_copy_of_its_matrix():
     frame = FrameSequence(np.eye(3))
     assert controlled_kframe_check(frame, np.eye(3), ctrl).upper_opt == 3.0
     assert controlled_form(frame, ctrl, [1.0, 0.0, 0.0]) == 1.0
+
+
+def test_a_controller_is_built_from_its_matrix_alone():
+    C = np.array([[2.0, 1j], [-1j, 3.0]])
+    assert [f.name for f in dataclasses.fields(Controller) if f.init] == ["matrix"]
+    with pytest.raises(TypeError):
+        Controller(C, (np.ones(2), np.eye(2)))
+    for ctrl in (Controller(C), make_controller(C), identity_controller(4)):
+        w, Q = ctrl._eigh
+        expected = np.linalg.eigh(hermitian_part(ctrl.matrix))
+        assert np.array_equal(w, expected[0]) and np.array_equal(Q, expected[1])
+        assert ctrl._eigh is ctrl._eigh  # computed once, then cached
+        for array in (w, Q):
+            with pytest.raises(ValueError):
+                array[0] = 0.0
 
 
 def test_identity_controller_is_trivial():

@@ -42,12 +42,6 @@ def test_frame_sequence_is_immutable_and_copied():
         frame.matrix[0, 0] = 5.0
 
 
-def test_from_vectors_matches_matrix_layout():
-    frame = FrameSequence.from_vectors([[1, 0], [0, 1], [1, 1]])
-    assert frame.dim == 2 and frame.count == 3
-    np.testing.assert_array_equal(frame.matrix, np.array([[1, 0, 1], [0, 1, 1]], dtype=complex))
-
-
 def test_synthesis_direct_summation_oracle():
     rng = np.random.default_rng(10)
     frame = random_frame(rng, 4, 9)

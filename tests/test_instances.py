@@ -100,6 +100,11 @@ def test_deficient_pair_is_never_a_kframe():
         assert not kframe_check(frame, K).is_kframe
 
 
+def test_deficient_pair_needs_two_dimensions():
+    with pytest.raises(InvalidParametersError, match="dim >= 2"):
+        deficient_pair(np.random.default_rng(79), 1, 2)
+
+
 def test_c3_example_fixed_values():
     frame, K, ctrl = c3_example()
     np.testing.assert_array_equal(K, np.array([[1, 1, 0], [0, 0, 1], [0, 0, 0]], dtype=complex))

@@ -17,6 +17,7 @@ import scipy.linalg
 
 from framekit import (
     ControlledReport,
+    DimensionMismatchError,
     FrameSequence,
     InvalidParametersError,
     KFrameReport,
@@ -28,6 +29,7 @@ from framekit import (
     bessel_dual_check,
     construct_kframe,
     controlled_kframe_check,
+    controlled_operator_inequality,
     frame_bounds,
     frame_operator,
     interchange_dual,
@@ -36,10 +38,12 @@ from framekit import (
     load_operator,
     make_controller,
     numerical_rank,
+    operator_leq,
     operator_sqrt,
     pseudo_inverse,
     rayleigh_quotients,
     restricted_operator_inequalities,
+    sandwich_inequality_check,
     save_frame,
     save_operator,
     synthesis,
@@ -744,3 +748,65 @@ def test_atomic_constant_decomposes_the_family_once(monkeypatch):
     np.testing.assert_allclose(report.constant, expected, rtol=1e-12)
     assert [name for name, a in calls if _same(a, frame.matrix)] == ["svd"]
     assert [name for name, _ in calls] == ["svd", "norm2"]  # T, then Sigma_r^-1 U_r* K
+
+
+def _loewner_cases():
+    """Comparisons whose operands leave the float range when ``A`` is moved
+    as a number before the comparison."""
+    frame, K, ctrl = commuting_triple(np.random.default_rng(0), 4, 8, zero_k=1)
+    upper = controlled_kframe_check(frame, K, ctrl).upper_opt
+    cases = [pytest.param(lambda: operator_leq(1e154 * np.eye(2), np.zeros((2, 2))), False, id="1e154 I <= 0")]
+    for A in (1e154, 1e200, 1e308):
+        cases += [
+            pytest.param(lambda A=A: kframe_operator_inequality(frame, K, A), False, id=f"plain-{A:g}"),
+            pytest.param(lambda A=A: controlled_operator_inequality(frame, K, ctrl, A), False, id=f"controlled-{A:g}"),
+            pytest.param(lambda A=A: sandwich_inequality_check(frame, K, ctrl, A, upper), False, id=f"sandwich-{A:g}"),
+        ]
+    return cases + [
+        pytest.param(lambda: kframe_operator_inequality(FrameSequence(np.eye(3)), 2.0**600 * np.eye(3), 1.0), False,
+                     id="K=2^600 I"),
+        pytest.param(lambda: kframe_operator_inequality(FrameSequence(2.0**-600 * np.eye(3)), np.eye(3), 1.0), False,
+                     id="frame 2^-600 I"),
+        pytest.param(lambda: kframe_operator_inequality(FrameSequence(2.0**-500 * np.eye(3)), np.eye(3), 2.0**-1000),
+                     True, id="frame 2^-500 I at its optimum 2^-1000"),
+    ]
+
+
+@pytest.mark.parametrize("call, expected", _loewner_cases())
+def test_loewner_checks_decide_a_candidate_bound_far_from_the_optimum(call, expected):
+    # lower_opt is 0.158 on the triple, and 0.0 (underflowed) for the two
+    # scaled identities, so each A above fails the lower inequality; moving
+    # A as a number overflowed A K K*, or made the Frobenius slack inf.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert call() is expected
+
+
+def test_loewner_checks_keep_their_verdicts_next_to_the_optimum():
+    frame, K, ctrl = commuting_triple(np.random.default_rng(0), 4, 8, zero_k=1)
+    lower = kframe_check(frame, K).lower_opt
+    upper = controlled_kframe_check(frame, K, ctrl).upper_opt
+    for factor, expected in ((1 - 1e-6, True), (1 + 1e-6, False)):
+        A = lower * factor
+        assert kframe_operator_inequality(frame, K, A) is expected
+        assert controlled_operator_inequality(frame, K, ctrl, A) is expected
+        assert sandwich_inequality_check(frame, K, ctrl, A, upper) is expected
+
+
+@pytest.mark.parametrize("scale", [1e-200, 1e-100, 1.0, 1e100, 1e200])
+def test_rayleigh_quotients_do_not_depend_on_the_scale_of_a_probe(scale):
+    # The quotient of scale * (1, 1, 1) is 1 on the identity frame with K = I;
+    # at 1e-200 its numerator and denominator underflowed to 0 (giving inf),
+    # at 1e200 they overflowed.
+    frame = FrameSequence(np.eye(3))
+    probes = np.stack([scale * np.ones(3), [1.0, 2.0, 0.0], np.zeros(3)], axis=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        np.testing.assert_allclose(rayleigh_quotients(frame, np.eye(3), scale * np.ones(3)), [1.0], rtol=1e-15)
+        q = rayleigh_quotients(frame, np.diag([1.0, 0.5, 1.0]), probes)
+    np.testing.assert_allclose(q, [3.0 / 2.25, 2.5, np.inf], rtol=1e-15)
+
+
+def test_bessel_dual_check_refuses_families_in_different_dimensions():
+    with pytest.raises(DimensionMismatchError, match="share the ambient dimension"):
+        bessel_dual_check(FrameSequence(np.eye(2)), FrameSequence(np.ones((3, 2))), np.eye(2))

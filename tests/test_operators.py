@@ -293,7 +293,7 @@ def test_operator_leq_decides_the_same_after_rescaling():
     rng = np.random.default_rng(13)
     X = random_positive_operator(rng, 5)
     violated = (1 + 1e-6) * X       # exceeds X by one part in 1e6
-    for scale in (1e-6, 1.0, 1e6):
+    for scale in (1e-160, 1e-6, 1.0, 1e6, 1e160):
         assert operator_leq(scale * X, scale * X)
         assert operator_leq(scale * X, scale * violated)
         assert not operator_leq(scale * violated, scale * X)
