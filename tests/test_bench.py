@@ -101,7 +101,7 @@ def test_controller_for_jacobi_decomposes_nothing_and_matches_eigh_bit_for_bit(m
             ctrl = controller_for("jacobi", S)
         _assert_same_controller(ctrl, make_controller(ctrl.matrix))
     # Tied snapped entries: 1.1 and 0.9 both snap to 1, 3.1 and 2.9 to 4.
-    # The values ascend, and tied unit vectors keep their index order.
+    # The values ascend.
     tied = controller_for("jacobi", np.diag([1.1, 3.1, 0.9, 2.9]).astype(complex))
     assert np.array_equal(tied._eigh[0], [0.25, 0.25, 1.0, 1.0])
     _assert_same_controller(tied, make_controller(tied.matrix), ties=True)
