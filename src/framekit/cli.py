@@ -18,6 +18,9 @@ values (no solution is written then); 3 the solver hit its iteration cap
 Every JSON report embeds a run manifest (command, inputs, seed, tolerances,
 outputs, exit code).  Reports carry a wall-clock timestamp unless
 ``--deterministic`` is given, in which case reruns are byte-identical.
+``--json`` output is strict JSON: a number that is not finite (a bound
+beyond the largest float, a diverged residual, a ``nan`` flag value) is
+written as ``null``.
 Input validation never produces a stack trace — errors come back as
 ``file: position: message`` diagnostics on stderr.
 """
@@ -43,8 +46,8 @@ from .errors import (
 )
 from .frames import FrameSequence, _require_float_bounds, frame_bounds, frame_operator, synthesis
 from .instances import INSTANCE_KINDS, c3_example, generate_instance
-from .kframes import interchange_dual, kframe_check
-from .operators import DEFAULT_TOL, Tolerances, _pow2_scaled, numerical_rank
+from .kframes import construct_kframe, interchange_dual, kframe_check
+from .operators import DEFAULT_TOL, Tolerances, _pow2_scaled, numerical_rank, range_basis
 from .serialize import (
     _dumps,
     _Rendered,
@@ -92,11 +95,21 @@ def _manifest(args, tol: Tolerances, inputs: dict, outputs: list, exit_code: int
     return manifest
 
 
+def _nulled(obj):
+    """``obj`` with each non-finite float replaced by ``None``: strict JSON has no NaN."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, list):
+        return [_nulled(v) for v in obj]
+    if isinstance(obj, dict):
+        return {k: _nulled(v) for k, v in obj.items()}
+    return obj
+
+
 def _fields_obj(report, rank_k: int) -> dict:
     """Every field of a verdict report, its ``witness`` as a vector object,
-    and ``rank_k``, the numerical rank of the checked ``K``.  A non-finite
-    scalar (a ``lower_opt`` beyond the largest float) becomes ``None``."""
-    obj = _nulled({f.name: getattr(report, f.name) for f in dataclasses.fields(report)})
+    and ``rank_k``, the numerical rank of the checked ``K``."""
+    obj = {f.name: getattr(report, f.name) for f in dataclasses.fields(report)}
     witness = None if report.witness is None else vector_to_obj(report.witness)
     return {**obj, "witness": witness, "rank_k": rank_k}
 
@@ -115,8 +128,7 @@ def cmd_check(args, tol: Tolerances):
     inputs = {"frame": args.frame}
 
     fb = frame_bounds(frame, tol)
-    # a bound beyond the float range is null: strict JSON has no infinity
-    report = {"frame": _nulled({"lower": fb.lower, "upper": fb.upper, "is_frame": fb.is_frame})}
+    report = {"frame": {"lower": fb.lower, "upper": fb.upper, "is_frame": fb.is_frame}}
     lines = [
         f"frame: {frame.count} vectors in C^{frame.dim}; "
         f"bounds lower={fb.lower} upper={fb.upper} -> {'frame' if fb.is_frame else 'not a frame'}"
@@ -157,28 +169,24 @@ def cmd_dual(args, tol: Tolerances):
     frame_g = load_frame(args.g)
     K = load_operator(args.k)
     inputs = {"g": args.g, "k": args.k}
-    frame_f = None
     if args.f is not None:
         frame_f = load_frame(args.f)
         inputs["f"] = args.f
-
+    else:
+        frame_f, _ = construct_kframe(frame_g, K)  # {K g_n}
     dual = interchange_dual(frame_g, K, tol, frame_f=frame_f)
-    if frame_f is None:
-        frame_f = FrameSequence(np.asarray(K, dtype=np.complex128) @ frame_g.matrix)
 
-    # Reconstruction residuals on range(K): f = sum <f,h_n> f_n = sum <f,f_n> h_n.
-    # Probe s is K (parts[s, 0] + i parts[s, 1]): the draws of one loop over the
-    # samples, taken at once.  Zero probes are skipped.  The residuals are
-    # linear in the probes, so K is scaled by one exact power of two first: a
-    # huge or tiny K neither overflows nor underflows the relative residuals.
-    parts = np.random.default_rng(args.seed).normal(size=(max(args.samples, 0), 2, frame_g.dim))
-    F = _pow2_scaled(np.asarray(K, dtype=np.complex128))[0] @ (parts[:, 0] + 1j * parts[:, 1]).T
-    norms = np.linalg.norm(F, axis=0)
-    F, norms = F[:, norms > 0.0], norms[norms > 0.0]
+    # Reconstruction on range(K): f = sum <f,h_n> f_n = sum <f,f_n> h_n.  With Q
+    # an orthonormal basis of range(K), the largest relative residual of
+    # f -> A B* f over range(K) is the largest singular value of Q - A B* Q:
+    # exact, and 0.0 for a rank-zero K.  Scaling K by an exact power of two
+    # keeps its range, and no singular value of a huge or tiny K then
+    # overflows or underflows the rank rule.
+    Q = range_basis(_pow2_scaled(K)[0], tol)
 
     def worst(A, B):
-        """Largest relative residual of ``f -> A B* f`` over the probes."""
-        return float(np.max(np.linalg.norm(F - A @ (B.conj().T @ F), axis=0) / norms, initial=0.0))
+        """Largest relative residual of ``f -> A B* f`` over range(K)."""
+        return float(np.linalg.norm(Q - A @ (B.conj().T @ Q), 2))
 
     worst_dual_side = worst(frame_f.matrix, dual.matrix)
     worst_frame_side = worst(dual.matrix, frame_f.matrix)
@@ -189,7 +197,6 @@ def cmd_dual(args, tol: Tolerances):
     report = {
         "dual": dual_json,
         "reconstruction": {
-            "samples": args.samples,
             "max_rel_residual_coefficients_in_dual": worst_dual_side,
             "max_rel_residual_coefficients_in_frame": worst_frame_side,
         },
@@ -228,14 +235,13 @@ def cmd_solve(args, tol: Tolerances):
     if not (
         np.isfinite(f).all() and np.isfinite(trace.residuals).all() and np.isfinite(trace.empirical_rate)
     ):
-        # No solution is written and strict JSON has no NaN: each non-finite
-        # trace number is reported as null.
+        # No solution is written.
         print(
             f"framekit solve: the iteration diverged: an iterate or residual is not finite after "
             f"{trace.iterations} iterations, so the relaxation does not contract; no solution written",
             file=sys.stderr,
         )
-        report = {"solution": None, "trace": _nulled(trace_obj)}
+        report = {"solution": None, "trace": trace_obj}
         lines = [f"diverged after {trace.iterations} iterations; no solution written"]
         return report, lines, EXIT_PROPERTY, inputs, []
     save_vector(f, args.out)
@@ -248,17 +254,6 @@ def cmd_solve(args, tol: Tolerances):
     ]
     report = {"solution": vector_to_obj(f), "trace": trace_obj}
     return report, lines, EXIT_OK if trace.converged else EXIT_NOT_CONVERGED, inputs, [args.out]
-
-
-def _nulled(obj):
-    """``obj`` with each non-finite float replaced by ``None``: strict JSON has no NaN."""
-    if isinstance(obj, float):
-        return obj if math.isfinite(obj) else None
-    if isinstance(obj, list):
-        return [_nulled(v) for v in obj]
-    if isinstance(obj, dict):
-        return {k: _nulled(v) for k, v in obj.items()}
-    return obj
 
 
 def cmd_bench(args, tol: Tolerances):
@@ -411,8 +406,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--k", required=True, help="operator JSON file")
     p.add_argument("--f", help="explicit frame F with K = F G* (default: {K g_n})")
     p.add_argument("--out", default="dual.json", help="output path (default %(default)s)")
-    p.add_argument("--samples", type=int, default=100,
-                   help="reconstruction test vectors in range(K) (default %(default)s)")
     p.set_defaults(func=cmd_dual)
 
     p = sub.add_parser("solve", parents=[shared],
@@ -488,7 +481,7 @@ def main(argv=None) -> int:
             raise InvalidParametersError(f"the seed must be an integer >= 0, got {args.seed}")
         report, lines, exit_code, inputs, outputs = args.func(args, tol)
         report["manifest"] = _manifest(args, tol, inputs, outputs, exit_code)
-        print(_dumps(report) if args.json else "\n".join(lines))
+        print(_dumps(_nulled(report)) if args.json else "\n".join(lines))
         return exit_code
     except (ParseError, OSError) as exc:
         print(f"framekit {args.command}: {exc}", file=sys.stderr)

@@ -24,7 +24,7 @@ differ from the plain one at the ``rel_eq`` level.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -65,37 +65,39 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Controller:
-    """A positive invertible operator with one cached eigendecomposition.
+    """A positive invertible operator with its scale and eigendecomposition cached.
 
     ``matrix`` is a read-only copy of the operator given; the controller
-    is a function of it alone.  On first use ``_eigh`` computes the
-    ascending eigenpairs ``(w, Q) = eigh(hermitian_part(matrix))`` and
-    caches them read-only, as a :class:`FrameSequence` caches those of
-    ``S~``; ``bounds`` are its extreme eigenvalues.  On construction the
-    controller also caches ``(C~, c) = _pow2_scaled(matrix)``, read-only
-    (see :func:`framekit.operators._pow2_scaled`), as a
-    :class:`FrameSequence` caches ``(T~, e)``: ``c`` is ``0``, and ``C~``
-    is ``C``, unless the largest part of ``C`` lies outside ``[2^-128,
-    2^128)``.  The controlled paths read ``C~ = 2^-c C`` and the frame's
-    ``S~ = 2^(-2e) S``, so no product of the two under- or overflows, and
-    report values scaled back by ``2^(c + 2e)``.  The constructor certifies
-    nothing: :func:`make_controller` does.
+    is a function of it alone.  On first use, as a :class:`FrameSequence`
+    caches ``(T~, e)`` and the eigenpairs of ``S~``, the controller
+    computes ``(C~, c) = _pow2_scaled(matrix)`` (see
+    :func:`framekit.operators._pow2_scaled`) and the ascending eigenpairs
+    ``_eigh = eigh(hermitian_part(C~))``, and caches each read-only.  ``c``
+    is ``0``, and ``C~`` is ``C``, unless the largest part of ``C`` lies
+    outside ``[2^-128, 2^128)``; so neither the decomposition nor any
+    product of ``C~`` with the frame's ``S~ = 2^(-2e) S`` under- or
+    overflows.  ``bounds`` are the extreme eigenvalues scaled back by
+    ``2^c``; the controlled paths report values scaled back by
+    ``2^(c + 2e)``.  The constructor certifies nothing:
+    :func:`make_controller` does.
     """
 
     matrix: np.ndarray
-    _scaled: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         M = np.array(self.matrix, dtype=np.complex128)  # the one copy
         M.setflags(write=False)
-        C, c = _pow2_scaled(M)
-        C.setflags(write=False)
         object.__setattr__(self, "matrix", M)
-        object.__setattr__(self, "_scaled", (C, c))
+
+    @cached_property
+    def _scaled(self) -> tuple[np.ndarray, int]:
+        C, c = _pow2_scaled(self.matrix)
+        C.setflags(write=False)
+        return C, c
 
     @cached_property
     def _eigh(self) -> tuple[np.ndarray, np.ndarray]:
-        w, Q = np.linalg.eigh(hermitian_part(self.matrix))
+        w, Q = np.linalg.eigh(hermitian_part(self._scaled[0]))
         w.setflags(write=False)
         Q.setflags(write=False)
         return w, Q
@@ -106,8 +108,8 @@ class Controller:
 
     @property
     def bounds(self) -> OperatorBounds:
-        w = self._eigh[0]
-        return OperatorBounds(float(w[0]), float(w[-1]))
+        w, c = self._eigh[0], self._scaled[1]
+        return OperatorBounds(_scaled_back(float(w[0]), c), _scaled_back(float(w[-1]), c))
 
     @property
     def condition(self) -> float:
@@ -165,7 +167,7 @@ def controlled_form(frame: FrameSequence, ctrl: Controller, f, tol: Tolerances =
     v, b = _pow2_scaled(as_vector(f, dim=frame.dim))
     (C, c), (S, e) = ctrl._scaled, frame._scaled
     value = complex(np.vdot(v, C @ (S @ v)))
-    norms = math.ldexp(ctrl.bounds.upper, -c) * float(frame._eigh[0][-1])
+    norms = float(ctrl._eigh[0][-1]) * float(frame._eigh[0][-1])
     limit = tol.rel_eq * norms * float(np.vdot(v, v).real)
     if abs(value.imag) > limit:
         raise NonRealFormError(
@@ -266,7 +268,9 @@ def controlled_operator_inequality(frame: FrameSequence, K, ctrl: Controller, A:
     comparison is decided on ``C~ = 2^-c C``, ``S~ = 2^(-2e) S`` and ``K~ =
     2^-k K`` (see :func:`framekit.operators._pow2_scaled`) after dividing
     both sides by ``2^(c + 2e)``, so ``A`` moves by ``2^(2k - 2e)``; the
-    moved ``A`` is never formed (see :func:`framekit.operators._scaled_leq`).
+    moved ``A`` is never formed (see :func:`framekit.operators._scaled_leq`),
+    and an ``A`` that is not finite and positive raises
+    :class:`InvalidParametersError` there.
     """
     Kop, k = _pow2_scaled(as_operator(K, dim=frame.dim))
     (C, _), (S, e) = ctrl._scaled, frame._scaled
@@ -283,11 +287,11 @@ def sandwich_inequality_check(frame: FrameSequence, K, ctrl: Controller, A: floa
     Both are decided on ``C~ = 2^-c C``, ``S~ = 2^(-2e) S`` and ``K~ = 2^-k
     K`` (see :func:`framekit.operators._pow2_scaled`) after dividing each
     side by ``2^(c + 2e)``, so ``A`` moves by ``2^(2k - 2e)`` and ``B`` by
-    ``2^-(c + 2e)``.  The moved ``A`` is never formed, as in
-    :func:`controlled_operator_inequality`.  A moved ``B`` of ``inf``
-    (``upper_opt`` is ``inf`` when ``lambda_max(C S)`` exceeds the largest
-    float) bounds every operator, so the upper comparison then holds
-    without being formed.
+    ``2^-(c + 2e)``.  The moved ``A`` is never formed and a bad ``A`` is
+    refused, as in :func:`controlled_operator_inequality`.  A moved ``B``
+    of ``inf`` (``upper_opt`` is ``inf`` when ``lambda_max(C S)`` exceeds
+    the largest float) bounds every operator, so the upper comparison then
+    holds without being formed.
     """
     Kop, k = _pow2_scaled(as_operator(K, dim=frame.dim))
     (C, c), (S, e) = ctrl._scaled, frame._scaled

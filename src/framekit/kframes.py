@@ -209,10 +209,9 @@ def kframe_operator_inequality(frame: FrameSequence, K, A: float, tol: Tolerance
     ``K`` by a power of two leaves the verdict at the moved ``A`` as it is.
     The moved ``A`` is never formed: its exponent goes on whichever side
     it shrinks (see :func:`framekit.operators._scaled_leq`), so an ``A``
-    far above the optimum is refused, not overflowed.
+    far above the optimum is refused, not overflowed.  An ``A`` that is not
+    finite and positive raises :class:`InvalidParametersError` there.
     """
-    if not (np.isfinite(A) and A > 0.0):
-        raise InvalidParametersError(f"the candidate lower bound must be positive, got {A!r}")
     Kop, k = _pow2_scaled(as_operator(K, dim=frame.dim))
     S, e = frame._scaled
     return _scaled_leq(A, 2 * (k - e), hermitian_part(Kop @ Kop.conj().T), S, tol)

@@ -327,8 +327,12 @@ def _scaled_leq(A: float, p: int, W, P, tol: Tolerances) -> bool:
     ``q = a + p`` goes on whichever side it shrinks: ``m W <= 2^-q P`` for
     ``q > 0``, else ``2^q m W <= P``.  So no operand overflows however far
     ``A`` lies from the optimum, and the verdict is that of the unscaled
-    comparison.
+    comparison.  A candidate ``A`` that is not finite and positive is
+    refused with :class:`InvalidParametersError`: the one rule for the
+    three Loewner checks that call this.
     """
+    if not 0.0 < A < math.inf:
+        raise InvalidParametersError(f"the candidate lower bound must be positive, got {A!r}")
     m, a = math.frexp(A)
     q = a + p
     W, P = (m * W, _times_pow2(P, -q)) if q > 0 else (_times_pow2(m * W, q), P)

@@ -196,6 +196,23 @@ def test_check_certifies_a_frame_whose_operator_underflows(tmp_path, capsys):
     assert "bounds lower=0.0 upper=0.0 -> frame" in capsys.readouterr().out
 
 
+def test_check_certifies_a_controller_near_the_largest_float(tmp_path, capsys):
+    # hermitian_part(C) overflows unless C is scaled first: the controller's
+    # bounds came out (nan, nan) and the check exited 1.
+    f_path = _write_frame(tmp_path / "f.json", np.eye(3))
+    C = 1e308 * np.diag([1.0, 1.5, 1.0])
+    c_path = _write_operator(tmp_path / "c.json", C)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["check", f_path, "--c", c_path, "--json", "--deterministic"])
+    captured = capsys.readouterr()
+    assert code == 0, captured.err
+    report = _strict_json(captured.out)
+    assert report["controlled"]["is_controlled_kframe"] is True
+    assert report["controlled"]["upper_opt"] == C[1, 1]
+    assert "Warning" not in captured.err
+
+
 @pytest.mark.parametrize("s", [1e160, 1e-170])
 def test_solve_refuses_a_frame_whose_operator_leaves_the_float_range(tmp_path, capsys, s):
     f_path = _write_frame(tmp_path / "frame.json", s * np.eye(3))
@@ -287,35 +304,53 @@ def test_dual_file_and_report_are_laid_out_as_the_indenting_encoder(tmp_path, ca
     assert report["dual"] == json.loads(written)
 
 
-def test_dual_residuals_match_the_per_sample_loop(tmp_path, capsys):
+def test_dual_residuals_are_the_exact_supremum_over_range_k(tmp_path, capsys):
     # A near-Parseval G accepted under a loose --tol-rel leaves residuals of
-    # about 1e-4, so the reported maxima depend on which probes were drawn.
-    # The per-sample loop below is the reference; the command draws all
-    # samples at once, so only the summation order of the products differs.
+    # about 1e-4.  Each reported value is sup ||f - A B* f|| / ||f|| over f
+    # in range(K): the largest singular value of X = (I - A B*) Q for an
+    # orthonormal basis Q of range(K), here from an independent SVD of K.
     rng = np.random.default_rng(12)
     G = parseval_frame(rng, 5, 9).matrix + 1e-4 * rng.normal(size=(5, 9))
     K = np.diag([1.0, 2.0, 0.0, 0.5, 0.0]).astype(complex)
     g_path = _write_frame(tmp_path / "g.json", G)
     k_path = _write_operator(tmp_path / "k.json", K)
     out = tmp_path / "dual.json"
-    code = main(["dual", "--g", g_path, "--k", k_path, "--out", str(out), "--tol-rel", "1e-2",
-                 "--samples", "40", "--seed", "7", "--json", "--deterministic"])
+    argv = ["dual", "--g", g_path, "--k", k_path, "--out", str(out), "--tol-rel", "1e-2",
+            "--json", "--deterministic"]
+    # the exact value needs no probe count: --samples is a usage error that writes nothing
+    assert main([*argv, "--samples", "5"]) == 1
+    assert "unrecognized arguments: --samples 5" in capsys.readouterr().err
+    assert not out.exists()
+    code = main(argv)
     rec = _json_report(capsys)["reconstruction"]
     assert code == 0
+    assert "samples" not in rec
 
     from framekit import load_frame
 
     H, F = load_frame(out).matrix, K @ G
-    draws = np.random.default_rng(7)
-    worst_dual_side = worst_frame_side = 0.0
-    for _ in range(40):
-        f = K @ (draws.normal(size=5) + 1j * draws.normal(size=5))
-        norm = np.linalg.norm(f)
-        worst_dual_side = max(worst_dual_side, np.linalg.norm(f - F @ (H.conj().T @ f)) / norm)
-        worst_frame_side = max(worst_frame_side, np.linalg.norm(f - H @ (F.conj().T @ f)) / norm)
-    assert worst_dual_side > 1e-6 and worst_frame_side > 1e-6
-    np.testing.assert_allclose(rec["max_rel_residual_coefficients_in_dual"], worst_dual_side, rtol=1e-9)
-    np.testing.assert_allclose(rec["max_rel_residual_coefficients_in_frame"], worst_frame_side, rtol=1e-9)
+    U, s, _ = np.linalg.svd(K)
+    Q = U[:, s > 1e-12 * s[0]]
+    probes = K @ (rng.normal(size=(5, 1000)) + 1j * rng.normal(size=(5, 1000)))
+    for key, A, B in (("max_rel_residual_coefficients_in_dual", F, H),
+                      ("max_rel_residual_coefficients_in_frame", H, F)):
+        X = (np.eye(5) - A @ B.conj().T) @ Q
+        exact = np.sqrt(np.linalg.eigvalsh(X.conj().T @ X)[-1])
+        assert exact > 1e-6
+        np.testing.assert_allclose(rec[key], exact, rtol=1e-9)
+        sampled = np.linalg.norm(probes - A @ (B.conj().T @ probes), axis=0) / np.linalg.norm(probes, axis=0)
+        assert sampled.max() <= rec[key] * (1 + 1e-9)
+
+
+def test_dual_of_a_zero_k_reports_zero_residuals(tmp_path, capsys):
+    g_path = _write_frame(tmp_path / "g.json", np.eye(3))
+    k_path = _write_operator(tmp_path / "k.json", np.zeros((3, 3)))
+    code = main(["dual", "--g", g_path, "--k", k_path, "--out", str(tmp_path / "dual.json"),
+                 "--json", "--deterministic"])
+    rec = _json_report(capsys)["reconstruction"]
+    assert code == 0
+    assert rec["max_rel_residual_coefficients_in_dual"] == 0.0
+    assert rec["max_rel_residual_coefficients_in_frame"] == 0.0
 
 
 def test_dual_refuses_non_factoring_family(tmp_path, capsys):
@@ -530,6 +565,16 @@ def test_bench_manifest_records_the_parsed_cond_targets(tmp_path, capsys):
     assert report["manifest"]["inputs"]["cond_targets"] == [None, 100.0]
 
 
+def test_bench_json_reports_a_median_speedup_of_no_converged_cell_as_null(tmp_path, capsys):
+    # One iteration converges no cell, so no speedup is finite.
+    code = main(["bench", "--kinds", "ill-conditioned", "--dims", "4", "--cond-targets", "100",
+                 "--trials", "1", "--max-iter", "1", "--out", str(tmp_path / "bench.csv"),
+                 "--json", "--deterministic"])
+    report = _strict_json(capsys.readouterr().out)
+    assert code == 0
+    assert report["median_speedup"] is None and report["converged_rows"] == 0
+
+
 @pytest.mark.parametrize("flags, where", [
     (["--dims", "0"], "dims[0]"),
     (["--dims", "4", "-3"], "dims[1]"),
@@ -581,6 +626,15 @@ def test_gen_then_check_round_trip(tmp_path, capsys):
     assert report["controlled"]["is_controlled_kframe"] is True
     assert report["controlled"]["commutes_with_k"] is True
     assert report["controlled"]["form_is_real"] is True
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_gen_json_reports_an_ignored_non_finite_cond_target_as_null(tmp_path, capsys, value):
+    code = main(["gen", "--kind", "random-frame", "--dim", "3", "--cond-target", value,
+                 "--out-prefix", str(tmp_path / "inst"), "--json", "--deterministic"])
+    report = _strict_json(capsys.readouterr().out)
+    assert code == 0
+    assert report["manifest"]["inputs"]["cond_target"] is None
 
 
 def test_gen_builtin_c3_instance_files(tmp_path, capsys):

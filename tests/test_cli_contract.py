@@ -1,19 +1,23 @@
-"""Contract fuzz of the command line: ``check``, ``dual`` and ``solve`` on
-mutated input files and flag values.
+"""Contract fuzz of the command line: every subcommand with a JSON report.
 
-Hypothesis builds input files for dims up to 8: well-formed objects, then
-one mutation each from wrong types, wrong shapes, bad bytes and huge,
-tiny or non-finite numbers, and flag values at and beyond their ranges.
+For ``check``, ``dual`` and ``solve``, Hypothesis builds input files for
+dims up to 8: well-formed objects, then one mutation each from wrong
+types, wrong shapes, bad bytes and huge, tiny or non-finite numbers, and
+flag values at and beyond their ranges.  ``bench`` and ``gen`` read no
+files; they get tiny grids and instances with flag values at and beyond
+their ranges, condition targets ``nan``, ``inf`` and ``na`` among them.
 ``cli.main`` runs in-process.  Whatever the input, the run must
 
 * return an exit code in {0, 1, 2, 3} and raise nothing;
 * print no ``Traceback`` on stderr;
 * print, under ``--json``, a stdout that ``json.loads`` parses as strict
   JSON (no ``NaN`` or ``Infinity`` token);
-* leave only files that load back through framekit's own loaders.
+* leave only files that load back through framekit's own loaders, and
+  a ``bench`` CSV with the header and row width of ``CSV_COLUMNS``.
 """
 
 import contextlib
+import csv
 import io
 import json
 import math
@@ -24,7 +28,8 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from framekit import load_frame, load_vector
+from framekit import INSTANCE_KINDS, load_frame, load_operator, load_vector
+from framekit.bench import CSV_COLUMNS
 from framekit.cli import main
 
 FUZZ = settings(derandomize=True, deadline=None, max_examples=120)
@@ -145,7 +150,6 @@ def dual_runs(draw):
     if draw(st.booleans()):
         kinds["f.json"] = "frame"
         argv += ["--f", "f.json"]
-    argv += draw(flags(("--samples", "0"), ("--samples", "-3"), ("--samples", "5")))
     return draw(inputs(kinds, dim)), argv, {"out.json": load_frame}
 
 
@@ -165,6 +169,39 @@ def solve_runs(draw):
         ("--residual-tol", "1e-300"),
     ))
     return draw(inputs(kinds, dim)), argv, {"out.json": load_vector}
+
+
+def _load_csv(path):
+    """Refuse a benchmark CSV whose header or row widths are not ``CSV_COLUMNS``'s."""
+    with open(path, newline="", encoding="utf-8") as handle:
+        header, *rows = csv.reader(handle)
+    assert header == list(CSV_COLUMNS), header
+    assert all(len(row) == len(CSV_COLUMNS) for row in rows), rows
+
+
+@st.composite
+def bench_runs(draw):
+    def some(values):
+        return draw(st.lists(st.sampled_from(values), min_size=1, max_size=2))
+
+    argv = ["bench", "--kinds", *some(INSTANCE_KINDS), "--dims", *some(["1", "2", "3", "4", "0", "-1"]),
+            "--cond-targets", *some(["1", "10", "1e3", "0.5", "nan", "inf", "na"]),
+            "--trials", draw(st.sampled_from(["1"] * 4 + ["2", "0"])),
+            "--max-iter", draw(st.sampled_from(["1", "50", "200"])), "--out", "out.csv"]
+    argv += draw(flags(
+        ("--controller", "identity"), ("--controller", "exact-inverse"),
+        ("--residual-tol", "0"), ("--residual-tol", "nan"), ("--residual-tol", "1e-300"),
+    ))
+    return {}, argv, {"out.csv": _load_csv}
+
+
+@st.composite
+def gen_runs(draw):
+    argv = ["gen", "--kind", draw(st.sampled_from(INSTANCE_KINDS)), "--out-prefix", "inst"]
+    argv += draw(st.sampled_from([[]] + [["--dim", dim] for dim in ("1", "3", "3", "6", "0", "-2")]))
+    argv += draw(flags(("--count", "3"), ("--count", "12"), ("--count", "0")))
+    argv += draw(st.sampled_from([[]] + [["--cond-target", v] for v in ("1", "1e3", "0.5", "nan", "inf", "na")]))
+    return {}, argv, {"inst-frame.json": load_frame, "inst-k.json": load_operator, "inst-c.json": load_operator}
 
 
 def _refuse(token):
@@ -211,4 +248,16 @@ def test_dual_keeps_the_contract(run, as_json, shared):
 @FUZZ
 @given(solve_runs(), st.booleans(), SHARED_FLAGS)
 def test_solve_keeps_the_contract(run, as_json, shared):
+    _run_contract(run, as_json, shared)
+
+
+@FUZZ
+@given(bench_runs(), st.booleans(), SHARED_FLAGS)
+def test_bench_keeps_the_contract(run, as_json, shared):
+    _run_contract(run, as_json, shared)
+
+
+@FUZZ
+@given(gen_runs(), st.booleans(), SHARED_FLAGS)
+def test_gen_keeps_the_contract(run, as_json, shared):
     _run_contract(run, as_json, shared)

@@ -17,6 +17,7 @@ from framekit import (
     CommutationError,
     Controller,
     FrameSequence,
+    InvalidParametersError,
     NonHermitianComparisonError,
     NonRealFormError,
     NotPositiveDefiniteError,
@@ -155,6 +156,19 @@ def test_a_huge_controller_that_does_not_commute_with_s_is_refused_with_a_finite
         warnings.simplefilter("error")
         with pytest.raises(NonRealFormError, match=r"relative defect \d"):
             controlled_kframe_check(FrameSequence(np.diag([1.0, 2.0])), np.eye(2), ctrl)
+
+
+def test_a_controller_near_the_largest_float_has_its_own_bounds():
+    # hermitian_part(C) of 1e308 * C0 overflows unless C is scaled first:
+    # the bounds came out (nan, nan) and make_controller refused C
+    C = 1e308 * np.diag([1.0, 1.5, 1.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ctrl = make_controller(C)
+        report = controlled_kframe_check(FrameSequence(np.eye(3)), np.eye(3), ctrl)
+        assert controlled_form(FrameSequence(np.eye(3)), ctrl, [0.0, 1.0, 0.0]) == C[1, 1]
+    assert (ctrl.bounds.lower, ctrl.bounds.upper) == (C[0, 0], C[1, 1])
+    assert report.is_controlled_kframe and report.upper_opt == C[1, 1]
 
 
 def test_controlled_form_direct_summation_oracle():
@@ -300,6 +314,23 @@ def test_sandwich_inequality_at_certified_bounds():
     # tightening either side within the shared-eigenbasis structure breaks it
     assert not sandwich_inequality_check(frame, K, ctrl, 1.5 * report.lower_opt, report.upper_opt)
     assert not sandwich_inequality_check(frame, K, ctrl, report.lower_opt, 0.7 * report.upper_opt)
+
+
+_LOEWNER_CHECKS = {
+    "plain": lambda frame, K, ctrl, A: kframe_operator_inequality(frame, K, A),
+    "controlled": lambda frame, K, ctrl, A: controlled_operator_inequality(frame, K, ctrl, A),
+    "sandwich": lambda frame, K, ctrl, A: sandwich_inequality_check(frame, K, ctrl, A, 1e3),
+}
+
+
+@pytest.mark.parametrize("A", [0.0, -1.0, math.inf, math.nan])
+@pytest.mark.parametrize("check", sorted(_LOEWNER_CHECKS))
+def test_the_loewner_checks_refuse_a_candidate_bound_that_is_not_finite_and_positive(check, A):
+    frame, K, ctrl = commuting_triple(np.random.default_rng(0), 4, 8, zero_k=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidParametersError, match="the candidate lower bound must be positive"):
+            _LOEWNER_CHECKS[check](frame, K, ctrl, A)
 
 
 def test_bounds_transfer_to_plain_kframe_bounds():
