@@ -20,12 +20,14 @@ comparable.  Controller strategies:
     ``ill-conditioned`` family.
 
 Each cell is prepared with its own seed ``base_seed + cell_index``: the
-instance, ``S`` and its bounds, the right-hand side, the controller and the
-bounds of ``C S``.  The cells of one dimension are then solved together, all
-plain solves as one stack and all controlled solves as another (see
-``solvers._richardson_stack``); each column stops on its own residual, so
-every count equals that of a separate solve.  Rows are assembled in grid
-order, so the CSV is byte-identical for a fixed seed.
+instance, its scaled ``S~ = 2^(-2e) S`` and the bounds of ``S~``, the
+right-hand side, the controller and the bounds of ``C~ S~``; both solves
+run on ``S~`` with their relaxations moved to it (see
+``solvers._controlled_relaxation``).  The cells of one dimension are then
+solved together, all plain solves as one stack and all controlled solves as
+another (see ``solvers._richardson_stack``); each column stops on its own
+residual, so every count equals that of a separate solve.  Rows are
+assembled in grid order, so the CSV is byte-identical for a fixed seed.
 """
 
 from __future__ import annotations
@@ -39,7 +41,6 @@ import numpy as np
 
 from .controlled import Controller, identity_controller
 from .errors import InvalidParametersError, NotPositiveDefiniteError, ToolkitError
-from .frames import frame_operator
 from .instances import generate_instance
 from .operators import (
     DEFAULT_TOL,
@@ -125,7 +126,7 @@ def _prepare_cell(index, kind, dim, cond_target, controller, config, tol):
     seed = config.seed + index
     try:
         frame, _, _ = generate_instance(kind, dim, 2 * dim, cond_target, seed=seed, tol=tol)
-        S = frame_operator(frame)
+        S, e = frame._scaled
         bounds = _spectrum_bounds(np.linalg.eigvalsh(S), tol)
         rng = np.random.default_rng(seed + 1_000_003)
         g = rng.normal(size=dim) + 1j * rng.normal(size=dim)
@@ -135,7 +136,7 @@ def _prepare_cell(index, kind, dim, cond_target, controller, config, tol):
     except ToolkitError:
         # An unusable cell (e.g. singular frame operator) is reported, not fatal.
         return None
-    return S, g, ctrl._scaled[0], bounds, precond_bounds, controlled_lam
+    return S, g, ctrl._scaled[0], bounds, precond_bounds, _relaxation(config, bounds, 2 * e), controlled_lam
 
 
 def _solve_group(prepared, config):
@@ -144,10 +145,9 @@ def _solve_group(prepared, config):
     Returns ``(iters_plain, converged_plain, iters_controlled,
     converged_controlled)`` per cell, in the order of ``prepared``.
     """
-    S, g, C, bounds, _, controlled_lam = zip(*prepared)
+    S, g, C, _, _, plain_lam, controlled_lam = zip(*prepared)
     S, g = np.stack(S), np.stack(g)
-    plain_lam = np.array([_relaxation(config, b) for b in bounds])
-    _, plain, plain_ok = _richardson_stack(S, g, plain_lam, config)
+    _, plain, plain_ok = _richardson_stack(S, g, np.array(plain_lam), config)
     _, controlled, controlled_ok = _richardson_stack(S, g, np.array(controlled_lam), config, C=np.stack(C))
     return [
         (p.size, bool(p_ok), c.size, bool(c_ok))

@@ -44,7 +44,7 @@ from .errors import (
     ParseError,
     ToolkitError,
 )
-from .frames import FrameSequence, _require_float_bounds, frame_bounds, frame_operator, synthesis
+from .frames import FrameSequence, frame_bounds, frame_operator, synthesis
 from .instances import INSTANCE_KINDS, c3_example, generate_instance
 from .kframes import construct_kframe, interchange_dual, kframe_check
 from .operators import DEFAULT_TOL, Tolerances, _pow2_scaled, numerical_rank, range_basis
@@ -62,7 +62,7 @@ from .serialize import (
     save_vector,
     vector_to_obj,
 )
-from .solvers import SolverConfig, controlled_richardson_solve, richardson_solve
+from .solvers import SolverConfig, controlled_richardson_solve
 
 __all__ = ["main", "entry"]
 
@@ -214,20 +214,17 @@ def cmd_solve(args, tol: Tolerances):
     g = load_vector(args.g)
     inputs = {"frame": args.frame, "g": args.g}
 
-    fb = frame_bounds(frame, tol)
-    if not fb.is_frame:
+    if not frame_bounds(frame, tol).is_frame:
         raise NotPositiveDefiniteError(
             "the frame operator is singular: this solver inverts S on the whole space "
             "and does not solve restricted systems on range(K)"
         )
-    _require_float_bounds(fb)
     config = SolverConfig(relaxation=args.relaxation, residual_tol=args.residual_tol, max_iter=args.max_iter)
+    ctrl = None
     if args.c is not None:
         ctrl = make_controller(load_operator(args.c), tol)
         inputs["c"] = args.c
-        f, trace = controlled_richardson_solve(frame, ctrl, g, config, tol=tol)
-    else:  # frame_operator refuses an S beyond the float range
-        f, trace = richardson_solve(frame_operator(frame), g, (fb.lower, fb.upper), config, tol)
+    f, trace = controlled_richardson_solve(frame, ctrl, g, config, tol=tol)
     trace_obj = {
         **{f.name: getattr(trace, f.name) for f in dataclasses.fields(trace)},
         "final_residual": trace.residuals[-1] if trace.residuals else 0.0,

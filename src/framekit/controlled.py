@@ -29,7 +29,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import CommutationError, NonRealFormError, NotHermitianError
+from .errors import CommutationError, InvalidParametersError, NonRealFormError, NotHermitianError
 from .frames import FrameSequence
 from .kframes import kframe_check
 from .operators import (
@@ -291,8 +291,11 @@ def sandwich_inequality_check(frame: FrameSequence, K, ctrl: Controller, A: floa
     refused, as in :func:`controlled_operator_inequality`.  A moved ``B``
     of ``inf`` (``upper_opt`` is ``inf`` when ``lambda_max(C S)`` exceeds
     the largest float) bounds every operator, so the upper comparison then
-    holds without being formed.
+    holds without being formed.  A ``B`` that is not positive (``nan``
+    included) raises :class:`InvalidParametersError`; ``inf`` is allowed.
     """
+    if not B > 0:
+        raise InvalidParametersError(f"the candidate upper bound must be positive, got {B!r}")
     Kop, k = _pow2_scaled(as_operator(K, dim=frame.dim))
     (C, c), (S, e) = ctrl._scaled, frame._scaled
     L = C @ S

@@ -126,7 +126,7 @@ def frame_operator(frame: FrameSequence) -> np.ndarray:
     The scaled operator ``S~`` cached on ``frame`` scaled back by
     ``2^(2e)``: ``S~`` itself when ``e`` is ``0``, entries below the
     smallest float flushed to zero.  The array is read-only; copy it before
-    writing.  The verdicts read ``S~`` and never call this.  It raises
+    writing.  No verdict or solver calls it: they read ``S~``.  It raises
     :class:`InvalidParametersError` when ``S`` lies outside the float
     range: an entry exceeds the largest float, or the largest diagonal
     entry, which bounds every entry, falls below the smallest normal one.
@@ -136,27 +136,10 @@ def frame_operator(frame: FrameSequence) -> np.ndarray:
         with np.errstate(over="ignore"):
             S = _times_pow2(S, 2 * e)
         if not (np.isfinite(S).all() and S.diagonal().real.max() >= np.finfo(np.float64).tiny):
-            raise _outside_float_range(e > 0)
+            size = "large" if e > 0 else "small"
+            raise InvalidParametersError(f"the frame operator lies outside the float range: the frame vectors are too {size}")
         S.setflags(write=False)
     return S
-
-
-def _outside_float_range(large: bool) -> InvalidParametersError:
-    """The refusal of a frame whose frame operator, or one of its bounds,
-    lies outside the float range."""
-    size = "large" if large else "small"
-    return InvalidParametersError(f"the frame operator lies outside the float range: the frame vectors are too {size}")
-
-
-def _require_float_bounds(bounds: FrameBounds) -> None:
-    """Raise the error of :func:`_outside_float_range` for a frame whose
-    lower bound underflows to ``0.0`` or whose upper bound overflows to
-    ``inf``: the Richardson solvers need ``S`` and its bounds themselves,
-    not the scaled ``S~``.  ``framekit solve`` calls it for both its
-    paths, and :func:`framekit.solvers.controlled_richardson_solve` for
-    callers of the library."""
-    if bounds.lower == 0.0 or bounds.upper == np.inf:
-        raise _outside_float_range(bounds.upper == np.inf)
 
 
 def frame_bounds(frame: FrameSequence, tol: Tolerances = DEFAULT_TOL) -> FrameBounds:

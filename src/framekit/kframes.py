@@ -230,7 +230,12 @@ def rayleigh_quotients(frame: FrameSequence, K, vectors) -> np.ndarray:
     """
     Kop, k = _pow2_scaled(as_operator(K, dim=frame.dim))
     V = np.asarray(vectors, dtype=np.complex128).reshape(len(vectors), -1)  # a vector is one column
-    V = np.stack([_pow2_scaled(v)[0] for v in V.T], axis=1)  # each quotient is homogeneous in its column
+    # Each quotient is homogeneous in its column: scale each column as
+    # _pow2_scaled would, by the exponent of its largest real or imaginary part.
+    parts = np.ascontiguousarray(V).view(np.float64).reshape(*V.shape, 2)
+    m = np.abs(parts).max(axis=(0, 2))
+    exponents = np.where((2.0**-128 <= m) & (m < 2.0**128), 0, np.frexp(m)[1])
+    V = np.ldexp(parts, -exponents[:, None]).view(np.complex128)[..., 0]
     S, e = frame._scaled
     numerators = np.einsum("ij,ij->j", V.conj(), S @ V).real
     denominators = np.linalg.norm(Kop.conj().T @ V, axis=0) ** 2
@@ -340,7 +345,7 @@ def interchange_dual(
     """
     Kop = as_operator(K, dim=frame_g.dim)
     if frame_f is None:
-        frame_f = FrameSequence(Kop @ frame_g.matrix)
+        frame_f, _ = construct_kframe(frame_g, Kop)
     factors, defect = _factor_check(frame_f, frame_g, Kop, tol)
     if not factors:
         witness = None if defect is None else np.linalg.svd(defect)[2][0].conj()
@@ -366,7 +371,11 @@ def construct_kframe(
     given the source is taken to be a K-frame and the result is ``{T f_n}``,
     a ``T K``-frame.  Returns the transformed family together with the
     operator against which it is certified (``K`` or ``T @ K``), so callers
-    can feed the pair straight into :func:`kframe_check`.
+    can feed the pair straight into :func:`kframe_check`.  Both products
+    are formed from factors scaled by their powers of two (see
+    :func:`framekit.operators._pow2_scaled`) and scaled back, so a family
+    beyond the float range is refused with :class:`InvalidParametersError`
+    and no numpy warning; an entry of ``T @ K`` beyond it is ``inf``.
     """
     Kop = as_operator(K, dim=source.dim)
     if require_orthonormal:
@@ -378,10 +387,11 @@ def construct_kframe(
         gram = source.matrix.conj().T @ source.matrix
         if np.linalg.norm(gram - np.eye(source.count)) > tol.rel_eq * source.count:
             raise NotOrthonormalError("source vectors are not orthonormal within tolerance")
-    if T is None:
-        return FrameSequence(Kop @ source.matrix), Kop
-    Top = as_operator(T, dim=source.dim)
-    return FrameSequence(Top @ source.matrix), Top @ Kop
+    Top = Kop if T is None else as_operator(T, dim=source.dim)
+    (W, w), (G, e), (Ks, k) = _pow2_scaled(Top), source._scaled_matrix, _pow2_scaled(Kop)
+    with np.errstate(over="ignore"):  # FrameSequence refuses a family beyond the float range
+        family = FrameSequence(_times_pow2(W @ G, w + e))
+        return family, Kop if T is None else _times_pow2(W @ Ks, w + k)
 
 
 def restricted_operator_inequalities(

@@ -20,13 +20,15 @@ residual recurrence
     r_{k+1} = M r_k,    M = I - lam S C    (C = I for the plain iteration),
 
 so each iteration is one matrix-vector product, written into preallocated
-blocks; ``M`` is formed once per stack.  A controlled solve passes the
-controller's power-of-two-scaled ``C~ = 2^-c C`` and ``2^c lam``, which
-form the same ``M``.  Two or more active columns run as
-``(A, d, 1)`` operands through stacked ``matmul``; a lone column (every
-public solve, and the tail of a bench stack) runs as 2-D/1-D operands
-through ``np.dot``, which skips the gufunc's per-call overhead.  The layout
-is chosen whenever the stack is (re)built.
+blocks; ``M`` is formed once per stack.  A solve of ``S f = g`` on a
+frame passes the frame's power-of-two-scaled ``S~ = 2^(-2e) S``, the
+controller's ``C~ = 2^-c C`` and the relaxation moved by ``2^(c + 2e)``,
+which form the same ``M``; a public solve also scales ``g`` by its own
+power of two.  Two or more active columns run as ``(A, d, 1)`` operands
+through stacked ``matmul``; a lone column (every public solve, and the
+tail of a bench stack) runs as 2-D/1-D operands through ``np.dot``, which
+skips the gufunc's per-call overhead.  The layout is chosen whenever the
+stack is (re)built.
 
 The iterations run in blocks of 1, 2, 4, ... up to 64 updates, so block ends
 fall after updates 1, 3, 7, 15, 31, 63, 127, 191, ... whatever the stack
@@ -65,13 +67,15 @@ import numpy as np
 
 from .controlled import Controller, _require_real_product
 from .errors import InvalidParametersError, NotHermitianError
-from .frames import FrameSequence, _require_float_bounds, frame_bounds, frame_operator
+from .frames import FrameSequence
 from .operators import (
     DEFAULT_TOL,
     OperatorBounds,
     Tolerances,
+    _pow2_scaled,
     _scaled_back,
     _spectrum_bounds,
+    _times_pow2,
     as_operator,
     as_vector,
     is_hermitian,
@@ -292,36 +296,60 @@ def _richardson_stack(S, rhs, lam, config: SolverConfig, C=None):
     return f_now, histories, converged
 
 
-def _solve_one(S, rhs, lam: float, config: SolverConfig, C=None, kappa: float = 1.0):
-    """The ``T = 1`` case of :func:`_richardson_stack` as ``(f, ConvergenceTrace)``."""
+def _solve_one(S, rhs, lam: float, config: SolverConfig, C=None, kappa: float = 1.0, x: int = 0):
+    """The ``T = 1`` case of :func:`_richardson_stack` as ``(f, ConvergenceTrace)``.
+
+    ``S`` is ``2^-x`` times the operator of the system.  The kernel runs on
+    ``rhs`` scaled by its own power of two, ``(g~, j) = _pow2_scaled(rhs)``
+    (see :func:`framekit.operators._pow2_scaled`), so no residual norm
+    under- or overflows; the relative residuals do not depend on the
+    scaling, and the iterate is scaled back by ``2^(j - x)``.  A solve that
+    did not diverge, of a nonzero ``rhs``, whose solution's largest part
+    exceeds the largest float or falls below the smallest normal one is
+    refused with :class:`InvalidParametersError`.
+    """
+    scaled, j = _pow2_scaled(rhs)
     f, (history,), (converged,) = _richardson_stack(
-        S[None], rhs[None], np.array([lam]), config, None if C is None else C[None]
+        S[None], scaled[None], np.array([lam]), config, None if C is None else C[None]
     )
+    with np.errstate(over="ignore"):
+        f = _times_pow2(f[0], j - x)
+    largest = np.abs(f.view(np.float64)).max()
+    if rhs.any() and np.isfinite(history).all() and not np.finfo(np.float64).tiny <= largest < np.inf:
+        raise InvalidParametersError("the solution lies outside the float range")
     residuals = history.tolist()
-    return f[0], ConvergenceTrace(
+    return f, ConvergenceTrace(
         len(residuals), residuals, bool(converged), _empirical_rate(residuals), kappa_report=kappa
     )
 
 
-def _relaxation(config: SolverConfig, bounds: OperatorBounds) -> float:
-    return config.relaxation if config.relaxation is not None else 2.0 / (bounds.lower + bounds.upper)
+def _relaxation(config: SolverConfig, bounds: OperatorBounds, x: int = 0) -> float:
+    """The relaxation of a kernel that runs on ``2^-x`` times the system's
+    operator, from the certified bounds of the operator it runs on: their
+    optimal ``2 / (A + B)``, or the fixed relaxation moved by ``2^x``."""
+    return 2.0 / (bounds.lower + bounds.upper) if config.relaxation is None else _scaled_back(config.relaxation, x)
 
 
-def _controlled_relaxation(frame: FrameSequence, ctrl: Controller, config: SolverConfig, tol: Tolerances):
-    """``(2^c lam, bounds)``: the relaxation with which the kernel runs on the
-    controller's ``C~ = 2^-c C``, and the certified bounds of ``C~ S~ =
-    2^-x C S`` (see :func:`framekit.controlled._require_real_product`).
+def _controlled_relaxation(frame: FrameSequence, ctrl: Controller | None, config: SolverConfig, tol: Tolerances):
+    """``(lam~, bounds)``: the relaxation with which the kernel runs on the
+    frame's ``S~ = 2^(-2e) S`` and the controller's ``C~ = 2^-c C``, and the
+    certified bounds of ``C~ S~ = 2^-x C S`` (see
+    :func:`framekit.controlled._require_real_product`).  ``ctrl=None`` is
+    the plain iteration: the bounds of ``S~`` from the frame's cached
+    eigenvalues, and ``x = 2e``.
 
-    The kernel's ``M = I - (2^c lam) S C~`` is ``I - lam S C`` bit for bit
-    while no entry leaves the normal range, as both scalings are exact.  A
-    fixed relaxation is ``lam``; the optimal ``lam = 2 / (A + B)`` of
-    ``C S`` is ``2^-x`` times that of ``C~ S~``, so ``2^c lam`` is formed
-    without the bounds of ``C S`` themselves, which may leave the float
-    range.
+    The kernel's ``M = I - lam~ S~ C~`` is ``I - lam S C`` bit for bit
+    while no entry leaves the normal range, as the scalings are exact: the
+    optimal ``lam~`` of ``C~ S~`` is ``2^x`` times that of ``C S``, and a
+    fixed relaxation is moved by ``2^x`` (see :func:`_relaxation`).
     """
-    H, x = _require_real_product(frame, ctrl, tol)
-    bounds = _spectrum_bounds(np.linalg.eigvalsh(H), tol)
-    return _scaled_back(_relaxation(config, bounds), ctrl._scaled[1] - (x if config.relaxation is None else 0)), bounds
+    if ctrl is None:
+        w, x = frame._eigh[0], 2 * frame._scaled[1]
+    else:
+        H, x = _require_real_product(frame, ctrl, tol)
+        w = np.linalg.eigvalsh(H)
+    bounds = _spectrum_bounds(w, tol)
+    return _relaxation(config, bounds, x), bounds
 
 
 def richardson_solve(op, g, bounds, config: SolverConfig = SolverConfig(), tol: Tolerances = DEFAULT_TOL):
@@ -332,7 +360,9 @@ def richardson_solve(op, g, bounds, config: SolverConfig = SolverConfig(), tol: 
     op : array_like
         Hermitian positive definite operator.
     g : array_like
-        Right-hand side.
+        Right-hand side.  The iteration runs on ``g`` scaled by its own
+        power of two (see :func:`_solve_one`), so its scale changes neither
+        the trace nor the iterate beyond that factor.
     bounds : OperatorBounds or (lower, upper)
         Certified spectral bounds of ``op``.  A pair is checked once, by
         building an :class:`OperatorBounds`: one that is not finite with
@@ -345,6 +375,8 @@ def richardson_solve(op, g, bounds, config: SolverConfig = SolverConfig(), tol: 
     (f, ConvergenceTrace)
         ``converged`` is False when the iteration cap is reached; the iterate
         and its trace are still returned so the caller can inspect the tail.
+        A solution outside the float range raises
+        :class:`InvalidParametersError`.
     """
     Op = as_operator(op)
     rhs = as_vector(g, dim=Op.shape[0])
@@ -355,7 +387,7 @@ def richardson_solve(op, g, bounds, config: SolverConfig = SolverConfig(), tol: 
 
 def controlled_richardson_solve(
     frame: FrameSequence,
-    ctrl: Controller,
+    ctrl: Controller | None,
     g,
     config: SolverConfig = SolverConfig(),
     tol: Tolerances = DEFAULT_TOL,
@@ -369,16 +401,20 @@ def controlled_richardson_solve(
     certified bounds of ``C S``, so the iteration count is governed by
     ``cond(C S)``; the stopping criterion is the relative residual of the
     *original* system, making counts directly comparable with
-    :func:`richardson_solve`.  With ``C = I`` the arithmetic — and hence the
-    trace — is identical to the plain solve.  The iteration runs on the
-    controller's ``C~ = 2^-c C`` with the relaxation moved by ``2^c`` (see
-    :func:`_controlled_relaxation`), so rescaling ``C`` by a power of two
-    changes neither the trace nor the iterate while every part of ``C``
-    stays normal.  A frame whose bounds leave the float range is refused
-    with :class:`InvalidParametersError`, as the iteration runs on ``S``
-    itself.
+    :func:`richardson_solve`.  ``ctrl=None`` is the plain iteration, with
+    the bounds of ``S``; with ``C = I`` the arithmetic — and hence the
+    trace — is identical to it.
+
+    The iteration runs on the frame's ``S~ = 2^(-2e) S``, the controller's
+    ``C~ = 2^-c C`` and ``g`` scaled by its own power of two (see
+    :func:`_controlled_relaxation` and :func:`_solve_one`), so rescaling
+    the family, ``C`` or ``g`` by a power of two changes neither the trace
+    nor the iterate beyond its factor while every part stays normal.  Only
+    a solution outside the float range is refused, with
+    :class:`InvalidParametersError`.
     """
-    _require_float_bounds(frame_bounds(frame, tol))
     rhs = as_vector(g, dim=frame.dim)
     lam, _ = _controlled_relaxation(frame, ctrl, config, tol)
-    return _solve_one(frame_operator(frame), rhs, lam, config, C=ctrl._scaled[0], kappa=ctrl.condition)
+    C, kappa = (None, 1.0) if ctrl is None else (ctrl._scaled[0], ctrl.condition)
+    S, e = frame._scaled
+    return _solve_one(S, rhs, lam, config, C=C, kappa=kappa, x=2 * e)

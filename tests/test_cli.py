@@ -17,13 +17,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import relative_residual
 from framekit import (
     ControlledReport,
     FrameSequence,
     c3_example,
     commuting_triple,
     controlled_kframe_check,
+    controller_for,
     frame_operator,
+    generate_instance,
+    load_vector,
     make_controller,
     numerical_rank,
     parseval_frame,
@@ -213,32 +217,72 @@ def test_check_certifies_a_controller_near_the_largest_float(tmp_path, capsys):
     assert "Warning" not in captured.err
 
 
+def _solve_files(tmp_path, capsys, f_path, g, *flags):
+    """``(exit code, captured output, solution or None)`` of one ``solve`` of ``g``."""
+    out = tmp_path / "sol.json"
+    out.unlink(missing_ok=True)
+    code = main(["solve", f_path, "--g", _write_vector(tmp_path / "g.json", g), *flags, "--out", str(out)])
+    return code, capsys.readouterr(), load_vector(out) if out.exists() else None
+
+
 @pytest.mark.parametrize("s", [1e160, 1e-170])
-def test_solve_refuses_a_frame_whose_operator_leaves_the_float_range(tmp_path, capsys, s):
+def test_solve_refuses_only_a_solution_outside_the_float_range(tmp_path, capsys, s):
+    # S = s^2 I leaves the float range; the solve runs on S~ = 2^-2e S, so
+    # only the solution g / s^2 decides: 1e-320 and 1e340 are refused,
+    # 1e300 / 1e320 = 1e-20 and 1e-300 / 1e-340 = 1e40 are solved.
     f_path = _write_frame(tmp_path / "frame.json", s * np.eye(3))
-    g_path = _write_vector(tmp_path / "g.json", [1.0, 1.0, 1.0])
-    code = main(["solve", f_path, "--g", g_path, "--out", str(tmp_path / "sol.json")])
-    captured = capsys.readouterr()
-    assert code == 1
-    assert "the frame operator lies outside the float range" in captured.err
-    assert "Traceback" not in captured.err
-    assert not (tmp_path / "sol.json").exists()
+    code, captured, f = _solve_files(tmp_path, capsys, f_path, np.ones(3))
+    assert code == 1 and f is None
+    assert "framekit solve: invalid input: the solution lies outside the float range" in captured.err
+    assert "Traceback" not in captured.err and "Warning" not in captured.err
+    rhs = (1e300 if s > 1 else 1e-300) * np.ones(3)
+    code, captured, f = _solve_files(tmp_path, capsys, f_path, rhs)
+    assert code == 0, captured.err
+    np.testing.assert_allclose(f, rhs / s / s, rtol=1e-15)
 
 
 @pytest.mark.parametrize("controlled", [False, True], ids=["plain", "controlled"])
-def test_solve_refuses_a_frame_whose_lower_bound_underflows_on_both_paths(tmp_path, capsys, controlled):
-    # A small --tol-psd keeps 2^-1080 as the lower bound of S, which
-    # underflows to 0.0 although the largest entry 2^-1000 is normal.
+def test_solve_of_a_frame_whose_lower_bound_underflows_refuses_only_a_solution_outside_the_float_range(
+    tmp_path, capsys, controlled
+):
+    # A small --tol-psd keeps 2^-1080 as the lower bound of S = diag(2^-1000,
+    # 2^-1080), which underflows to 0.0.  The relaxation 2^1000 (plain) or
+    # the controller diag(1, 2^80) (controlled) solves along e_1 in one
+    # iteration: g = 2^30 e_1 gives 2^1030 e_1, refused, and g = 2^-100 e_1
+    # gives 2^900 e_1.
     f_path = _write_frame(tmp_path / "frame.json", np.diag([2.0**-500, 2.0**-540]))
-    g_path = _write_vector(tmp_path / "g.json", [1.0, 1.0])
-    flags = ["--c", _write_operator(tmp_path / "c.json", np.eye(2))] if controlled else []
-    code = main(["solve", f_path, "--g", g_path, "--tol-psd", "1e-30", *flags,
-                 "--out", str(tmp_path / "sol.json")])
-    captured = capsys.readouterr()
-    assert code == 1
-    assert ("framekit solve: invalid input: the frame operator lies outside the float range: "
-            "the frame vectors are too small") in captured.err
-    assert not (tmp_path / "sol.json").exists()
+    flags = ["--tol-psd", "1e-30"]
+    if controlled:
+        flags += ["--c", _write_operator(tmp_path / "c.json", np.diag([1.0, 2.0**80]))]
+    else:
+        flags += ["--relaxation", repr(2.0**1000)]
+    code, captured, f = _solve_files(tmp_path, capsys, f_path, [2.0**30, 0.0], *flags)
+    assert code == 1 and f is None
+    assert "framekit solve: invalid input: the solution lies outside the float range" in captured.err
+    code, captured, f = _solve_files(tmp_path, capsys, f_path, [2.0**-100, 0.0], *flags)
+    assert code == 0, captured.err
+    assert np.array_equal(f, [2.0**900, 0.0])
+
+
+@pytest.mark.parametrize("scale", [1e-170, 1e-160, 1e200])
+@pytest.mark.parametrize("controlled", [False, True], ids=["plain", "controlled"])
+def test_solve_is_exact_for_a_right_hand_side_far_from_one(tmp_path, capsys, scale, controlled):
+    # Unscaled, ||g||^2 under- or overflowed: 1e-170 gave the zero vector as
+    # "converged after 0 iterations", 1e-160 a false convergence after 205
+    # and 1e200 a "diverged" with an overflow warning.
+    frame = generate_instance("ill-conditioned", 8, cond_target=1e2, seed=0)[0]
+    rng = np.random.default_rng(0)
+    g = scale * (rng.normal(size=8) + 1j * rng.normal(size=8))
+    f_path = _write_frame(tmp_path / "frame.json", frame.matrix)
+    C = controller_for("jacobi", frame_operator(frame)).matrix
+    flags = ["--c", _write_operator(tmp_path / "c.json", C)] if controlled else []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, captured, f = _solve_files(tmp_path, capsys, f_path, g, *flags)
+    assert code == 0, captured.err
+    assert captured.out.startswith("converged after")
+    assert "Warning" not in captured.err
+    assert relative_residual(frame.matrix, f, g) <= 1e-8 * (1 + 1e-3)
 
 
 # ---------------------------------------------------------------------------
@@ -428,8 +472,6 @@ def test_solve_matches_direct_inversion(tmp_path, capsys):
     capsys.readouterr()
     assert code == 0
 
-    from framekit import load_vector
-
     S = frame_operator(frame)
     expected = np.linalg.solve(S, g)
     np.testing.assert_allclose(load_vector(out), expected, rtol=0, atol=1e-9)
@@ -496,8 +538,6 @@ def test_divergent_solve_writes_nothing_and_reports_strict_json(tmp_path, capsys
 
 
 def test_solve_with_controller_converges_faster(tmp_path, capsys):
-    from framekit import controller_for, generate_instance
-
     frame, _, _ = generate_instance("ill-conditioned", dim=6, cond_target=1e3, seed=3)
     ctrl = controller_for("jacobi", frame_operator(frame))
     f_path = _write_frame(tmp_path / "frame.json", frame.matrix)

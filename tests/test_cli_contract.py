@@ -13,7 +13,10 @@ their ranges, condition targets ``nan``, ``inf`` and ``na`` among them.
 * print, under ``--json``, a stdout that ``json.loads`` parses as strict
   JSON (no ``NaN`` or ``Infinity`` token);
 * leave only files that load back through framekit's own loaders, and
-  a ``bench`` CSV with the header and row width of ``CSV_COLUMNS``.
+  a ``bench`` CSV with the header and row width of ``CSV_COLUMNS``;
+* for an exit-0 ``solve``, write a solution ``f`` that meets
+  ``||g - S f|| <= residual_tol (1 + 1e-3) ||g||``, computed on
+  power-of-two-scaled operands (``conftest.relative_residual``).
 """
 
 import contextlib
@@ -28,6 +31,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import relative_residual
 from framekit import INSTANCE_KINDS, load_frame, load_operator, load_vector
 from framekit.bench import CSV_COLUMNS
 from framekit.cli import main
@@ -208,7 +212,20 @@ def _refuse(token):
     raise ValueError(f"non-standard JSON token {token}")
 
 
-def _run_contract(run, as_json, shared):
+def _solve_meets_its_tolerance(argv, code, work):
+    """The residual oracle of an exit-0 ``solve``."""
+    if code != 0:
+        return
+    tol = float(argv[argv.index("--residual-tol") + 1]) if "--residual-tol" in argv else 1e-8
+    frame, g, f = (loader(os.path.join(work, name)) for loader, name in
+                   ((load_frame, "frame.json"), (load_vector, "g.json"), (load_vector, "out.json")))
+    if not g.any():
+        assert not f.any(), argv  # the zero right-hand side has the zero solution
+        return
+    assert relative_residual(frame.matrix, f, g) <= tol * (1 + 1e-3), argv
+
+
+def _run_contract(run, as_json, shared, oracle=None):
     files, argv, loaders = run
     argv = argv + shared + (["--json"] if as_json else [])
     with tempfile.TemporaryDirectory() as work:
@@ -231,6 +248,8 @@ def _run_contract(run, as_json, shared):
         assert written <= set(loaders), (argv, written)
         for name in written:
             loaders[name](os.path.join(work, name))
+        if oracle is not None:
+            oracle(argv, code, work)
 
 
 @FUZZ
@@ -248,7 +267,7 @@ def test_dual_keeps_the_contract(run, as_json, shared):
 @FUZZ
 @given(solve_runs(), st.booleans(), SHARED_FLAGS)
 def test_solve_keeps_the_contract(run, as_json, shared):
-    _run_contract(run, as_json, shared)
+    _run_contract(run, as_json, shared, oracle=_solve_meets_its_tolerance)
 
 
 @FUZZ

@@ -451,6 +451,17 @@ def test_a_family_and_a_controller_whose_product_overflows_are_certified_without
     assert report.lower_opt == math.ldexp(plain.lower_opt, 200)
 
 
+@pytest.mark.parametrize("B", [0.0, -1.0, -math.inf, math.nan])
+def test_sandwich_refuses_a_candidate_upper_bound_that_is_not_positive(B):
+    # -inf warned from -inf * I, nan was refused as a "matrix" the caller
+    # did not pass, and 0 or -1 returned False
+    frame, K, ctrl = commuting_triple(np.random.default_rng(0), 4, 8, zero_k=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidParametersError, match="the candidate upper bound must be positive"):
+            sandwich_inequality_check(frame, K, ctrl, 0.1, B)
+
+
 def test_sandwich_with_an_infinite_upper_bound_holds_on_the_upper_side():
     # the certified upper_opt of this triple is inf, which bounds every
     # operator: the upper comparison holds and inf * I is never formed

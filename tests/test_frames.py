@@ -136,9 +136,16 @@ def test_a_frame_whose_operator_leaves_the_float_range_keeps_its_verdicts(s, bou
     assert report.is_kframe and (report.lower_opt, report.upper_opt) == (bound, bound)
     controlled = controlled_kframe_check(frame, np.eye(3), identity_controller(3))
     assert controlled.is_controlled_kframe and controlled.upper_opt == bound
-    # S itself is not representable, so the functions that need it refuse it
-    with pytest.raises(InvalidParametersError, match="outside the float range"):
+    # S itself is not representable, so frame_operator refuses it
+    with pytest.raises(InvalidParametersError, match="the frame operator lies outside the float range"):
         frame_operator(frame)
+
+
+def test_frame_operator_scales_back_a_scaled_operator_that_stays_in_range():
+    S = frame_operator(FrameSequence(2.0**200 * np.eye(3)))
+    assert np.array_equal(S, 2.0**400 * np.eye(3))
+    with pytest.raises(ValueError):
+        S[0, 0] = 5.0
 
 
 def test_parseval_frame_operator_is_identity():

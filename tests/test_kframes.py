@@ -416,6 +416,34 @@ def test_construct_transformed_kframe_is_tk_frame():
         assert kframe_check(family, certified).is_kframe
 
 
+_HUGE_K, _HUGE_G = np.array([[1.26e299 - 1.32e299j]]), FrameSequence([[1.26e149 - 1.32e149j]])
+
+
+@pytest.mark.parametrize("push", [
+    pytest.param(lambda: construct_kframe(_HUGE_G, _HUGE_K), id="construct_kframe"),
+    pytest.param(lambda: construct_kframe(_HUGE_G, np.eye(1), T=_HUGE_K), id="construct_kframe-T"),
+    pytest.param(lambda: interchange_dual(_HUGE_G, _HUGE_K), id="interchange_dual"),
+])
+def test_a_pushed_family_beyond_the_float_range_is_refused_without_a_warning(push):
+    # K G was formed unscaled: "overflow encountered in matmul" came first
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidParametersError, match="non-finite"):
+            push()
+
+
+def test_dual_refuses_a_default_family_beyond_the_float_range_without_a_warning(tmp_path, capsys):
+    save_frame(_HUGE_G, tmp_path / "g.json")
+    save_operator(_HUGE_K, tmp_path / "k.json")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["dual", "--g", str(tmp_path / "g.json"), "--k", str(tmp_path / "k.json"),
+                     "--out", str(tmp_path / "dual.json")])
+    err = capsys.readouterr().err
+    assert code == 1 and "non-finite" in err and "Warning" not in err
+    assert not (tmp_path / "dual.json").exists()
+
+
 # ---------------------------------------------------------------------------
 # norm inequalities on range(K)
 

@@ -81,12 +81,13 @@ def test_no_module_imports_a_name_it_does_not_use():
     assert unused == []
 
 
-def test_no_verdict_function_calls_frame_operator():
-    # The verdicts read the frame's power-of-two-scaled S~; the unscaled S,
-    # which leaves the float range with the family, is for the solvers.
+def test_no_verdict_or_solver_calls_frame_operator():
+    # The verdicts, the solvers and the bench read the frame's
+    # power-of-two-scaled S~, never the unscaled S, which leaves the float
+    # range with the family.
     calls = [
         f"{name}:{node.lineno}"
-        for name in ("kframes.py", "controlled.py")
+        for name in ("kframes.py", "controlled.py", "solvers.py", "bench.py")
         for node in ast.walk(ast.parse((Path(framekit.__file__).parent / name).read_text(encoding="utf-8")))
         if isinstance(node, ast.Call) and "frame_operator" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
     ]

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import moved as _moved, relative_residual
 from framekit import (
     FrameSequence,
     InvalidParametersError,
@@ -487,12 +488,85 @@ def test_a_refused_candidate_hands_the_rest_of_its_block_to_true_residuals():
     assert (len(oracle), ok) == (84, True)
 
 
-@pytest.mark.parametrize("diagonal, size", [((2.0**-500, 2.0**-540), "small"), ((2.0**520, 2.0**480), "large")])
-def test_controlled_solve_refuses_a_frame_whose_bounds_leave_the_float_range(diagonal, size):
-    # The bounds of S are the squares of the diagonal.  A small psd_slack
-    # keeps 2^-1080 as the lower bound, which underflows to 0.0 although
-    # the largest entry of S, 2^-1000, is normal; 2^1040 overflows.  The
-    # solve needs S and its bounds themselves.
-    frame = FrameSequence(np.diag(diagonal))
-    with pytest.raises(InvalidParametersError, match=f"outside the float range: the frame vectors are too {size}"):
-        controlled_richardson_solve(frame, identity_controller(2), np.ones(2), tol=Tolerances(psd_slack=1e-30))
+@pytest.mark.parametrize(
+    "diagonal, inverse, outside, inside, solution",
+    [
+        ((2.0**-500, 2.0**-540), (1.0, 2.0**80), 1.0, 2.0**-100, (2.0**900, 2.0**980)),
+        ((2.0**520, 2.0**480), (2.0**-80, 1.0), 2.0**-100, 1.0, (2.0**-1040, 2.0**-960)),
+    ],
+    ids=["small", "large"],
+)
+def test_controlled_solve_refuses_only_a_solution_outside_the_float_range(diagonal, inverse, outside, inside, solution):
+    # The bounds of S are the squares of the diagonal: with a small
+    # psd_slack, 2^-1080 underflows to 0.0 and 2^1040 overflows.  The solve
+    # runs on S~, and the exact inverse controller solves in one iteration,
+    # so only the solution S^-1 g decides: (2^1000, 2^1080) overflows and
+    # (2^-1140, 2^-1060) lies below the smallest normal float, while
+    # (2^900, 2^980) and (2^-1040, 2^-960), whose largest part is normal,
+    # are solved exactly.
+    frame, tol = FrameSequence(np.diag(diagonal)), Tolerances(psd_slack=1e-30)
+    ctrl = make_controller(np.diag(inverse), tol)
+    with pytest.raises(InvalidParametersError, match="the solution lies outside the float range"):
+        controlled_richardson_solve(frame, ctrl, outside * np.ones(2), tol=tol)
+    f, trace = controlled_richardson_solve(frame, ctrl, inside * np.ones(2), tol=tol)
+    assert trace.converged and trace.iterations == 1
+    assert np.array_equal(f, solution)
+
+
+def _motivating_system(scale):
+    """The ``ill-conditioned`` instance of ``C^8`` with ``cond(S) = 100`` and
+    a right-hand side scaled by ``scale``."""
+    frame = generate_instance("ill-conditioned", 8, cond_target=1e2, seed=0)[0]
+    rng = np.random.default_rng(0)
+    return frame, scale * (rng.normal(size=8) + 1j * rng.normal(size=8))
+
+
+@pytest.mark.parametrize("scale", [1e-170, 1e-160, 1e200])
+@pytest.mark.parametrize("solver", ["richardson", "plain", "jacobi"])
+def test_a_right_hand_side_far_from_one_is_solved_as_at_scale_one(scale, solver):
+    # Unscaled, ||g||^2 under- or overflowed: 1e-170 gave the zero vector as
+    # converged after 0 iterations, 1e-160 a false convergence after 205 and
+    # 1e200 a divergence with an overflow warning.
+    frame, g = _motivating_system(scale)
+    S = frame_operator(frame)
+    solve = {
+        "richardson": lambda g: richardson_solve(S, g, positive_definite_bounds(S)),
+        "plain": lambda g: controlled_richardson_solve(frame, None, g),
+        "jacobi": lambda g: controlled_richardson_solve(frame, controller_for("jacobi", S), g),
+    }[solver]
+    _, reference = solve(_motivating_system(1.0)[1])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        f, trace = solve(g)
+    assert trace.converged and trace.iterations == reference.iterations
+    assert relative_residual(frame.matrix, f, g) <= 1e-8 * (1 + 1e-3)
+
+
+def test_controlled_solve_without_a_controller_is_the_plain_solve():
+    frame, g = _motivating_system(1.0)
+    S = frame_operator(frame)
+    f, trace = controlled_richardson_solve(frame, None, g)
+    plain_f, plain = richardson_solve(S, g, positive_definite_bounds(S))
+    assert trace == plain and np.array_equal(f, plain_f) and trace.iterations == 873
+    config = SolverConfig(relaxation=0.5, max_iter=50)
+    f, trace = controlled_richardson_solve(frame, None, g, config)
+    plain_f, plain = richardson_solve(S, g, positive_definite_bounds(S), config)
+    assert trace == plain and np.array_equal(f, plain_f)
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(st.integers(2, 8), st.sampled_from([2.0, 10.0, 100.0]), st.integers(0, 999), st.booleans(),
+       st.integers(-1000, 1000), st.integers(-1000, 1000))
+def test_power_of_two_rescaling_of_the_family_and_the_right_hand_side_moves_only_the_iterate(
+    d, cond, seed, jacobi, j, k
+):
+    frame = generate_instance("ill-conditioned", d, cond_target=cond, seed=seed)[0]
+    ctrl = controller_for("jacobi", frame_operator(frame)) if jacobi else None
+    rng = np.random.default_rng(seed)
+    g = rng.normal(size=d) + 1j * rng.normal(size=d)
+    config = SolverConfig(residual_tol=1e-10, max_iter=20_000)
+    f, trace = controlled_richardson_solve(frame, ctrl, g, config)
+    expected = _moved(f, j - 2 * k)
+    moved_f, moved = controlled_richardson_solve(FrameSequence(_moved(frame.matrix, k)), ctrl, _moved(g, j), config)
+    assert moved == trace and moved.residuals == trace.residuals and trace.converged
+    assert np.array_equal(moved_f, expected)

@@ -47,6 +47,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import block_diag
 
+from conftest import moved as _moved
 from framekit import (
     FrameSequence,
     NonRealFormError,
@@ -225,15 +226,6 @@ def _ldexp(x, n):
         return float(np.ldexp(x, n))
 
 
-def _moved(A, n):
-    """``A 2^n``, exact: the example is dropped unless every nonzero real and
-    imaginary part of ``A`` stays normal."""
-    parts = np.ascontiguousarray(A, dtype=np.complex128).view(np.float64)
-    exponents = np.frexp(np.abs(parts[parts != 0.0]))[1]
-    assume(exponents.min() - 1 + n >= -1022 and exponents.max() + n <= 1024)
-    return np.ldexp(parts, n).view(np.complex128)
-
-
 def _with_identity(pair):
     frame, K = pair
     return frame, K, np.eye(frame.dim)
@@ -279,7 +271,7 @@ def test_power_of_two_rescaling_of_the_controller_and_the_family_is_exact(triple
     rng = np.random.default_rng(seed)
     f, g = (rng.normal(size=frame.dim) + 1j * rng.normal(size=frame.dim) for _ in range(2))
     assert controlled_form(moved, moved_ctrl, f) == _ldexp(controlled_form(frame, ctrl, f), j + 2 * k)
-    # the solve needs S itself, so it runs on the unmoved family
+    # only the controller moves here; test_solvers moves the family and g
     config = SolverConfig(residual_tol=1e-10, max_iter=20_000)
     x, trace = controlled_richardson_solve(frame, ctrl, g, config)
     moved_x, moved_trace = controlled_richardson_solve(frame, moved_ctrl, g, config)
@@ -318,7 +310,8 @@ def test_power_of_two_rescaling_of_the_family_and_k_keeps_the_operator_form_chec
         moved, moved_K, ctrl, moved_lower, moved_upper, probes
     )
     assert moved_verdicts == verdicts
-    assert np.array_equal(moved_quotients, np.ldexp(quotients, 2 * (k - j)))
+    with np.errstate(over="ignore"):  # a quotient far above lower_opt may move past the largest float
+        assert np.array_equal(moved_quotients, np.ldexp(quotients, 2 * (k - j)))
     assert moved_constant == _ldexp(constant, j - k)
 
 
