@@ -20,14 +20,13 @@ comparable.  Controller strategies:
     ``ill-conditioned`` family.
 
 Each cell is prepared with its own seed ``base_seed + cell_index``: the
-instance, its scaled ``S~ = 2^(-2e) S`` and the bounds of ``S~``, the
-right-hand side, the controller and the bounds of ``C~ S~``; both solves
-run on ``S~`` with their relaxations moved to it (see
-``solvers._controlled_relaxation``).  The cells of one dimension are then
-solved together, all plain solves as one stack and all controlled solves as
-another (see ``solvers._richardson_stack``); each column stops on its own
-residual, so every count equals that of a separate solve.  Rows are
-assembled in grid order, so the CSV is byte-identical for a fixed seed.
+instance, its scaled ``S~`` and the bounds of ``S~``, the right-hand side,
+the controller and the bounds of ``C~ S~``; both solves run on ``S~``.  The
+cells of one dimension are then solved together, all plain solves as one
+stack and all controlled solves as another (see
+``solvers._richardson_stack``); each column stops on its own residual, so
+every count equals that of a separate solve.  Rows are assembled in grid
+order, so the CSV is byte-identical for a fixed seed.
 """
 
 from __future__ import annotations
@@ -126,7 +125,7 @@ def _prepare_cell(index, kind, dim, cond_target, controller, config, tol):
     seed = config.seed + index
     try:
         frame, _, _ = generate_instance(kind, dim, 2 * dim, cond_target, seed=seed, tol=tol)
-        S, e = frame._scaled
+        S, s = frame._scaled
         bounds = _spectrum_bounds(np.linalg.eigvalsh(S), tol)
         rng = np.random.default_rng(seed + 1_000_003)
         g = rng.normal(size=dim) + 1j * rng.normal(size=dim)
@@ -136,7 +135,7 @@ def _prepare_cell(index, kind, dim, cond_target, controller, config, tol):
     except ToolkitError:
         # An unusable cell (e.g. singular frame operator) is reported, not fatal.
         return None
-    return S, g, ctrl._scaled[0], bounds, precond_bounds, _relaxation(config, bounds, 2 * e), controlled_lam
+    return S, g, ctrl._scaled[0], bounds, precond_bounds, _relaxation(config, bounds.lower, bounds.upper, s), controlled_lam
 
 
 def _solve_group(prepared, config):

@@ -179,9 +179,7 @@ def cmd_dual(args, tol: Tolerances):
     # Reconstruction on range(K): f = sum <f,h_n> f_n = sum <f,f_n> h_n.  With Q
     # an orthonormal basis of range(K), the largest relative residual of
     # f -> A B* f over range(K) is the largest singular value of Q - A B* Q:
-    # exact, and 0.0 for a rank-zero K.  Scaling K by an exact power of two
-    # keeps its range, and no singular value of a huge or tiny K then
-    # overflows or underflows the rank rule.
+    # exact, and 0.0 for a rank-zero K.  K~ has the range of K.
     Q = range_basis(_pow2_scaled(K)[0], tol)
 
     def worst(A, B):

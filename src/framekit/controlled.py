@@ -67,19 +67,11 @@ __all__ = [
 class Controller:
     """A positive invertible operator with its scale and eigendecomposition cached.
 
-    ``matrix`` is a read-only copy of the operator given; the controller
-    is a function of it alone.  On first use, as a :class:`FrameSequence`
-    caches ``(T~, e)`` and the eigenpairs of ``S~``, the controller
-    computes ``(C~, c) = _pow2_scaled(matrix)`` (see
-    :func:`framekit.operators._pow2_scaled`) and the ascending eigenpairs
-    ``_eigh = eigh(hermitian_part(C~))``, and caches each read-only.  ``c``
-    is ``0``, and ``C~`` is ``C``, unless the largest part of ``C`` lies
-    outside ``[2^-128, 2^128)``; so neither the decomposition nor any
-    product of ``C~`` with the frame's ``S~ = 2^(-2e) S`` under- or
-    overflows.  ``bounds`` are the extreme eigenvalues scaled back by
-    ``2^c``; the controlled paths report values scaled back by
-    ``2^(c + 2e)``.  The constructor certifies nothing:
-    :func:`make_controller` does.
+    ``matrix`` is a read-only copy of the operator given; the controller is
+    a function of it alone.  On first use it caches, read-only, ``(C~, c)``
+    and the ascending eigenpairs ``_eigh = eigh(hermitian_part(C~))``;
+    ``bounds`` are their extremes scaled back by ``2^c``.  The constructor
+    certifies nothing: :func:`make_controller` does.
     """
 
     matrix: np.ndarray
@@ -138,13 +130,8 @@ def identity_controller(dim: int) -> Controller:
 
 
 def commutes(ctrl: Controller, K, tol: Tolerances = DEFAULT_TOL) -> bool:
-    """Whether ``||C K - K C||_F <= rel_eq * ||C||_F * ||K||_F``.
-
-    The test is homogeneous in ``C`` and in ``K``, so it reads the
-    controller's cached ``C~`` and ``K`` scaled by an exact power of two
-    (see :func:`framekit.operators._pow2_scaled`): a huge or tiny operator
-    neither overflows nor underflows the norms.
-    """
+    """Whether ``||C K - K C||_F <= rel_eq * ||C||_F * ||K||_F``, decided
+    on ``C~`` and ``K~``."""
     C = ctrl._scaled[0]
     Kop, _ = _pow2_scaled(as_operator(K, dim=ctrl.dim))
     defect = np.linalg.norm(C @ Kop - Kop @ C)
@@ -157,15 +144,11 @@ def controlled_form(frame: FrameSequence, ctrl: Controller, f, tol: Tolerances =
     Equals the coefficient pairing ``sum_n <f, f_n> conj(<f, C f_n>)``.  The
     imaginary part must stay below ``rel_eq * ||C|| * ||S|| * ||f||^2``;
     a larger one means ``C S`` is materially non-Hermitian and the controlled
-    theory does not apply to the pair.  Form and bound are homogeneous in
-    ``C``, ``S`` and ``f``, so they are computed on the controller's cached
-    ``C~ = 2^-c C``, the frame's ``S~ = 2^(-2e) S`` and ``f`` scaled by an
-    exact power of two ``2^-b`` (see :func:`framekit.operators._pow2_scaled`):
-    the verdict does not depend on their scale.  The real part is scaled
-    back by ``2^(c + 2e + 2b)``, ``inf`` when it exceeds the largest float.
+    theory does not apply to the pair.  Decided on ``C~``, ``S~`` and
+    ``f~ = 2^-b f``; the real part is scaled back by ``2^(c + s + 2b)``.
     """
     v, b = _pow2_scaled(as_vector(f, dim=frame.dim))
-    (C, c), (S, e) = ctrl._scaled, frame._scaled
+    (C, c), (S, s) = ctrl._scaled, frame._scaled
     value = complex(np.vdot(v, C @ (S @ v)))
     norms = float(ctrl._eigh[0][-1]) * float(frame._eigh[0][-1])
     limit = tol.rel_eq * norms * float(np.vdot(v, v).real)
@@ -174,7 +157,7 @@ def controlled_form(frame: FrameSequence, ctrl: Controller, f, tol: Tolerances =
             f"the form's imaginary part is {abs(value.imag) / limit:.3e} times the admissible "
             "rel_eq * ||C|| * ||S|| * ||f||^2; C S is not Hermitian for this pair"
         )
-    return _scaled_back(value.real, c + 2 * (b + e))
+    return _scaled_back(value.real, c + s + 2 * b)
 
 
 @dataclass(frozen=True)
@@ -199,20 +182,15 @@ class ControlledReport:
 
 def _require_real_product(frame: FrameSequence, ctrl: Controller, tol: Tolerances) -> tuple[np.ndarray, int]:
     """``(H, x)``: the Hermitian part ``H`` of ``C~ S~ = 2^-x C S``, with
-    ``x = c + 2e``, refused with :class:`NonRealFormError` unless the product
+    ``x = c + s``, refused with :class:`NonRealFormError` unless the product
     is Hermitian.
 
     The one Hermiticity check on ``C S``: the controlled verdict, the
     controlled solve, the benchmark cells and the interchange identity go
-    through it, and take the spectrum of ``C S`` from ``H`` with
-    ``eigvalsh``, each value scaled back by ``2^x``.  It reads the
-    controller's cached ``C~ = 2^-c C`` and the frame's ``S~ = T~ T~* =
-    2^(-2e) S``; the largest parts of ``C~`` and ``T~`` lie in
-    ``[2^-128, 2^128)``, so the product and its norms stay far inside the
-    float range.  The Loewner comparisons leave the check to
-    :func:`operator_leq`.
+    through it, and take the spectrum of ``C~ S~`` from ``H`` with
+    ``eigvalsh``.  The Loewner comparisons leave it to :func:`operator_leq`.
     """
-    (C, c), (S, e) = ctrl._scaled, frame._scaled
+    (C, c), (S, s) = ctrl._scaled, frame._scaled
     L = C @ S
     if not is_hermitian(L, tol):
         defect = np.linalg.norm(L - L.conj().T) / np.linalg.norm(L)
@@ -220,7 +198,7 @@ def _require_real_product(frame: FrameSequence, ctrl: Controller, tol: Tolerance
             f"C S is not Hermitian (relative defect {defect:.3e}); "
             "the controlled form would not be real-valued"
         )
-    return hermitian_part(L), c + 2 * e
+    return hermitian_part(L), c + s
 
 
 def controlled_kframe_check(frame: FrameSequence, K, ctrl: Controller, tol: Tolerances = DEFAULT_TOL) -> ControlledReport:
@@ -232,14 +210,11 @@ def controlled_kframe_check(frame: FrameSequence, K, ctrl: Controller, tol: Tole
     verdict, lower constant and witness come from :func:`kframe_check`
     of ``(frame, K)``, memoised on ``frame``, with the witness ``w`` pulled
     back to ``C^{-1/2} w`` through the controller's eigenpairs; ``upper_opt``
-    is ``lambda_max(C S)`` from one ``eigvalsh`` of ``C~ S~``, the product
-    of the controller's ``C~ = 2^-c C`` and the frame's ``S~ = 2^(-2e) S``,
-    scaled back by ``2^(c + 2e)`` (``inf`` above the largest float).  Near
-    the commutation tolerance the true controlled optimum may differ from
-    this one at the ``rel_eq`` level.  Scaling ``C`` by ``s > 0`` scales
-    ``upper_opt`` by ``s`` and changes neither ``lower_opt`` nor the
-    verdict; for ``s = 2^j`` both hold exactly while every part of ``C``
-    stays normal.
+    is ``lambda_max(C S)`` from one ``eigvalsh`` of ``C~ S~``, scaled back
+    by ``2^(c + s)``.  Near the commutation tolerance the true controlled
+    optimum may differ from this one at the ``rel_eq`` level.  Scaling
+    ``C`` by ``t > 0`` scales ``upper_opt`` by ``t`` and changes neither
+    ``lower_opt`` nor the verdict.
     """
     Kop = as_operator(K, dim=frame.dim)
     if not commutes(ctrl, Kop, tol):
@@ -250,8 +225,7 @@ def controlled_kframe_check(frame: FrameSequence, K, ctrl: Controller, tol: Tole
     witness = plain.witness
     if witness is not None:
         w, Q = ctrl._eigh
-        # A controller with tiny eigenvalues makes the pulled-back vector
-        # huge: an exact power-of-two scaling keeps its norm finite.
+        # Tiny eigenvalues of C make the pulled-back vector huge.
         witness, _ = _pow2_scaled(Q @ ((Q.conj().T @ witness) / np.sqrt(w)))
         witness /= np.linalg.norm(witness)
     return ControlledReport(
@@ -264,17 +238,13 @@ def controlled_operator_inequality(frame: FrameSequence, K, ctrl: Controller, A:
     """Operator-inequality verdict: ``A * C K K* <= C S`` in the Loewner order.
 
     Both sides must be Hermitian — true whenever ``C`` commutes with ``K`` and
-    with ``S`` — otherwise :func:`operator_leq` refuses the comparison.  The
-    comparison is decided on ``C~ = 2^-c C``, ``S~ = 2^(-2e) S`` and ``K~ =
-    2^-k K`` (see :func:`framekit.operators._pow2_scaled`) after dividing
-    both sides by ``2^(c + 2e)``, so ``A`` moves by ``2^(2k - 2e)``; the
-    moved ``A`` is never formed (see :func:`framekit.operators._scaled_leq`),
-    and an ``A`` that is not finite and positive raises
-    :class:`InvalidParametersError` there.
+    with ``S`` — otherwise :func:`operator_leq` refuses the comparison.
+    Decided on ``C~``, ``S~`` and ``K~`` with ``A`` moved by ``2^(2k - s)``
+    (see :func:`framekit.operators._scaled_leq`).
     """
     Kop, k = _pow2_scaled(as_operator(K, dim=frame.dim))
-    (C, _), (S, e) = ctrl._scaled, frame._scaled
-    return _scaled_leq(A, 2 * (k - e), C @ Kop @ Kop.conj().T, C @ S, tol)
+    (C, _), (S, s) = ctrl._scaled, frame._scaled
+    return _scaled_leq(A, 2 * k - s, C @ Kop @ Kop.conj().T, C @ S, tol)
 
 
 def sandwich_inequality_check(frame: FrameSequence, K, ctrl: Controller, A: float, B: float, tol: Tolerances = DEFAULT_TOL) -> bool:
@@ -284,23 +254,18 @@ def sandwich_inequality_check(frame: FrameSequence, K, ctrl: Controller, A: floa
     ``K C K*`` reproduces ``||C^{1/2} K* f||^2`` as a quadratic form.  With the
     certified optimal ``(A, B)`` from :func:`controlled_kframe_check` both
     comparisons hold with equality attained at the extremal directions.
-    Both are decided on ``C~ = 2^-c C``, ``S~ = 2^(-2e) S`` and ``K~ = 2^-k
-    K`` (see :func:`framekit.operators._pow2_scaled`) after dividing each
-    side by ``2^(c + 2e)``, so ``A`` moves by ``2^(2k - 2e)`` and ``B`` by
-    ``2^-(c + 2e)``.  The moved ``A`` is never formed and a bad ``A`` is
-    refused, as in :func:`controlled_operator_inequality`.  A moved ``B``
-    of ``inf`` (``upper_opt`` is ``inf`` when ``lambda_max(C S)`` exceeds
-    the largest float) bounds every operator, so the upper comparison then
-    holds without being formed.  A ``B`` that is not positive (``nan``
-    included) raises :class:`InvalidParametersError`; ``inf`` is allowed.
+    Decided as :func:`controlled_operator_inequality` decides, with ``B``
+    moved by ``2^-(c + s)``; a moved ``B`` of ``inf`` bounds every operator.
+    A ``B`` that is not positive (``nan`` included) raises
+    :class:`InvalidParametersError`; ``inf`` is allowed.
     """
     if not B > 0:
         raise InvalidParametersError(f"the candidate upper bound must be positive, got {B!r}")
     Kop, k = _pow2_scaled(as_operator(K, dim=frame.dim))
-    (C, c), (S, e) = ctrl._scaled, frame._scaled
+    (C, c), (S, s) = ctrl._scaled, frame._scaled
     L = C @ S
-    lower_holds = _scaled_leq(A, 2 * (k - e), hermitian_part(Kop @ C @ Kop.conj().T), L, tol)
-    upper = _scaled_back(B, -c - 2 * e)
+    lower_holds = _scaled_leq(A, 2 * k - s, hermitian_part(Kop @ C @ Kop.conj().T), L, tol)
+    upper = _scaled_back(B, -c - s)
     return lower_holds and (upper == math.inf or operator_leq(L, upper * np.eye(frame.dim), tol))
 
 
@@ -341,8 +306,7 @@ def interchange_identity_check(frame: FrameSequence, ctrl: Controller, tol: Tole
 
     The two weighted synthesis sums are the actions of ``C S`` and ``S C``, so
     the identity is exactly commutation:
-    ``||C S - S C||_F <= rel_eq * ||C||_F * ||S||_F``, decided on the
-    frame's scaled operator ``S~``, as the test is homogeneous in ``S``.
+    ``||C S - S C||_F <= rel_eq * ||C||_F * ||S||_F``, decided on ``S~``.
     Requires the form to be real-valued in the first place (``C S``
     Hermitian); a materially non-Hermitian product raises instead of
     returning a verdict, because then neither sum defines a controlled frame

@@ -5,10 +5,6 @@ analysis map sends ``f`` to its coefficient sequence ``<f, f_n>``, the frame
 operator is ``S = T T*``, and the optimal frame bounds are the extreme
 eigenvalues of ``S``.  Every finite family is Bessel, so the only verdict to
 settle is whether the lower bound clears zero.
-
-A family carries one power-of-two exponent ``e``: its verdicts read the
-scaled frame operator ``S~ = T~ T~*`` of ``T~ = 2^-e T``, which neither
-underflows nor overflows, and report values scaled back by ``2^(2e)``.
 """
 
 from __future__ import annotations
@@ -20,8 +16,8 @@ import numpy as np
 
 from .errors import DimensionMismatchError, InvalidParametersError, NotPositiveDefiniteError
 from .operators import (
-    DEFAULT_TOL, Tolerances, _pow2_scaled, _scaled_back, _spectrum_bounds, _times_pow2, _validated_rectangular,
-    as_vector, hermitian_part,
+    DEFAULT_TOL, Tolerances, _is_normal, _pow2_scaled, _scaled_back, _spectrum_bounds, _times_pow2,
+    _validated_rectangular, as_vector, hermitian_part,
 )
 
 __all__ = [
@@ -38,14 +34,9 @@ __all__ = [
 class FrameSequence:
     """A finite vector family in ``C^d``, held as a ``d x n`` synthesis matrix.
 
-    On first use the family computes ``(T~, e) = _pow2_scaled(matrix)`` (see
-    :func:`framekit.operators._pow2_scaled`), the scaled frame operator
-    ``S~ = T~ T~* = 2^(-2e) S`` and the ascending eigenpairs of ``S~``, and
-    caches each of them read-only, so every check on one family shares
-    them.  ``e`` is ``0``, and ``S~`` is ``S``, unless the largest part of
-    ``T`` lies outside ``[2^-128, 2^128)``; ``S~`` then has its largest
-    part near 1, so it neither underflows nor overflows and verdicts read
-    off it do not depend on the scale of the family.
+    On first use the family caches, read-only, ``(T~, e)``, ``(S~, s)``
+    with ``S~ = T~ T~*`` and ``s = 2e`` (see :mod:`framekit.operators`),
+    and the ascending eigenpairs of ``S~``, so every check shares them.
     """
 
     matrix: np.ndarray
@@ -75,7 +66,7 @@ class FrameSequence:
         T, e = self._scaled_matrix
         S = hermitian_part(T @ T.conj().T)
         S.setflags(write=False)
-        return S, e
+        return S, 2 * e
 
     @cached_property
     def _eigh(self) -> tuple[np.ndarray, np.ndarray]:
@@ -91,9 +82,7 @@ class FrameBounds:
 
     ``upper`` is always the optimal Bessel bound ``lambda_max(S)``.  ``lower``
     is the optimal lower frame bound when the family is a frame and ``None``
-    when it is Bessel-only (frame operator numerically singular).  Both are
-    floats, so a bound above the largest float is ``inf`` and one below the
-    smallest ``0.0``; ``is_frame`` does not depend on either.
+    when it is Bessel-only (frame operator numerically singular).
     """
 
     upper: float
@@ -123,20 +112,15 @@ def analysis(frame: FrameSequence, f) -> np.ndarray:
 def frame_operator(frame: FrameSequence) -> np.ndarray:
     """``S = T T*``, acting as ``S f = sum_n <f, f_n> f_n``.
 
-    The scaled operator ``S~`` cached on ``frame`` scaled back by
-    ``2^(2e)``: ``S~`` itself when ``e`` is ``0``, entries below the
-    smallest float flushed to zero.  The array is read-only; copy it before
-    writing.  No verdict or solver calls it: they read ``S~``.  It raises
-    :class:`InvalidParametersError` when ``S`` lies outside the float
-    range: an entry exceeds the largest float, or the largest diagonal
-    entry, which bounds every entry, falls below the smallest normal one.
+    ``S~`` scaled back by ``2^s``, read-only; no verdict or solver calls
+    it.  Raises :class:`InvalidParametersError` unless its largest part is
+    a normal float.
     """
-    S, e = frame._scaled
-    if e:
-        with np.errstate(over="ignore"):
-            S = _times_pow2(S, 2 * e)
-        if not (np.isfinite(S).all() and S.diagonal().real.max() >= np.finfo(np.float64).tiny):
-            size = "large" if e > 0 else "small"
+    S, s = frame._scaled
+    if s:
+        S = _times_pow2(S, s)
+        if not _is_normal(np.abs(S.view(np.float64)).max()):
+            size = "large" if s > 0 else "small"
             raise InvalidParametersError(f"the frame operator lies outside the float range: the frame vectors are too {size}")
         S.setflags(write=False)
     return S
@@ -149,14 +133,11 @@ def frame_bounds(frame: FrameSequence, tol: Tolerances = DEFAULT_TOL) -> FrameBo
     positivity slack the family is an ordinary frame with optimal lower bound
     ``lambda_min(S)``; otherwise the report is Bessel-only.  Both extremes are
     attained by the corresponding eigenvectors, so the bounds are tight.
-    The verdict reads the spectrum of the scaled operator ``S~`` cached on
-    ``frame``, so it does not change when the family is rescaled; the bounds
-    are scaled back by ``2^(2e)`` (``inf`` or ``0.0`` beyond the float
-    range).
+    Read off the spectrum of ``S~``, scaled back by ``2^s``.
     """
-    w, e = frame._eigh[0], frame._scaled[1]
+    w, s = frame._eigh[0], frame._scaled[1]
     try:
-        lower = _scaled_back(_spectrum_bounds(w, tol).lower, 2 * e)
+        lower = _scaled_back(_spectrum_bounds(w, tol).lower, s)
     except NotPositiveDefiniteError:
         lower = None
-    return FrameBounds(upper=_scaled_back(float(w[-1]), 2 * e), lower=lower)
+    return FrameBounds(upper=_scaled_back(float(w[-1]), s), lower=lower)

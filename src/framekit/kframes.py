@@ -32,7 +32,9 @@ from .operators import (
     DEFAULT_TOL,
     Tolerances,
     _positivity_slack,
+    _is_normal,
     _pow2_scaled,
+    _pow2_scaled_columns,
     _rank,
     _scaled_back,
     _scaled_leq,
@@ -64,15 +66,11 @@ class KFrameReport:
     ``<S f, f> / ||K* f||^2`` over every ``f`` with ``K* f != 0``, and
     ``upper_opt`` the optimal Bessel bound ``lambda_max(S)``.  ``is_kframe``
     is Douglas' range test: true exactly when the optimal lower constant is
-    positive (or ``vacuous``), whatever its size, so it is unchanged when
-    the family or ``K`` is rescaled while ``lower_opt`` scales as
-    ``s^2 / t^2``.  ``lower_opt`` is a float, so a positive constant below
-    the smallest float (``K`` huge against the family) is reported as
-    ``0.0`` with ``is_kframe`` true, and one above the largest as ``inf``
-    (``null`` in a JSON report, which has no infinity).  ``vacuous``
-    flags the rank-zero ``K``, where the lower inequality quantifies over
-    nothing and the verdict is true by convention; ``lower_opt`` is reported
-    as ``0.0`` there and must not be fed into arithmetic.  ``witness`` is a
+    positive (or ``vacuous``), whatever its size: a positive ``lower_opt``
+    that underflows to ``0.0`` keeps it true.  ``vacuous`` flags the
+    rank-zero ``K``, where the lower inequality quantifies over nothing and
+    the verdict is true by convention; ``lower_opt`` is reported as ``0.0``
+    there and must not be fed into arithmetic.  ``witness`` is a
     unit vector attaining the minimal quotient, not necessarily in
     ``range(K)``; when ``is_kframe`` is false it is a null vector of ``S``
     that ``K*`` does not annihilate (``None`` when vacuous).
@@ -111,8 +109,8 @@ def _top_eigenpair(G, tol: Tolerances):
     return vals[-1], vecs[:, -1]
 
 
-def _douglas_lower(w, U, W, tol: Tolerances, e: int = 0):
-    """``sup {A : A W W* <= 2^(2e) P}`` and a minimizer, from the eigenpairs
+def _douglas_lower(w, U, W, tol: Tolerances, s: int = 0):
+    """``sup {A : A W W* <= 2^s P}`` and a minimizer, from the eigenpairs
     ``(w, U)`` of a positive semi-definite ``P``.
 
     Douglas' lemma: the supremum is positive iff ``range(W)`` lies in
@@ -127,22 +125,10 @@ def _douglas_lower(w, U, W, tol: Tolerances, e: int = 0):
     inverse-iteration step, checked by its residual, with a full ``eigh``
     of the Gram matrix as the fallback (see :func:`_top_eigenpair`).
 
-    ``P`` is a frame's scaled operator ``S~ = 2^(-2e) S`` (see
-    :class:`framekit.frames.FrameSequence`).  ``W``, then ``M`` and then
-    the witness are each scaled by an exact power of two (see
-    :func:`framekit.operators._pow2_scaled`): a kept eigenvalue of ``P``
-    is bounded below only by the positivity slack, which a small
-    ``psd_slack`` lets reach a subnormal, so ``M`` can be near ``1e160``
-    even when ``W`` and ``P`` are not scaled.  Neither ``U* W``, the
-    Gram matrix nor the witness's norm then underflows or overflows, and
-    ``lower`` is scaled back by ``2^(2e)`` and by the exponents of ``W``
-    and ``M`` (see :func:`framekit.operators._scaled_back`).  The scalings
-    are exact, so they move no result that did not underflow or overflow;
-    ``lower`` is ``inf`` when it exceeds the largest float and ``0.0`` when
-    it falls below the smallest.  So that a positive supremum that
-    underflows is not taken for a failed range test, ``lower`` is ``None``
-    when the supremum is zero.  The witness is a new array that shares no
-    memory with ``U``.
+    ``P`` is a frame's ``S~``.  ``W``, ``M`` and the witness each carry
+    their own exponent, as a kept eigenvalue of ``P`` may be subnormal.
+    ``lower`` is ``None`` only when the supremum is zero, not when it
+    underflows.  The witness is a new array that shares no memory with ``U``.
     """
     W, k = _pow2_scaled(W)
     null = w <= _positivity_slack(w, tol)
@@ -154,7 +140,7 @@ def _douglas_lower(w, U, W, tol: Tolerances, e: int = 0):
     M, f = _pow2_scaled(Wc[~null] / root[:, None])
     top, x = _top_eigenpair(M @ M.conj().T, tol)
     witness, _ = _pow2_scaled(U[:, ~null] @ (x / root))
-    return _scaled_back(1.0 / top, 2 * (e - k - f)), witness / np.linalg.norm(witness)
+    return _scaled_back(1.0 / top, s - 2 * (k + f)), witness / np.linalg.norm(witness)
 
 
 def kframe_check(frame: FrameSequence, K, tol: Tolerances = DEFAULT_TOL) -> KFrameReport:
@@ -162,12 +148,11 @@ def kframe_check(frame: FrameSequence, K, tol: Tolerances = DEFAULT_TOL) -> KFra
 
     The upper constant is ``lambda_max(S)`` and the lower constant the
     Douglas optimum ``1 / ||S^{+1/2} K||^2`` (zero when ``range(K)`` escapes
-    ``range(S)``), both from the eigendecomposition of the scaled operator
-    ``S~ = 2^(-2e) S`` cached on ``frame`` and scaled back by ``2^(2e)``;
-    the Douglas optimum takes one ``eigvalsh`` and one linear solve on a
-    Gram matrix (see :func:`_douglas_lower`).  The verdict is the
-    range test alone: positive exactly when the lower constant is, with
-    ``range(S)`` spanned by the eigenvalues above ``psd_slack *
+    ``range(S)``), both from the eigendecomposition of ``S~`` and scaled
+    back by ``2^s``; the Douglas optimum takes one ``eigvalsh`` and one
+    linear solve on a Gram matrix (see :func:`_douglas_lower`).  The verdict
+    is the range test alone: positive exactly when the lower constant is,
+    with ``range(S)`` spanned by the eigenvalues above ``psd_slack *
     lambda_max(S)`` and ``K`` allowed ``rel_eq`` of its weight off it.  A
     zero ``K`` is vacuous, and is the only ``K`` of numerical rank zero,
     since the rank counts singular values above a fraction below one of the
@@ -184,14 +169,14 @@ def kframe_check(frame: FrameSequence, K, tol: Tolerances = DEFAULT_TOL) -> KFra
     memo = frame.__dict__.get("_kframe_memo")
     if memo and memo[0] == key:
         return memo[1]
-    (w, U), e = frame._eigh, frame._scaled[1]
+    (w, U), s = frame._eigh, frame._scaled[1]
     vacuous = not Kop.any()
-    lower, witness = (0.0, None) if vacuous else _douglas_lower(w, U, Kop, tol, e)
+    lower, witness = (0.0, None) if vacuous else _douglas_lower(w, U, Kop, tol, s)
     if witness is not None:
         witness.setflags(write=False)
     report = KFrameReport(
         is_bessel=True, is_kframe=lower is not None, lower_opt=lower or 0.0,
-        upper_opt=_scaled_back(float(w[-1]), 2 * e), vacuous=vacuous, witness=witness,
+        upper_opt=_scaled_back(float(w[-1]), s), vacuous=vacuous, witness=witness,
     )
     frame.__dict__["_kframe_memo"] = (key, report)
     return report
@@ -202,45 +187,29 @@ def kframe_operator_inequality(frame: FrameSequence, K, A: float, tol: Tolerance
 
     This is the lower K-frame inequality in operator form, quantified over
     the whole space.  It flips exactly at ``lower_opt`` from
-    :func:`kframe_check`.  The comparison is decided on the frame's cached
-    ``S~ = 2^(-2e) S`` and on ``K~ = 2^-k K`` (see
-    :func:`framekit.operators._pow2_scaled`) after dividing both sides by
-    ``2^(2e)``, so ``A`` moves by ``2^(2k - 2e)``: rescaling the family or
-    ``K`` by a power of two leaves the verdict at the moved ``A`` as it is.
-    The moved ``A`` is never formed: its exponent goes on whichever side
-    it shrinks (see :func:`framekit.operators._scaled_leq`), so an ``A``
-    far above the optimum is refused, not overflowed.  An ``A`` that is not
-    finite and positive raises :class:`InvalidParametersError` there.
+    :func:`kframe_check`.  Decided on ``S~`` and ``K~`` with ``A`` moved
+    by ``2^(2k - s)`` (see :func:`framekit.operators._scaled_leq`).
     """
     Kop, k = _pow2_scaled(as_operator(K, dim=frame.dim))
-    S, e = frame._scaled
-    return _scaled_leq(A, 2 * (k - e), hermitian_part(Kop @ Kop.conj().T), S, tol)
+    S, s = frame._scaled
+    return _scaled_leq(A, 2 * k - s, hermitian_part(Kop @ Kop.conj().T), S, tol)
 
 
 def rayleigh_quotients(frame: FrameSequence, K, vectors) -> np.ndarray:
     """``<S f, f> / ||K* f||^2`` column-wise for probe vectors with ``K* f != 0``.
 
     Columns annihilated by ``K*`` yield ``inf`` rather than an error so bulk
-    sampling stays simple.  The quotients are taken with the frame's cached
-    ``S~ = 2^(-2e) S``, ``K~ = 2^-k K`` and each probe column scaled by its
-    own power of two (see :func:`framekit.operators._pow2_scaled`), as a
-    quotient does not depend on the scale of its column, and scaled back
-    by ``2^(2e - 2k)``: ``inf`` above the largest float, ``0.0`` below the
-    smallest.
+    sampling stays simple.  Taken on ``S~``, ``K~`` and each column at its
+    own exponent, as a quotient does not depend on the scale of its
+    column, and scaled back by ``2^(s - 2k)``.
     """
     Kop, k = _pow2_scaled(as_operator(K, dim=frame.dim))
-    V = np.asarray(vectors, dtype=np.complex128).reshape(len(vectors), -1)  # a vector is one column
-    # Each quotient is homogeneous in its column: scale each column as
-    # _pow2_scaled would, by the exponent of its largest real or imaginary part.
-    parts = np.ascontiguousarray(V).view(np.float64).reshape(*V.shape, 2)
-    m = np.abs(parts).max(axis=(0, 2))
-    exponents = np.where((2.0**-128 <= m) & (m < 2.0**128), 0, np.frexp(m)[1])
-    V = np.ldexp(parts, -exponents[:, None]).view(np.complex128)[..., 0]
-    S, e = frame._scaled
+    V = _pow2_scaled_columns(np.asarray(vectors, dtype=np.complex128).reshape(len(vectors), -1))  # a vector is one column
+    S, s = frame._scaled
     numerators = np.einsum("ij,ij->j", V.conj(), S @ V).real
     denominators = np.linalg.norm(Kop.conj().T @ V, axis=0) ** 2
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        return np.ldexp(np.where(denominators > 0.0, numerators / denominators, np.inf), 2 * (e - k))
+        return np.ldexp(np.where(denominators > 0.0, numerators / denominators, np.inf), s - 2 * k)
 
 
 @dataclass(frozen=True)
@@ -266,10 +235,7 @@ def atomic_system_constant(frame: FrameSequence, K, tol: Tolerances = DEFAULT_TO
     Frobenius norm against ``||K||_F``, as :func:`bessel_dual_check` does.
     One SVD ``T = U_r Sigma_r V_r*`` gives both the projector ``T T^+ =
     U_r U_r*`` and the constant ``||T^+ K|| = ||Sigma_r^{-1} U_r* K||``.
-    The SVD is of the frame's cached ``T~ = 2^-e T``, and ``K`` is read as
-    ``K~ = 2^-k K`` (see :func:`framekit.operators._pow2_scaled`), so
-    neither the test nor the norm depends on their scale; the constant is
-    scaled back by ``2^(k - e)``, ``inf`` or ``0.0`` beyond the float range.
+    Decided on ``T~`` and ``K~``; the constant is scaled back by ``2^(k - e)``.
     """
     Kop, k = _pow2_scaled(as_operator(K, dim=frame.dim))
     T, e = frame._scaled_matrix
@@ -300,13 +266,10 @@ def _factor_check(frame_f: FrameSequence, frame_g: FrameSequence, Kop, tol: Tole
     """``(K == F G*, defect)``: the verdict of :func:`bessel_dual_check` and
     the defect ``K - F G*`` it was decided on, times one exact power of two.
 
-    ``F`` and ``G`` are read scaled by their frames' exponents, ``2^-a``
-    and ``2^-b`` (see :class:`framekit.frames.FrameSequence`), and ``K`` is
-    scaled by ``2^-(a+b)``, so ``F G*`` cannot overflow; the defect and
-    ``K`` then share one more power of two, so neither norm can.  The
-    defect is ``None`` when the scaled ``K`` exceeds the largest float
-    while each entry of ``F G*`` stays below ``count 2^256``: the relative
-    defect is about 1, and the verdict false.
+    ``F~ = 2^-a F`` and ``G~ = 2^-b G`` meet ``K`` moved by ``2^-(a + b)``;
+    the defect and that ``K`` then share one more exponent.  The defect is
+    ``None`` when the moved ``K`` is ``inf`` while ``F~ G~*`` stays below
+    ``count 2^256``: the relative defect is about 1, and the verdict false.
     """
     if frame_f.count != frame_g.count:
         raise DimensionMismatchError(
@@ -317,8 +280,7 @@ def _factor_check(frame_f: FrameSequence, frame_g: FrameSequence, Kop, tol: Tole
             f"paired families must share the ambient dimension, got {frame_f.dim} and {frame_g.dim}"
         )
     (F, a), (G, b) = frame_f._scaled_matrix, frame_g._scaled_matrix
-    with np.errstate(over="ignore"):
-        Ks = _times_pow2(Kop, -(a + b))
+    Ks = _times_pow2(Kop, -(a + b))
     if not np.isfinite(Ks).all():
         return False, None
     (defect, Ks), _ = _pow2_scaled(np.stack([Ks - F @ G.conj().T, Ks]))
@@ -372,10 +334,8 @@ def construct_kframe(
     a ``T K``-frame.  Returns the transformed family together with the
     operator against which it is certified (``K`` or ``T @ K``), so callers
     can feed the pair straight into :func:`kframe_check`.  Both products
-    are formed from factors scaled by their powers of two (see
-    :func:`framekit.operators._pow2_scaled`) and scaled back, so a family
-    beyond the float range is refused with :class:`InvalidParametersError`
-    and no numpy warning; an entry of ``T @ K`` beyond it is ``inf``.
+    are formed from scaled factors and scaled back; a family beyond the
+    float range is refused with :class:`InvalidParametersError`.
     """
     Kop = as_operator(K, dim=source.dim)
     if require_orthonormal:
@@ -389,9 +349,7 @@ def construct_kframe(
             raise NotOrthonormalError("source vectors are not orthonormal within tolerance")
     Top = Kop if T is None else as_operator(T, dim=source.dim)
     (W, w), (G, e), (Ks, k) = _pow2_scaled(Top), source._scaled_matrix, _pow2_scaled(Kop)
-    with np.errstate(over="ignore"):  # FrameSequence refuses a family beyond the float range
-        family = FrameSequence(_times_pow2(W @ G, w + e))
-        return family, Kop if T is None else _times_pow2(W @ Ks, w + k)
+    return FrameSequence(_times_pow2(W @ G, w + e)), Kop if T is None else _times_pow2(W @ Ks, w + k)
 
 
 def restricted_operator_inequalities(
@@ -421,17 +379,12 @@ def restricted_operator_inequalities(
     the two ``S^{-1}`` inequalities are the first pair restated for
     ``g = S f``.  ``Q`` and ``k = 1 / sigma_r(K)`` come from one SVD of
     ``K``.  Each comparison allows ``rel_eq`` times the larger side.
-
-    All three are homogeneous, so they are decided on the frame's cached
-    ``S~ = 2^(-2e) S`` and on ``K~ = 2^-j K`` (see
-    :func:`framekit.operators._pow2_scaled`): ``B`` is ``lambda_max(S~)``
-    and ``A`` is ``lower_opt`` moved by ``2^(2j - 2e)``, so no side
-    depends on the scale of the family or of ``K``.
+    Decided on ``S~`` and ``K~ = 2^-j K``: ``B`` is ``lambda_max(S~)`` and
+    ``A`` is ``lower_opt`` moved by ``2^(2j - s)``.
 
     Raises :class:`PreconditionFailedError` when the pair is not a K-frame
     (the inequalities are statements about K-frames only), and
-    :class:`InvalidParametersError` when ``lower_opt`` is not a normal
-    float (``0.0``, subnormal or ``inf``), as its exact value is then lost.
+    :class:`InvalidParametersError` when ``lower_opt`` is not normal.
     """
     report = kframe_check(frame, K, tol)
     if not report.is_kframe or report.vacuous:
@@ -439,15 +392,15 @@ def restricted_operator_inequalities(
             "restricted inequalities presuppose a K-frame with nonzero rank",
             witness=report.witness,
         )
-    if not np.finfo(np.float64).tiny <= report.lower_opt < np.inf:
+    if not _is_normal(report.lower_opt):
         raise InvalidParametersError(f"the K-frame bound lower_opt = {report.lower_opt!r} lies outside the float range")
     Kop, j = _pow2_scaled(as_operator(K, dim=frame.dim))
-    (S, e), w = frame._scaled, frame._eigh[0]
-    A, B = _scaled_back(report.lower_opt, 2 * (j - e)), float(w[-1])
+    (S, s), w = frame._scaled, frame._eigh[0]
+    A, B = _scaled_back(report.lower_opt, 2 * j - s), float(w[-1])
     U, s_k, _ = np.linalg.svd(Kop, full_matrices=False)
     r = _rank(s_k, Kop.shape, tol)
     Q, k_sq = U[:, :r], (1.0 / s_k[r - 1]) ** 2
-    s = np.linalg.svd(S @ Q, compute_uv=False)
+    s_s = np.linalg.svd(S @ Q, compute_uv=False)
     s_k = np.linalg.svd(Kop.conj().T @ Q, compute_uv=False)
-    pairs = ((A / k_sq, s[-1]), (s[0], B), (1.0 / k_sq, s_k[-1] ** 2))
+    pairs = ((A / k_sq, s_s[-1]), (s_s[0], B), (1.0 / k_sq, s_k[-1] ** 2))
     return all(lhs <= rhs + tol.rel_eq * max(lhs, rhs) for lhs, rhs in pairs)

@@ -8,6 +8,26 @@ conj(g[i])`` — linear in the first argument, conjugate-linear in the second.
 Operators act by left multiplication and adjoints are conjugate transposes.
 Every predicate takes a :class:`Tolerances` bundle so numerical slack is
 explicit and configurable rather than hidden in library defaults.
+
+Scale
+-----
+Each operand carries one power-of-two exponent from :func:`_pow2_scaled`:
+the family ``T~ = 2^-e T``, with ``S~ = T~ T~* = 2^-s S`` and ``s = 2e``;
+the controller ``C~ = 2^-c C``; ``K~ = 2^-k K``; the right-hand side
+``g~ = 2^-j g``; and each probe column.  The exponent is ``0`` while the
+operand's largest real or imaginary part lies in the window ``[2^-128,
+2^128)``, where products of entries neither underflow nor overflow, and
+otherwise brings that part into ``[1/2, 1)``.  A power of two moves only
+the float exponent, so the scaling is exact while no part leaves the
+normal range, as in LAPACK's balancing (B. N. Parlett and C. Reinsch,
+Numer. Math. 13 (1969)): a verdict read off the scaled operands is that of
+the given ones at every scale, and a value computed on them is scaled back
+by their exponents.  A value beyond the float range is reported as ``inf``
+or ``0.0`` (:func:`_scaled_back`, :func:`_times_pow2`), and as ``null`` in
+JSON.  A result that must keep its exact value (the frame operator, the
+``lower_opt`` of the restricted inequalities, a solve's solution) is
+refused with :class:`InvalidParametersError` unless it is a normal float
+(:func:`_is_normal`).
 """
 
 from __future__ import annotations
@@ -146,48 +166,55 @@ def hermitian_part(T) -> np.ndarray:
 
 
 def is_hermitian(T, tol: Tolerances = DEFAULT_TOL) -> bool:
-    """Whether ``||T - T*||_F <= rel_eq * ||T||_F``.
-
-    The test is homogeneous in ``T``, so ``T`` is first scaled by an exact
-    power of two (see :func:`_pow2_scaled`): a huge or tiny ``T`` neither
-    overflows nor underflows the norms.
-    """
+    """Whether ``||T - T*||_F <= rel_eq * ||T||_F``, decided on ``T~``."""
     M, _ = _pow2_scaled(as_operator(T))
     defect = np.linalg.norm(M - M.conj().T)
     return bool(defect <= tol.rel_eq * np.linalg.norm(M))
 
 
-def _pow2_scaled(A):
-    """``(A 2^-e, e)`` for a complex ``A``, exact as ``2^-e`` is a power of
-    two; ``e`` is ``0`` for a zero ``A``.
+_WINDOW_LOW, _WINDOW_HIGH = 2.0**-128, 2.0**128
 
-    ``e`` is ``0``, and ``A`` is returned as is, while the largest real or
-    imaginary part ``m`` of ``A`` lies in ``[2^-128, 2^128)``, where
-    products of entries neither underflow nor overflow.  Outside that
-    range ``e`` brings ``m`` into ``[1/2, 1)``.
-    """
+
+def _pow2_scaled(A):
+    """``(A 2^-e, e)`` for a complex ``A``, with the exponent ``e`` of the
+    module's Scale section (``0`` for a zero ``A``); ``A`` itself in the window."""
     parts = np.ascontiguousarray(A).view(np.float64)
     m = max(parts.max(), -parts.min())
-    if 2.0**-128 <= m < 2.0**128:
+    if _WINDOW_LOW <= m < _WINDOW_HIGH:
         return A, 0
     e = math.frexp(m)[1]
     return _times_pow2(A, -e), e
 
 
+def _pow2_scaled_columns(V) -> np.ndarray:
+    """``V`` with each column scaled as :func:`_pow2_scaled` scales an
+    array, by the exponent of its own largest part, in one ``np.ldexp``."""
+    parts = np.ascontiguousarray(V).view(np.float64).reshape(*V.shape, 2)
+    m = np.abs(parts).max(axis=(0, 2))
+    exponents = np.where((_WINDOW_LOW <= m) & (m < _WINDOW_HIGH), 0, np.frexp(m)[1])
+    return np.ldexp(parts, -exponents[:, None]).view(np.complex128)[..., 0]
+
+
 def _times_pow2(A, n: int) -> np.ndarray:
     """``A 2^n`` for a complex ``A``, part by part: exact while no part
-    leaves the normal range."""
-    return np.ldexp(np.ascontiguousarray(A).view(np.float64), n).view(np.complex128)
+    leaves the normal range, ``inf`` beyond the largest float, no warning."""
+    with np.errstate(over="ignore"):
+        return np.ldexp(np.ascontiguousarray(A).view(np.float64), n).view(np.complex128)
 
 
 def _scaled_back(x: float, e: int) -> float:
-    """``x 2^e``, the one way a value computed on power-of-two-scaled
-    operands (see :func:`_pow2_scaled`) is reported: ``inf`` with the sign
-    of ``x`` above the largest float, ``0.0`` below the smallest."""
+    """``x 2^e``: ``inf`` with the sign of ``x`` above the largest float,
+    ``0.0`` below the smallest."""
     try:
         return math.ldexp(x, e)
     except OverflowError:
         return math.copysign(math.inf, x)
+
+
+def _is_normal(x) -> bool:
+    """Whether ``x`` is a normal float: finite and at least the smallest
+    normal one (``nan`` is not)."""
+    return bool(np.finfo(np.float64).tiny <= x < math.inf)
 
 
 def _checked_hermitian(T, tol: Tolerances) -> np.ndarray:
@@ -304,9 +331,7 @@ def operator_leq(T1, T2, tol: Tolerances = DEFAULT_TOL) -> bool:
     so the comparison takes one decomposition, of ``T2 - T1``.  Both operands
     must be Hermitian; comparing non-Hermitian operators is a category error,
     not a numerical question, and raises :class:`NonHermitianComparisonError`.
-    The test is homogeneous in the pair, so both operands are first scaled
-    by one exact power of two (see :func:`_pow2_scaled`): a huge or tiny
-    pair neither overflows nor underflows the difference or the norms.
+    Decided on the pair scaled by one shared exponent.
     """
     A = as_operator(T1)
     B = as_operator(T2, dim=A.shape[0])
@@ -319,17 +344,12 @@ def operator_leq(T1, T2, tol: Tolerances = DEFAULT_TOL) -> bool:
 
 
 def _scaled_leq(A: float, p: int, W, P, tol: Tolerances) -> bool:
-    """Loewner comparison ``A 2^p W <= P`` without forming ``A 2^p``, which
-    may leave the float range.
-
-    ``W`` and ``P`` are operands scaled by :func:`_pow2_scaled`.  With ``A
-    = m 2^a`` and ``m`` in ``[1/2, 1)`` (:func:`math.frexp`), the exponent
-    ``q = a + p`` goes on whichever side it shrinks: ``m W <= 2^-q P`` for
-    ``q > 0``, else ``2^q m W <= P``.  So no operand overflows however far
-    ``A`` lies from the optimum, and the verdict is that of the unscaled
-    comparison.  A candidate ``A`` that is not finite and positive is
-    refused with :class:`InvalidParametersError`: the one rule for the
-    three Loewner checks that call this.
+    """Loewner comparison ``A 2^p W <= P`` of scaled operands, without
+    forming ``A 2^p``: with ``A = m 2^a``, ``m`` in ``[1/2, 1)``, the
+    exponent ``q = a + p`` goes on whichever side it shrinks, ``m W <= 2^-q
+    P`` for ``q > 0``, else ``2^q m W <= P``.  A candidate ``A`` that is not
+    finite and positive is refused with :class:`InvalidParametersError`,
+    the one rule of the three Loewner checks that call this.
     """
     if not 0.0 < A < math.inf:
         raise InvalidParametersError(f"the candidate lower bound must be positive, got {A!r}")

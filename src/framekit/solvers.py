@@ -20,15 +20,13 @@ residual recurrence
     r_{k+1} = M r_k,    M = I - lam S C    (C = I for the plain iteration),
 
 so each iteration is one matrix-vector product, written into preallocated
-blocks; ``M`` is formed once per stack.  A solve of ``S f = g`` on a
-frame passes the frame's power-of-two-scaled ``S~ = 2^(-2e) S``, the
-controller's ``C~ = 2^-c C`` and the relaxation moved by ``2^(c + 2e)``,
-which form the same ``M``; a public solve also scales ``g`` by its own
-power of two.  Two or more active columns run as ``(A, d, 1)`` operands
-through stacked ``matmul``; a lone column (every public solve, and the
-tail of a bench stack) runs as 2-D/1-D operands through ``np.dot``, which
-skips the gufunc's per-call overhead.  The layout is chosen whenever the
-stack is (re)built.
+blocks; ``M`` is formed once per stack.  A solve passes the scaled operands
+with the relaxation moved by their exponent, which form the same ``M``.
+Two or more active columns run as ``(A, d, 1)`` operands through stacked
+``matmul``; a lone column (every public solve, and the tail of a bench
+stack) runs as 2-D/1-D operands through ``np.dot``, which skips the
+gufunc's per-call overhead.  The layout is chosen whenever the stack is
+(re)built.
 
 The iterations run in blocks of 1, 2, 4, ... up to 64 updates, so block ends
 fall after updates 1, 3, 7, 15, 31, 63, 127, 191, ... whatever the stack
@@ -72,6 +70,7 @@ from .operators import (
     DEFAULT_TOL,
     OperatorBounds,
     Tolerances,
+    _is_normal,
     _pow2_scaled,
     _scaled_back,
     _spectrum_bounds,
@@ -300,22 +299,16 @@ def _solve_one(S, rhs, lam: float, config: SolverConfig, C=None, kappa: float = 
     """The ``T = 1`` case of :func:`_richardson_stack` as ``(f, ConvergenceTrace)``.
 
     ``S`` is ``2^-x`` times the operator of the system.  The kernel runs on
-    ``rhs`` scaled by its own power of two, ``(g~, j) = _pow2_scaled(rhs)``
-    (see :func:`framekit.operators._pow2_scaled`), so no residual norm
-    under- or overflows; the relative residuals do not depend on the
-    scaling, and the iterate is scaled back by ``2^(j - x)``.  A solve that
-    did not diverge, of a nonzero ``rhs``, whose solution's largest part
-    exceeds the largest float or falls below the smallest normal one is
-    refused with :class:`InvalidParametersError`.
+    ``g~ = 2^-j rhs`` and the iterate is scaled back by ``2^(j - x)``.  A
+    solve that did not diverge, of a nonzero ``rhs``, whose solution's
+    largest part is not a normal float raises :class:`InvalidParametersError`.
     """
     scaled, j = _pow2_scaled(rhs)
     f, (history,), (converged,) = _richardson_stack(
         S[None], scaled[None], np.array([lam]), config, None if C is None else C[None]
     )
-    with np.errstate(over="ignore"):
-        f = _times_pow2(f[0], j - x)
-    largest = np.abs(f.view(np.float64)).max()
-    if rhs.any() and np.isfinite(history).all() and not np.finfo(np.float64).tiny <= largest < np.inf:
+    f = _times_pow2(f[0], j - x)
+    if rhs.any() and np.isfinite(history).all() and not _is_normal(np.abs(f.view(np.float64)).max()):
         raise InvalidParametersError("the solution lies outside the float range")
     residuals = history.tolist()
     return f, ConvergenceTrace(
@@ -323,46 +316,39 @@ def _solve_one(S, rhs, lam: float, config: SolverConfig, C=None, kappa: float = 
     )
 
 
-def _relaxation(config: SolverConfig, bounds: OperatorBounds, x: int = 0) -> float:
+def _relaxation(config: SolverConfig, lower: float, upper: float, x: int = 0) -> float:
     """The relaxation of a kernel that runs on ``2^-x`` times the system's
-    operator, from the certified bounds of the operator it runs on: their
-    optimal ``2 / (A + B)``, or the fixed relaxation moved by ``2^x``."""
-    return 2.0 / (bounds.lower + bounds.upper) if config.relaxation is None else _scaled_back(config.relaxation, x)
+    operator, from the bounds of the operator it runs on: their optimal
+    ``2 / (lower + upper)``, or the fixed relaxation moved by ``2^x``."""
+    return 2.0 / (lower + upper) if config.relaxation is None else _scaled_back(config.relaxation, x)
 
 
 def _controlled_relaxation(frame: FrameSequence, ctrl: Controller | None, config: SolverConfig, tol: Tolerances):
-    """``(lam~, bounds)``: the relaxation with which the kernel runs on the
-    frame's ``S~ = 2^(-2e) S`` and the controller's ``C~ = 2^-c C``, and the
-    certified bounds of ``C~ S~ = 2^-x C S`` (see
+    """``(lam~, bounds)``: the relaxation with which the kernel runs on
+    ``S~`` and ``C~``, and the certified bounds of ``C~ S~ = 2^-x C S`` (see
     :func:`framekit.controlled._require_real_product`).  ``ctrl=None`` is
     the plain iteration: the bounds of ``S~`` from the frame's cached
-    eigenvalues, and ``x = 2e``.
-
-    The kernel's ``M = I - lam~ S~ C~`` is ``I - lam S C`` bit for bit
-    while no entry leaves the normal range, as the scalings are exact: the
-    optimal ``lam~`` of ``C~ S~`` is ``2^x`` times that of ``C S``, and a
-    fixed relaxation is moved by ``2^x`` (see :func:`_relaxation`).
+    eigenvalues, and ``x = s``.
     """
     if ctrl is None:
-        w, x = frame._eigh[0], 2 * frame._scaled[1]
+        w, x = frame._eigh[0], frame._scaled[1]
     else:
         H, x = _require_real_product(frame, ctrl, tol)
         w = np.linalg.eigvalsh(H)
     bounds = _spectrum_bounds(w, tol)
-    return _relaxation(config, bounds, x), bounds
+    return _relaxation(config, bounds.lower, bounds.upper, x), bounds
 
 
 def richardson_solve(op, g, bounds, config: SolverConfig = SolverConfig(), tol: Tolerances = DEFAULT_TOL):
-    """Solve ``Op f = g`` by relaxed Richardson iteration.
+    """Solve ``Op f = g`` by relaxed Richardson iteration, run on ``Op~ =
+    2^-x Op`` and ``g~`` with the bounds moved by ``2^-x``.
 
     Parameters
     ----------
     op : array_like
         Hermitian positive definite operator.
     g : array_like
-        Right-hand side.  The iteration runs on ``g`` scaled by its own
-        power of two (see :func:`_solve_one`), so its scale changes neither
-        the trace nor the iterate beyond that factor.
+        Right-hand side.
     bounds : OperatorBounds or (lower, upper)
         Certified spectral bounds of ``op``.  A pair is checked once, by
         building an :class:`OperatorBounds`: one that is not finite with
@@ -382,7 +368,9 @@ def richardson_solve(op, g, bounds, config: SolverConfig = SolverConfig(), tol: 
     rhs = as_vector(g, dim=Op.shape[0])
     if not is_hermitian(Op, tol):
         raise NotHermitianError("Richardson iteration requires a Hermitian operator")
-    return _solve_one(Op, rhs, _relaxation(config, _coerce_bounds(bounds)), config)
+    (Op, x), bounds = _pow2_scaled(Op), _coerce_bounds(bounds)
+    lam = _relaxation(config, _scaled_back(bounds.lower, -x), _scaled_back(bounds.upper, -x), x)
+    return _solve_one(Op, rhs, lam, config, x=x)
 
 
 def controlled_richardson_solve(
@@ -397,24 +385,17 @@ def controlled_richardson_solve(
     The controller must form a valid controlled instance with the frame:
     ``C S`` Hermitian.  The solve inverts ``S``, so it takes no ``K``; the
     commutation ``C K = K C`` is a hypothesis of the controlled K-frame
-    verdict, not of the iteration.  The relaxation comes from the
-    certified bounds of ``C S``, so the iteration count is governed by
-    ``cond(C S)``; the stopping criterion is the relative residual of the
-    *original* system, making counts directly comparable with
-    :func:`richardson_solve`.  ``ctrl=None`` is the plain iteration, with
-    the bounds of ``S``; with ``C = I`` the arithmetic — and hence the
-    trace — is identical to it.
-
-    The iteration runs on the frame's ``S~ = 2^(-2e) S``, the controller's
-    ``C~ = 2^-c C`` and ``g`` scaled by its own power of two (see
-    :func:`_controlled_relaxation` and :func:`_solve_one`), so rescaling
-    the family, ``C`` or ``g`` by a power of two changes neither the trace
-    nor the iterate beyond its factor while every part stays normal.  Only
-    a solution outside the float range is refused, with
-    :class:`InvalidParametersError`.
+    verdict, not of the iteration.  The relaxation comes from the certified
+    bounds of ``C S``, so the iteration count is governed by ``cond(C S)``;
+    the stopping criterion is the relative residual of the *original*
+    system, making counts directly comparable with :func:`richardson_solve`.
+    ``ctrl=None`` is the plain iteration, with the bounds of ``S``; with
+    ``C = I`` the arithmetic — and hence the trace — is identical to it.
+    The iteration runs on ``S~``, ``C~`` and ``g~``; only a solution
+    outside the float range is refused, with :class:`InvalidParametersError`.
     """
     rhs = as_vector(g, dim=frame.dim)
     lam, _ = _controlled_relaxation(frame, ctrl, config, tol)
     C, kappa = (None, 1.0) if ctrl is None else (ctrl._scaled[0], ctrl.condition)
-    S, e = frame._scaled
-    return _solve_one(S, rhs, lam, config, C=C, kappa=kappa, x=2 * e)
+    S, s = frame._scaled
+    return _solve_one(S, rhs, lam, config, C=C, kappa=kappa, x=s)

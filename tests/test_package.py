@@ -92,3 +92,23 @@ def test_no_verdict_or_solver_calls_frame_operator():
         if isinstance(node, ast.Call) and "frame_operator" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
     ]
     assert calls == []
+
+
+SCALE_RULES = ("2.0**-128", "2.0**128", "np.finfo(")
+
+
+def test_the_scale_window_and_the_normal_float_test_are_written_in_operators_only():
+    # The [2^-128, 2^128) window and the normal-float test are decided once,
+    # in operators; every other module calls its helpers.
+    package = Path(framekit.__file__).parent
+    written = [
+        f"{path.name}:{number} {rule}"
+        for path in sorted(package.glob("*.py"))
+        if path.name != "operators.py"
+        for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+        for rule in SCALE_RULES
+        if rule in line
+    ]
+    assert written == []
+    operators = (package / "operators.py").read_text(encoding="utf-8")
+    assert all(rule in operators for rule in SCALE_RULES)

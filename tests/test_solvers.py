@@ -542,6 +542,22 @@ def test_a_right_hand_side_far_from_one_is_solved_as_at_scale_one(scale, solver)
     assert relative_residual(frame.matrix, f, g) <= 1e-8 * (1 + 1e-3)
 
 
+
+@pytest.mark.parametrize("k", [-1070, -1029, -600, 600, 1000])
+def test_an_operator_far_from_one_is_solved_as_at_scale_one(k):
+    # Unscaled, an operator near the subnormal range made 2 / (A + B) inf:
+    # diag(1e-310, 2e-310) gave [inf+nanj, inf+nanj] as not converged after
+    # one iteration, with residual nan.
+    Op, g = np.diag([1.0, 2.0]).astype(complex), np.ones(2, dtype=complex)
+    f, trace = richardson_solve(Op, g, (1.0, 2.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        moved_f, moved = richardson_solve(np.diag([2.0**k, 2.0 ** (k + 1)]), 2.0**k * g, (2.0**k, 2.0 ** (k + 1)))
+        tiny_f, tiny = richardson_solve(np.diag([1e-310, 2e-310]), 1e-300 * g, (1e-310, 2e-310))
+    assert moved == trace and trace.converged and np.array_equal(moved_f, f)
+    assert tiny.converged and tiny.iterations == 17
+    np.testing.assert_allclose(tiny_f, [1e10, 5e9], rtol=1e-8)
+
 def test_controlled_solve_without_a_controller_is_the_plain_solve():
     frame, g = _motivating_system(1.0)
     S = frame_operator(frame)
