@@ -15,14 +15,14 @@ mathematical precondition is violated, or a solve diverged to non-finite
 values (no solution is written then); 3 the solver hit its iteration cap
 (outputs are still written).
 
-Every JSON report embeds a run manifest (command, inputs, seed, tolerances,
-outputs, exit code).  Reports carry a wall-clock timestamp unless
-``--deterministic`` is given, in which case reruns are byte-identical.
-``--json`` output is strict JSON: a number that is not finite (a bound
-beyond the largest float, a diverged residual, a ``nan`` flag value) is
-written as ``null``.
-Input validation never produces a stack trace — errors come back as
-``file: position: message`` diagnostics on stderr.
+Every JSON report embeds a run manifest: command, inputs, the seed (``bench``
+and ``gen`` only), the effective tolerances, outputs and exit code.  Each
+subcommand takes only the shared options it reads.  Reports carry a wall-clock
+timestamp unless ``--deterministic`` is given, in which case reruns are
+byte-identical.  ``--json`` output is strict JSON: a number that is not finite
+(a bound beyond the largest float, a diverged residual, a ``nan`` flag value)
+is written as ``null``.  Input validation never produces a stack trace —
+errors come back as ``file: position: message`` diagnostics on stderr.
 """
 
 from __future__ import annotations
@@ -85,7 +85,7 @@ def _manifest(args, tol: Tolerances, inputs: dict, outputs: list, exit_code: int
     manifest = {
         "command": args.command,
         "inputs": inputs,
-        "seed": args.seed,
+        **({"seed": args.seed} if "seed" in args else {}),
         "tolerances": dataclasses.asdict(tol),
         "outputs": list(outputs),
         "exit_code": exit_code,
@@ -365,46 +365,50 @@ def _cond_target(text: str) -> float | None:
 @functools.cache
 def _build_parser() -> _Parser:
     """The argument parser, built once per process; parsing leaves it unchanged."""
-    shared = _Parser(add_help=False)
-    group = shared.add_argument_group("shared options")
-    group.add_argument("--tol-rel", type=float, default=DEFAULT_TOL.rel_eq,
-                       help="relative equality tolerance (default %(default)g)")
-    group.add_argument("--tol-psd", type=float, default=DEFAULT_TOL.psd_slack,
-                       help="positivity slack for operator inequalities (default %(default)g)")
-    group.add_argument("--rank-rel", type=float, default=None,
-                       help="relative rank cutoff (default: 1e-12 * dim)")
-    group.add_argument("--seed", type=int, default=0,
-                       help="base seed for all sampling (default %(default)s)")
-    group.add_argument("--json", action="store_true",
-                       help="emit a JSON report on stdout instead of text")
-    group.add_argument("--deterministic", action="store_true",
-                       help="omit the timestamp so identical runs are byte-identical")
-
     parser = _Parser(
         prog="framekit",
         description="Finite-frame toolkit: property checks, dual systems, "
                     "iterative solves and preconditioning benchmarks.",
     )
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+    shared = {  # each subcommand takes --json, --deterministic and the others it reads
+        "--tol-rel": dict(type=float, default=DEFAULT_TOL.rel_eq,
+                          help="relative equality tolerance (default %(default)g)"),
+        "--tol-psd": dict(type=float, default=DEFAULT_TOL.psd_slack,
+                          help="positivity slack for operator inequalities (default %(default)g)"),
+        "--rank-rel": dict(type=float, default=None, help="relative rank cutoff (default: 1e-12 * dim)"),
+        "--seed": dict(type=int, default=0, help="base seed of the generated instances (default %(default)s)"),
+        "--json": dict(action="store_true", help="emit a JSON report on stdout instead of text"),
+        "--deterministic": dict(action="store_true",
+                                help="omit the timestamp so identical runs are byte-identical"),
+    }
 
-    p = sub.add_parser("check", parents=[shared],
-                       help="verify frame / K-frame / controlled K-frame properties")
+    def add_parser(name, reads, help):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(tol_psd=DEFAULT_TOL.psd_slack, rank_rel=DEFAULT_TOL.rank_rel)  # unless it reads them
+        group = p.add_argument_group("shared options")
+        for flag in (*reads.split(), "--json", "--deterministic"):
+            group.add_argument(flag, **shared[flag])
+        return p
+
+    p = add_parser("check", "--tol-rel --tol-psd --rank-rel",
+                   help="verify frame / K-frame / controlled K-frame properties")
     p.add_argument("frame", help="frame JSON file")
     p.add_argument("--k", help="operator JSON file: check the K-frame property")
     p.add_argument("--c", help="controller JSON file: check the controlled property "
                                "(K defaults to the identity if --k is absent)")
     p.set_defaults(func=cmd_check)
 
-    p = sub.add_parser("dual", parents=[shared],
-                       help="construct the dual system h_n on range(K) and verify reconstruction")
+    p = add_parser("dual", "--tol-rel --rank-rel",
+                   help="construct the dual system h_n on range(K) and verify reconstruction")
     p.add_argument("--g", required=True, help="generating frame JSON file")
     p.add_argument("--k", required=True, help="operator JSON file")
     p.add_argument("--f", help="explicit frame F with K = F G* (default: {K g_n})")
     p.add_argument("--out", default="dual.json", help="output path (default %(default)s)")
     p.set_defaults(func=cmd_dual)
 
-    p = sub.add_parser("solve", parents=[shared],
-                       help="solve S f = g by (optionally controlled) Richardson iteration")
+    p = add_parser("solve", "--tol-rel --tol-psd",
+                   help="solve S f = g by (optionally controlled) Richardson iteration")
     p.add_argument("frame", help="frame JSON file")
     p.add_argument("--g", required=True, help="right-hand-side vector JSON file")
     p.add_argument("--c", help="controller JSON file: precondition the iteration")
@@ -417,8 +421,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--out", default="solution.json", help="solution path (default %(default)s)")
     p.set_defaults(func=cmd_solve)
 
-    p = sub.add_parser("bench", parents=[shared],
-                       help="plain vs controlled Richardson over an instance grid; writes CSV")
+    p = add_parser("bench", "--tol-rel --tol-psd --seed",
+                   help="plain vs controlled Richardson over an instance grid; writes CSV")
     p.add_argument("--kinds", nargs="+", default=["ill-conditioned"],
                    choices=list(INSTANCE_KINDS),
                    help="instance families (default: %(default)s)")
@@ -437,12 +441,12 @@ def _build_parser() -> _Parser:
     p.add_argument("--out", default="bench.csv", help="CSV path (default %(default)s)")
     p.set_defaults(func=cmd_bench)
 
-    p = sub.add_parser("paper-example", parents=[shared],
-                       help="reproduce the built-in C^3 worked example and assert its facts")
+    p = add_parser("paper-example", "--tol-rel --tol-psd --rank-rel",
+                   help="reproduce the built-in C^3 worked example and assert its facts")
     p.set_defaults(func=cmd_paper_example)
 
-    p = sub.add_parser("gen", parents=[shared],
-                       help="generate an instance and write frame/K/controller JSON files")
+    p = add_parser("gen", "--tol-rel --tol-psd --seed",
+                   help="generate an instance and write frame/K/controller JSON files")
     p.add_argument("--kind", default="commuting-family", choices=list(INSTANCE_KINDS),
                    help="instance family (default %(default)s)")
     p.add_argument("--dim", type=int, default=None, help="ambient dimension")
@@ -466,13 +470,13 @@ def main(argv=None) -> int:
 
     print(
         f"tolerances: rel_eq={args.tol_rel:g} psd_slack={args.tol_psd:g} "
-        f"rank_rel={'auto' if args.rank_rel is None else format(args.rank_rel, 'g')}; "
-        f"seed={args.seed}",
+        f"rank_rel={'auto' if args.rank_rel is None else format(args.rank_rel, 'g')}"
+        + (f"; seed={args.seed}" if "seed" in args else ""),
         file=sys.stderr,
     )
     try:
         tol = Tolerances(rel_eq=args.tol_rel, psd_slack=args.tol_psd, rank_rel=args.rank_rel)
-        if args.seed < 0:
+        if "seed" in args and args.seed < 0:
             raise InvalidParametersError(f"the seed must be an integer >= 0, got {args.seed}")
         report, lines, exit_code, inputs, outputs = args.func(args, tol)
         report["manifest"] = _manifest(args, tol, inputs, outputs, exit_code)

@@ -168,11 +168,11 @@ class ControlledReport:
     ``<C S f, f> / ||C^{1/2} K* f||^2`` over every ``f`` with ``K* f != 0``;
     ``upper_opt`` is ``lambda_max(C S)``.  ``vacuous`` marks rank-zero ``K``.
     ``witness`` is a unit vector attaining ``lower_opt``: the plain K-frame
-    witness pulled back through ``C^{-1/2}`` (``None`` when vacuous).
+    witness pulled back through ``C^{-1/2}`` (``None`` when vacuous).  No
+    field records the hypotheses ``C K = K C`` and ``C S`` Hermitian: when
+    one fails, :func:`controlled_kframe_check` raises instead.
     """
 
-    commutes_with_k: bool
-    form_is_real: bool
     is_controlled_kframe: bool
     lower_opt: float
     upper_opt: float
@@ -228,10 +228,8 @@ def controlled_kframe_check(frame: FrameSequence, K, ctrl: Controller, tol: Tole
         # Tiny eigenvalues of C make the pulled-back vector huge.
         witness, _ = _pow2_scaled(Q @ ((Q.conj().T @ witness) / np.sqrt(w)))
         witness /= np.linalg.norm(witness)
-    return ControlledReport(
-        commutes_with_k=True, form_is_real=True, is_controlled_kframe=plain.is_kframe,
-        lower_opt=plain.lower_opt, upper_opt=upper, vacuous=plain.vacuous, witness=witness,
-    )
+    return ControlledReport(is_controlled_kframe=plain.is_kframe, lower_opt=plain.lower_opt,
+                            upper_opt=upper, vacuous=plain.vacuous, witness=witness)
 
 
 def controlled_operator_inequality(frame: FrameSequence, K, ctrl: Controller, A: float, tol: Tolerances = DEFAULT_TOL) -> bool:

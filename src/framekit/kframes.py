@@ -70,13 +70,13 @@ class KFrameReport:
     that underflows to ``0.0`` keeps it true.  ``vacuous`` flags the
     rank-zero ``K``, where the lower inequality quantifies over nothing and
     the verdict is true by convention; ``lower_opt`` is reported as ``0.0``
-    there and must not be fed into arithmetic.  ``witness`` is a
-    unit vector attaining the minimal quotient, not necessarily in
-    ``range(K)``; when ``is_kframe`` is false it is a null vector of ``S``
-    that ``K*`` does not annihilate (``None`` when vacuous).
+    there and must not be fed into arithmetic.  ``witness`` is a unit vector
+    attaining the minimal quotient, not necessarily in ``range(K)``; when
+    ``is_kframe`` is false it is a null vector of ``S`` that ``K*`` does not
+    annihilate (``None`` when vacuous).  No field says the family is Bessel:
+    every finite family is.
     """
 
-    is_bessel: bool
     is_kframe: bool
     lower_opt: float
     upper_opt: float
@@ -174,10 +174,8 @@ def kframe_check(frame: FrameSequence, K, tol: Tolerances = DEFAULT_TOL) -> KFra
     lower, witness = (0.0, None) if vacuous else _douglas_lower(w, U, Kop, tol, s)
     if witness is not None:
         witness.setflags(write=False)
-    report = KFrameReport(
-        is_bessel=True, is_kframe=lower is not None, lower_opt=lower or 0.0,
-        upper_opt=_scaled_back(float(w[-1]), s), vacuous=vacuous, witness=witness,
-    )
+    report = KFrameReport(is_kframe=lower is not None, lower_opt=lower or 0.0,
+                          upper_opt=_scaled_back(float(w[-1]), s), vacuous=vacuous, witness=witness)
     frame.__dict__["_kframe_memo"] = (key, report)
     return report
 

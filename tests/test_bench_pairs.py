@@ -1,4 +1,5 @@
-"""Statistics of ``tools/bench_pairs.py`` on fixed numbers (no benchmark runs)."""
+"""Statistics and record layout of ``tools/bench_pairs.py`` on fixed numbers
+(no benchmark runs)."""
 
 import importlib.util
 from pathlib import Path
@@ -74,3 +75,26 @@ def test_load_snapshot_reads_loadavg_and_stat(tmp_path):
         "loadavg": "0.25 0.27 0.35 1/85 12046", "steal_ticks": 145852,
     }
     assert bench_pairs.load_snapshot(tmp_path / "missing") is None
+
+
+def test_pairs_keep_setup_s_and_import_s_side_by_side_per_seed(monkeypatch):
+    def fake_run(tree, workload, seed, trace):
+        value = {"parent": 0.2, "change": 0.25}[tree] + seed / 1000
+        metrics = {"setup_s": {"value": value}, "ops_per_s": {"value": 100.0 + seed}}
+        result = {"metrics": metrics, "failed": 0, "attempted": 10, "correct": True}
+        return {"seed": seed, "import_s": value - 0.05, "meta": {}, "result": result, "load": None}
+
+    monkeypatch.setattr(bench_pairs, "run_perfbench", fake_run)
+    metrics = [{"name": "setup_s", "better": "lower"}, {"name": "ops_per_s", "better": "higher"}]
+    _, pairs = bench_pairs.paired_runs({"parent": "parent", "change": "change"}, "w", [2, 3], metrics)
+    assert pairs["setup_and_import_s"] == {
+        side: [{"seed": seed, "setup_s": base + seed / 1000, "import_s": base + seed / 1000 - 0.05}
+               for seed in (2, 3)]
+        for side, base in (("parent", 0.2), ("change", 0.25))
+    }
+    assert pairs["metrics"]["setup_s"]["parent_values"] == [0.202, 0.203]
+
+
+def test_import_seconds_times_one_import_of_the_tree():
+    seconds = bench_pairs.import_seconds(_PATH.parents[1])
+    assert 0.0 < seconds < 60.0

@@ -113,13 +113,13 @@ def test_check_exit_tracks_strongest_property(tmp_path, capsys):
 
 def test_check_json_manifest_fields(tmp_path, capsys):
     path = _write_frame(tmp_path / "onb.json", np.eye(2))
-    code = main(["check", path, "--json", "--deterministic", "--seed", "7"])
+    code = main(["check", path, "--json", "--deterministic"])
     report = _json_report(capsys)
     assert code == 0
     manifest = report["manifest"]
     assert manifest["command"] == "check"
     assert manifest["inputs"] == {"frame": path}
-    assert manifest["seed"] == 7
+    assert "seed" not in manifest
     assert manifest["exit_code"] == 0
     assert set(manifest["tolerances"]) == {"rel_eq", "psd_slack", "rank_rel"}
     assert "timestamp" not in manifest
@@ -664,8 +664,6 @@ def test_gen_then_check_round_trip(tmp_path, capsys):
     assert code == 0
     assert report["kframe"]["is_kframe"] is True
     assert report["controlled"]["is_controlled_kframe"] is True
-    assert report["controlled"]["commutes_with_k"] is True
-    assert report["controlled"]["form_is_real"] is True
 
 
 @pytest.mark.parametrize("value", ["nan", "inf"])
@@ -854,10 +852,53 @@ def test_the_manifest_names_the_command_its_exit_code_and_the_files_written(
 
 
 def test_a_negative_seed_is_an_input_error(tmp_path, capsys):
-    path = _write_frame(tmp_path / "onb.json", np.eye(2))
-    for argv in (["check", path], ["gen", "--out-prefix", str(tmp_path / "inst")]):
+    for argv in (["gen", "--out-prefix", str(tmp_path / "inst")], ["bench", "--out", str(tmp_path / "b.csv")]):
         assert main([*argv, "--seed", "-1"]) == 1
         err = capsys.readouterr().err
         assert "the seed must be an integer >= 0, got -1" in err
         assert "Traceback" not in err
     assert not (tmp_path / "inst-frame.json").exists()
+    assert not (tmp_path / "b.csv").exists()
+
+
+SHARED_OPTIONS_READ = {
+    "check": {"--tol-rel", "--tol-psd", "--rank-rel"},
+    "dual": {"--tol-rel", "--rank-rel"},
+    "solve": {"--tol-rel", "--tol-psd"},
+    "bench": {"--tol-rel", "--tol-psd", "--seed"},
+    "paper-example": {"--tol-rel", "--tol-psd", "--rank-rel"},
+    "gen": {"--tol-rel", "--tol-psd", "--seed"},
+}
+
+
+def test_each_subcommand_takes_only_the_shared_options_it_reads(tmp_path, capsys):
+    from framekit.cli import _build_parser
+
+    shared = {"--tol-rel", "--tol-psd", "--rank-rel", "--seed", "--json", "--deterministic"}
+    (commands,) = (a.choices for a in _build_parser()._actions if a.dest == "command")
+    assert set(commands) == set(SHARED_OPTIONS_READ)
+    for name, sub in commands.items():
+        options = {flag for action in sub._actions for flag in action.option_strings}
+        assert options & shared == SHARED_OPTIONS_READ[name] | {"--json", "--deterministic"}, name
+
+    # The eight removed (command, option) pairs are usage errors.
+    argv = {"check": ["check", "f.json"], "dual": ["dual", "--g", "g.json", "--k", "k.json"],
+            "solve": ["solve", "f.json", "--g", "g.json"], "bench": ["bench"],
+            "paper-example": ["paper-example"], "gen": ["gen"]}
+    removed = [(name, flag) for name in argv for flag in ("--tol-psd", "--rank-rel", "--seed")
+               if flag not in SHARED_OPTIONS_READ[name]]
+    assert len(removed) == 8
+    for name, flag in removed:
+        assert main([*argv[name], flag, "1e-3"]) == 1, (name, flag)
+        assert f"unrecognized arguments: {flag} 1e-3" in capsys.readouterr().err
+
+    # Only bench and gen record a seed, in the manifest and on stderr.
+    assert main(["paper-example", "--json", "--deterministic"]) == 0
+    captured = capsys.readouterr()
+    assert "seed" not in json.loads(captured.out)["manifest"]
+    assert "seed" not in captured.err
+    assert main(["gen", "--kind", "paper-c3", "--seed", "4", "--out-prefix", str(tmp_path / "c3"),
+                 "--json", "--deterministic"]) == 0
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["manifest"]["seed"] == 4
+    assert captured.err.rstrip().endswith("; seed=4")

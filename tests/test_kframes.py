@@ -75,7 +75,6 @@ def spectral_data(frame, K):
 def test_c3_example_report_values():
     frame, K, _ = c3_example()
     report = kframe_check(frame, K)
-    assert report.is_bessel
     assert report.is_kframe
     assert not report.vacuous
     assert numerical_rank(K) == 2

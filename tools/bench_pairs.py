@@ -23,6 +23,15 @@ Each run also keeps the machine's load around it (``load``): the
 (never written) before and after the run, and the steal ticks in between.
 A set disturbed by other tenants of a shared machine shows there.
 
+Before each run the tool also times ``import framekit, framekit.cli`` in a
+fresh interpreter of that tree (``import_s``), the child whose wall time
+``perfbench/run.py`` adds to ``setup_s``.  ``perfbench`` waits on that child
+by polling, so its share of ``setup_s`` is rounded up to the next poll, in
+steps of up to 50 ms; this tool waits without a timeout, with no polling.
+Each workload's pairs list ``setup_s`` and ``import_s`` per seed side by
+side (``setup_and_import_s``), so a step of ``setup_s`` can be told apart
+from a change in import time.
+
 Standard library only.
 """
 
@@ -134,8 +143,26 @@ def _measured(run):
 # runs
 
 
+def _src_env(tree: Path) -> dict:
+    """The environment with ``tree/src`` first on ``PYTHONPATH``."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(tree / "src"), env.get("PYTHONPATH")) if p)
+    return env
+
+
+def import_seconds(tree: Path) -> float:
+    """Wall time of a fresh interpreter that imports ``framekit, framekit.cli``
+    from ``tree`` and exits, waited on with no timeout and so with no polling."""
+    start = time.perf_counter()
+    subprocess.run([sys.executable, "-c", "import framekit, framekit.cli"], cwd=tree,
+                   env=_src_env(tree), check=True)
+    return time.perf_counter() - start
+
+
 def run_perfbench(tree: Path, workload: str, seed: int, trace: int) -> dict:
-    """One ``perfbench/run.py`` run: its seed, ``# meta`` line and result line."""
+    """One ``perfbench/run.py`` run: its seed, the import time of ``tree``
+    just before it, its ``# meta`` line and its result line."""
+    import_s = import_seconds(tree)
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--trace", str(trace)]
     proc, load = _measured(
@@ -145,15 +172,13 @@ def run_perfbench(tree: Path, workload: str, seed: int, trace: int) -> dict:
         raise SystemExit(f"{tree}: {' '.join(cmd[1:])} exited {proc.returncode}:\n{proc.stderr}")
     lines = proc.stdout.strip().splitlines()
     meta = next(json.loads(l[len("# meta "):]) for l in lines if l.startswith("# meta "))
-    return {"seed": seed, "meta": meta, "result": json.loads(lines[-1]), "load": load}
+    return {"seed": seed, "import_s": import_s, "meta": meta, "result": json.loads(lines[-1]), "load": load}
 
 
 def run_tier1(tree: Path) -> dict:
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(p for p in ("src", env.get("PYTHONPATH")) if p)
     start = time.perf_counter()
     proc, load = _measured(
-        lambda: subprocess.run([sys.executable, *TIER1], cwd=tree, env=env, capture_output=True,
+        lambda: subprocess.run([sys.executable, *TIER1], cwd=tree, env=_src_env(tree), capture_output=True,
                                text=True, timeout=RUN_TIMEOUT_S)
     )
     wall = time.perf_counter() - start
@@ -168,17 +193,19 @@ def run_tier1(tree: Path) -> dict:
 
 def paired_runs(trees: dict, workload: str, seeds, metrics: list) -> tuple[dict, dict]:
     """The ``# meta`` of one workload's last run, and the summary of its pairs."""
+    sides = ("parent", "change")
     runs = {"parent": [], "change": []}
     loads = {"parent": [], "change": []}
+    imports = {"parent": [], "change": []}
     for k, seed in enumerate(seeds):
-        order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
-        for side in order:
+        for side in sides if k % 2 == 0 else sides[::-1]:
             run = run_perfbench(trees[side], workload, seed, 0)
             runs[side].append(run["result"])
             loads[side].append(run["load"])
+            imports[side].append({"seed": seed, "setup_s": run["result"]["metrics"]["setup_s"]["value"],
+                                  "import_s": run["import_s"]})
             print(f"  {workload} seed {seed} {side}: "
                   f"{runs[side][-1]['metrics']['ops_per_s']['value']:.3f} ops/s", file=sys.stderr)
-    sides = ("parent", "change")
     return run["meta"], {
         "seeds": list(seeds),
         "failed": {s: sum(r["failed"] for r in runs[s]) for s in sides},
@@ -186,6 +213,7 @@ def paired_runs(trees: dict, workload: str, seeds, metrics: list) -> tuple[dict,
         "attempted": {s: sum(r["attempted"] for r in runs[s]) for s in sides},
         "correct_all_runs": all(r["correct"] for s in sides for r in runs[s]),
         "load_per_seed": loads,
+        "setup_and_import_s": imports,
         "metrics": {
             m["name"]: summarize(
                 [r["metrics"][m["name"]]["value"] for r in runs["parent"]],
@@ -227,6 +255,8 @@ def main(argv=None) -> int:
                      f"{' '.join(map(str, seeds))}, parent and change alternating which runs first, "
                      "workloads run one after the other",
             "tier1": f"PYTHONPATH=src python {' '.join(TIER1)}",
+            "import": "python3 -c 'import framekit, framekit.cli' with the tree's src first on "
+                      "PYTHONPATH, before each run, waited on with no timeout",
             "tool": "python3 tools/bench_pairs.py --parent <parent checkout> --change <change checkout>",
         },
     }

@@ -2,7 +2,7 @@
 """The deterministic CLI outputs of a checkout, with a SHA-256 manifest.
 
     python3 tools/outputs.py CHECKOUT OUTDIR     # write CHECKOUT's outputs into OUTDIR
-    python3 tools/outputs.py --compare A B       # name the files of A and B that differ
+    python3 tools/outputs.py --compare A B       # name and classify the files of A and B that differ
 
 The first form runs ``framekit`` from ``CHECKOUT/src`` once per entry of
 ``COMMANDS``, each in a subprocess with ``OUTDIR`` as its working directory,
@@ -24,8 +24,19 @@ in ``C^3``, whose frame operators overflow and underflow, and ``check --c
 product ``C S`` overflows; ``dual`` (a factoring pair and a refused one) at
 d=8; and ``paper-example`` as text and as JSON.
 
-``--compare`` reads both manifests and prints each file whose digest
-differs or that one side lacks.  It exits 1 when it names any, else 0.
+``--compare`` reads both manifests and prints one line for each file whose
+digest differs or that one side lacks, with its class:
+
+- ``only in A`` or ``only in B``;
+- ``keys``: both sides hold JSON objects or arrays that are equal once the
+  listed key paths are removed (``-path``, only in A) or added (``+path``,
+  only in B);
+- ``different``: the first differing line of a text file, cell of a CSV
+  file or leaf of a JSON tree, with its position and both values, and how
+  many of them differ; or ``the same lines`` (cells, leaves) ``in other
+  bytes``.  An array whose length differs counts as one differing leaf.
+
+It exits 1 when it names any file, else 0.
 
 Standard library only.
 """
@@ -34,11 +45,13 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import csv
 import hashlib
 import json
 import os
 import subprocess
 import sys
+from itertools import zip_longest
 from pathlib import Path
 
 MANIFEST = "SHA256SUMS"
@@ -160,6 +173,81 @@ def differing(a: dict, b: dict) -> list:
     return sorted(name for name in a.keys() | b.keys() if a.get(name) != b.get(name))
 
 
+def _json_tree(text: str):
+    """The JSON object or array that ``text`` holds, else ``None``."""
+    try:
+        tree = json.loads(text)
+    except ValueError:
+        return None
+    return tree if isinstance(tree, (dict, list)) else None
+
+
+def _tree_diff(a, b, path: str, keys: list, leaves: list) -> None:
+    """Append to ``keys`` each key path only one tree has (``-`` for ``a``,
+    ``+`` for ``b``), and to ``leaves`` each ``(path, a, b)`` where the trees
+    stop branching alike: at leaves, arrays of two lengths or two types."""
+    if isinstance(a, dict) and isinstance(b, dict):
+        keys += [f"-{path}{k}" for k in a if k not in b] + [f"+{path}{k}" for k in b if k not in a]
+        for k in a:
+            if k in b:
+                _tree_diff(a[k], b[k], f"{path}{k}.", keys, leaves)
+    elif isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
+        for i, (x, y) in enumerate(zip(a, b)):
+            _tree_diff(x, y, f"{path.rstrip('.')}[{i}].", keys, leaves)
+    else:
+        leaves.append((path.rstrip("."), a, b))
+
+
+def _short(value, width: int = 100) -> str:
+    text = repr(value)
+    return text if len(text) <= width else text[: width - 3] + "..."
+
+
+def _first(kind: str, pairs: list) -> str:
+    """``different``, with the first ``(where, a, b)`` of ``pairs`` whose values
+    differ and how many do.  ``repr`` tells ``1`` from ``1.0`` and ``True``,
+    and a missing line or cell (``None``) from an empty one."""
+    kinds = "leaves" if kind == "leaf" else f"{kind}s"
+    diffs = [(where, a, b) for where, a, b in pairs if repr(a) != repr(b)]
+    if not diffs:
+        return f"different: the same {kinds} in other bytes"
+    where, a, b = diffs[0]
+    return f"different: {kind} {where}: {_short(a)} != {_short(b)} ({len(diffs)} of {len(pairs)} {kinds} differ)"
+
+
+def classify(a: Path, b: Path) -> str:
+    """How file ``b`` differs from file ``a``: ``keys: ...`` or ``different: ...``."""
+    text_a, text_b = Path(a).read_text(), Path(b).read_text()
+    tree_a, tree_b = _json_tree(text_a), _json_tree(text_b)
+    if tree_a is not None and tree_b is not None:
+        keys, leaves = [], []
+        _tree_diff(tree_a, tree_b, "", keys, leaves)
+        if keys and all(repr(x) == repr(y) for _, x, y in leaves):
+            return "keys: " + " ".join(keys)
+        return _first("leaf", leaves)
+    if Path(a).suffix == ".csv":
+        rows_a, rows_b = (list(csv.reader(text.splitlines())) for text in (text_a, text_b))
+        header = rows_a[0] if rows_a else []
+        return _first("cell", [
+            (f"row {r + 1}, column {header[c] if c < len(header) else c + 1}", x, y)
+            for r, (row_a, row_b) in enumerate(zip_longest(rows_a, rows_b, fillvalue=[]))
+            for c, (x, y) in enumerate(zip_longest(row_a, row_b))
+        ])
+    lines = zip_longest(text_a.splitlines(), text_b.splitlines())
+    return _first("line", [(k + 1, x, y) for k, (x, y) in enumerate(lines)])
+
+
+def compare(a: Path, b: Path) -> list:
+    """One ``name: class`` line for each file that differs between two output directories."""
+    digests_a, digests_b = read_manifest(a), read_manifest(b)
+    return [
+        f"{name}: only in A" if name not in digests_b else
+        f"{name}: only in B" if name not in digests_a else
+        f"{name}: {classify(Path(a) / name, Path(b) / name)}"
+        for name in differing(digests_a, digests_b)
+    ]
+
+
 def write_outputs(checkout: Path, outdir: Path, commands=COMMANDS) -> dict:
     outdir.mkdir(parents=True, exist_ok=True)
     for name, obj in INPUTS.items():
@@ -181,10 +269,10 @@ def main(argv=None) -> int:
     parser.add_argument("--compare", action="store_true", help="compare two output directories")
     args = parser.parse_args(argv)
     if args.compare:
-        names = differing(read_manifest(args.paths[0]), read_manifest(args.paths[1]))
-        for name in names:
-            print(name)
-        return 1 if names else 0
+        lines = compare(*args.paths)
+        for line in lines:
+            print(line)
+        return 1 if lines else 0
     digests = write_outputs(*args.paths)
     print(f"{len(digests)} files written to {args.paths[1]}")
     return 0
