@@ -366,7 +366,7 @@ def _cond_target(text: str) -> float | None:
 def _build_parser() -> _Parser:
     """The argument parser, built once per process; parsing leaves it unchanged."""
     parser = _Parser(
-        prog="framekit",
+        prog="framekit", allow_abbrev=False,
         description="Finite-frame toolkit: property checks, dual systems, "
                     "iterative solves and preconditioning benchmarks.",
     )
@@ -384,7 +384,7 @@ def _build_parser() -> _Parser:
     }
 
     def add_parser(name, reads, help):
-        p = sub.add_parser(name, help=help)
+        p = sub.add_parser(name, help=help, allow_abbrev=False)  # each option has one spelling
         p.set_defaults(tol_psd=DEFAULT_TOL.psd_slack, rank_rel=DEFAULT_TOL.rank_rel)  # unless it reads them
         group = p.add_argument_group("shared options")
         for flag in (*reads.split(), "--json", "--deterministic"):

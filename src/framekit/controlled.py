@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -36,7 +35,9 @@ from .operators import (
     DEFAULT_TOL,
     OperatorBounds,
     Tolerances,
+    _cached_read_only,
     _pow2_scaled,
+    _read_only,
     _scaled_back,
     _scaled_leq,
     _spectrum_bounds,
@@ -67,32 +68,24 @@ __all__ = [
 class Controller:
     """A positive invertible operator with its scale and eigendecomposition cached.
 
-    ``matrix`` is a read-only copy of the operator given; the controller is
-    a function of it alone.  On first use it caches, read-only, ``(C~, c)``
-    and the ascending eigenpairs ``_eigh = eigh(hermitian_part(C~))``;
-    ``bounds`` are their extremes scaled back by ``2^c``.  The constructor
-    certifies nothing: :func:`make_controller` does.
+    ``matrix``, a read-only copy of the operator given, is all it holds.  It
+    caches ``(C~, c)`` and the ascending eigenpairs ``_eigh = eigh(hermitian_part(C~))``
+    (see :mod:`framekit.operators`); ``bounds`` are their extremes scaled
+    back by ``2^c``.  The constructor certifies nothing: :func:`make_controller` does.
     """
 
     matrix: np.ndarray
 
     def __post_init__(self):
-        M = np.array(self.matrix, dtype=np.complex128)  # the one copy
-        M.setflags(write=False)
-        object.__setattr__(self, "matrix", M)
+        object.__setattr__(self, "matrix", _read_only(np.array(self.matrix, dtype=np.complex128)))  # the one copy
 
-    @cached_property
+    @_cached_read_only
     def _scaled(self) -> tuple[np.ndarray, int]:
-        C, c = _pow2_scaled(self.matrix)
-        C.setflags(write=False)
-        return C, c
+        return _pow2_scaled(self.matrix)
 
-    @cached_property
+    @_cached_read_only
     def _eigh(self) -> tuple[np.ndarray, np.ndarray]:
-        w, Q = np.linalg.eigh(hermitian_part(self._scaled[0]))
-        w.setflags(write=False)
-        Q.setflags(write=False)
-        return w, Q
+        return np.linalg.eigh(hermitian_part(self._scaled[0]))
 
     @property
     def dim(self) -> int:

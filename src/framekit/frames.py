@@ -10,14 +10,13 @@ settle is whether the lower bound clears zero.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from .errors import DimensionMismatchError, InvalidParametersError, NotPositiveDefiniteError
 from .operators import (
-    DEFAULT_TOL, Tolerances, _is_normal, _pow2_scaled, _scaled_back, _spectrum_bounds, _times_pow2,
-    _validated_rectangular, as_vector, hermitian_part,
+    DEFAULT_TOL, Tolerances, _cached_read_only, _is_normal, _pow2_scaled, _read_only, _scaled_back,
+    _spectrum_bounds, _times_pow2, _validated_rectangular, as_vector, hermitian_part,
 )
 
 __all__ = [
@@ -34,9 +33,8 @@ __all__ = [
 class FrameSequence:
     """A finite vector family in ``C^d``, held as a ``d x n`` synthesis matrix.
 
-    On first use the family caches, read-only, ``(T~, e)``, ``(S~, s)``
-    with ``S~ = T~ T~*`` and ``s = 2e`` (see :mod:`framekit.operators`),
-    and the ascending eigenpairs of ``S~``, so every check shares them.
+    It caches ``(T~, e)``, ``(S~, s)`` with ``S~ = T~ T~*`` and ``s = 2e``,
+    and the ascending eigenpairs of ``S~`` (see :mod:`framekit.operators`).
     """
 
     matrix: np.ndarray
@@ -44,8 +42,7 @@ class FrameSequence:
     def __post_init__(self):
         # np.array copies the input once; the validator keeps that copy
         M = _validated_rectangular(np.array(self.matrix, dtype=np.complex128))
-        M.setflags(write=False)
-        object.__setattr__(self, "matrix", M)
+        object.__setattr__(self, "matrix", _read_only(M))
 
     @property
     def dim(self) -> int:
@@ -55,25 +52,18 @@ class FrameSequence:
     def count(self) -> int:
         return self.matrix.shape[1]
 
-    @cached_property
+    @_cached_read_only
     def _scaled_matrix(self) -> tuple[np.ndarray, int]:
-        T, e = _pow2_scaled(self.matrix)
-        T.setflags(write=False)
-        return T, e
+        return _pow2_scaled(self.matrix)
 
-    @cached_property
+    @_cached_read_only
     def _scaled(self) -> tuple[np.ndarray, int]:
         T, e = self._scaled_matrix
-        S = hermitian_part(T @ T.conj().T)
-        S.setflags(write=False)
-        return S, 2 * e
+        return hermitian_part(T @ T.conj().T), 2 * e
 
-    @cached_property
+    @_cached_read_only
     def _eigh(self) -> tuple[np.ndarray, np.ndarray]:
-        w, U = np.linalg.eigh(self._scaled[0])
-        w.setflags(write=False)
-        U.setflags(write=False)
-        return w, U
+        return np.linalg.eigh(self._scaled[0])
 
 
 @dataclass(frozen=True)
@@ -118,11 +108,10 @@ def frame_operator(frame: FrameSequence) -> np.ndarray:
     """
     S, s = frame._scaled
     if s:
-        S = _times_pow2(S, s)
+        S = _read_only(_times_pow2(S, s))
         if not _is_normal(np.abs(S.view(np.float64)).max()):
             size = "large" if s > 0 else "small"
             raise InvalidParametersError(f"the frame operator lies outside the float range: the frame vectors are too {size}")
-        S.setflags(write=False)
     return S
 
 

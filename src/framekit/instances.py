@@ -24,7 +24,7 @@ import numpy as np
 
 from .controlled import Controller, identity_controller, make_controller
 from .errors import InvalidParametersError
-from .frames import FrameSequence, frame_operator
+from .frames import FrameSequence
 from .operators import DEFAULT_TOL, Tolerances, hermitian_part
 
 __all__ = [
@@ -105,8 +105,7 @@ def commuting_triple(
     (default: a random count below ``dim`` so ``K`` keeps rank at least one).
     """
     frame = random_frame(rng, dim, count)
-    S = frame_operator(frame)
-    _, Q = np.linalg.eigh(S)
+    Q = frame._eigh[1]
     Qh = Q.conj().T
 
     if zero_k is None:

@@ -36,6 +36,7 @@ from .operators import (
     _pow2_scaled,
     _pow2_scaled_columns,
     _rank,
+    _read_only,
     _scaled_back,
     _scaled_leq,
     _times_pow2,
@@ -172,10 +173,8 @@ def kframe_check(frame: FrameSequence, K, tol: Tolerances = DEFAULT_TOL) -> KFra
     (w, U), s = frame._eigh, frame._scaled[1]
     vacuous = not Kop.any()
     lower, witness = (0.0, None) if vacuous else _douglas_lower(w, U, Kop, tol, s)
-    if witness is not None:
-        witness.setflags(write=False)
     report = KFrameReport(is_kframe=lower is not None, lower_opt=lower or 0.0,
-                          upper_opt=_scaled_back(float(w[-1]), s), vacuous=vacuous, witness=witness)
+                          upper_opt=_scaled_back(float(w[-1]), s), vacuous=vacuous, witness=_read_only(witness))
     frame.__dict__["_kframe_memo"] = (key, report)
     return report
 

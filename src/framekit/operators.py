@@ -28,12 +28,19 @@ JSON.  A result that must keep its exact value (the frame operator, the
 ``lower_opt`` of the restricted inequalities, a solve's solution) is
 refused with :class:`InvalidParametersError` unless it is a normal float
 (:func:`_is_normal`).
+
+Caching
+-------
+A frame or a controller holds a read-only copy of its matrix and computes
+each operand derived from it once, on first use, read-only
+(:func:`_cached_read_only`); only arrays that it owns are frozen.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -157,6 +164,19 @@ def as_operator(T, dim: int | None = None) -> np.ndarray:
     if dim is not None and M.shape[0] != dim:
         raise DimensionMismatchError(f"expected a {dim} x {dim} operator, got {M.shape[0]} x {M.shape[1]}")
     return M
+
+
+def _read_only(value):
+    """``value``, an array or a tuple, with its arrays made read-only in place."""
+    for a in value if isinstance(value, tuple) else (value,):
+        if isinstance(a, np.ndarray):
+            a.setflags(write=False)
+    return value
+
+
+def _cached_read_only(method):
+    """``method`` as a cached property whose value is :func:`_read_only`."""
+    return cached_property(lambda self: _read_only(method(self)))
 
 
 def hermitian_part(T) -> np.ndarray:

@@ -3,11 +3,13 @@
 The acceptance tests append ``(number, label, ok, detail)`` tuples to
 ``ACCEPTANCE_RESULTS``; after the run a summary section prints one PASS/FAIL
 line per criterion so the verdicts are visible even under output capture.
-``relative_residual`` is the solve tests' independent residual oracle, and
-``moved`` the scale properties' exact power-of-two rescaling.
+``relative_residual`` is the solve tests' independent residual oracle,
+``moved`` the scale properties' exact power-of-two rescaling, and
+``linalg_calls`` the one recorder of ``np.linalg`` calls.
 """
 
 import numpy as np
+import pytest
 from hypothesis import assume
 
 ACCEPTANCE_RESULTS = []
@@ -39,6 +41,31 @@ def relative_residual(T, f, g):
     with np.errstate(over="ignore"):
         Sf = np.ldexp((T @ (T.conj().T @ f)).view(np.float64), 2 * a + b - c).view(np.complex128)
     return float(np.linalg.norm(g - Sf) / np.linalg.norm(g))
+
+
+@pytest.fixture
+def linalg_calls(monkeypatch):
+    """``record(*names)``: patch each named ``np.linalg`` function (by
+    default ``svd``, ``eigh`` and ``eigvalsh``) to append ``(name, copy of
+    its first argument)`` to a list, and return that list.  The name
+    ``"norm2"`` records the calls of ``np.linalg.norm`` that run an SVD
+    (``ord`` 2, -2 or ``"nuc"``)."""
+    def record(*names):
+        calls = []
+        for name in names or ("svd", "eigh", "eigvalsh"):
+            if name == "norm2":
+                def recorded(x, ord=None, *args, _original=np.linalg.norm, **kwargs):
+                    if ord in (2, -2, "nuc"):
+                        calls.append(("norm2", np.array(x)))
+                    return _original(x, ord, *args, **kwargs)
+                monkeypatch.setattr(np.linalg, "norm", recorded)
+            else:
+                def recorded(a, *args, _name=name, _original=getattr(np.linalg, name), **kwargs):
+                    calls.append((_name, np.array(a)))
+                    return _original(a, *args, **kwargs)
+                monkeypatch.setattr(np.linalg, name, recorded)
+        return calls
+    return record
 
 
 def record_criterion(number, label, ok, detail):

@@ -40,15 +40,10 @@ def test_controller_for_exact_inverse():
     np.testing.assert_allclose(ctrl.matrix @ S, np.eye(6), atol=1e-9)
 
 
-def test_controller_for_exact_inverse_decomposes_s_once(monkeypatch):
+def test_controller_for_exact_inverse_decomposes_s_once(linalg_calls):
     inst, _, _ = generate_instance("ill-conditioned", 6, cond_target=50.0, seed=1)
     S = frame_operator(inst)
-    calls = []
-    for name in ("svd", "eigh", "eigvalsh"):
-        def recorded(a, *args, _name=name, _original=getattr(np.linalg, name), **kwargs):
-            calls.append((_name, np.array(a)))
-            return _original(a, *args, **kwargs)
-        monkeypatch.setattr(np.linalg, name, recorded)
+    calls = linalg_calls()
     ctrl = controller_for("exact-inverse", S)
     assert [name for name, _ in calls] == ["eigh"]
     np.testing.assert_allclose(calls[0][1], S, rtol=0, atol=1e-12)
@@ -118,16 +113,11 @@ def test_controller_for_jacobi_refuses_a_non_positive_diagonal_entry():
 
 
 @pytest.mark.parametrize("strategy", ["identity", "exact-inverse", "jacobi"])
-def test_controller_for_gives_a_controller_whose_eigenpairs_are_those_of_its_matrix(monkeypatch, strategy):
+def test_controller_for_gives_a_controller_whose_eigenpairs_are_those_of_its_matrix(monkeypatch, linalg_calls, strategy):
     S = frame_operator(generate_instance("ill-conditioned", 8, cond_target=1e3, seed=5)[0])
-    calls = []
-    for name in ("svd", "eigh", "eigvalsh"):
-        def counted(a, *args, _name=name, _original=getattr(np.linalg, name), **kwargs):
-            calls.append(_name)
-            return _original(a, *args, **kwargs)
-        monkeypatch.setattr(np.linalg, name, counted)
+    calls = linalg_calls()
     ctrl = controller_for(strategy, S)
-    assert calls == (["eigh"] if strategy == "exact-inverse" else [])  # identity and jacobi decompose nothing
+    assert [name for name, _ in calls] == (["eigh"] if strategy == "exact-inverse" else [])  # identity and jacobi decompose nothing
     monkeypatch.undo()
     w, Q = ctrl._eigh
     expected = np.linalg.eigh(hermitian_part(ctrl.matrix))

@@ -902,3 +902,38 @@ def test_each_subcommand_takes_only_the_shared_options_it_reads(tmp_path, capsys
     captured = capsys.readouterr()
     assert json.loads(captured.out)["manifest"]["seed"] == 4
     assert captured.err.rstrip().endswith("; seed=4")
+
+
+REQUIRED_ARGV = {"check": ["check", "f.json"], "dual": ["dual", "--g", "g.json", "--k", "k.json"],
+                 "solve": ["solve", "f.json", "--g", "g.json"], "bench": ["bench"],
+                 "paper-example": ["paper-example"], "gen": ["gen"]}
+
+
+def test_an_abbreviated_option_is_a_usage_error(capsys):
+    # a prefix of an option is not that option: adding or removing an
+    # option never changes what another spelling means
+    for argv in (["dual", "--g", "g.json", "--k", "k.json", "--tol", "0.5"], ["check", "f.json", "--rank", "0.5"]):
+        assert main(argv) == 1, argv
+        assert f"unrecognized arguments: {argv[-2]} 0.5" in capsys.readouterr().err
+
+
+def test_every_option_parses_by_its_full_name():
+    from framekit.cli import _build_parser
+
+    (commands,) = (a.choices for a in _build_parser()._actions if a.dest == "command")
+    assert set(commands) == set(REQUIRED_ARGV)
+    for name, sub in commands.items():
+        for action in sub._actions:
+            for flag in action.option_strings:
+                if flag in ("-h", "--help"):
+                    continue
+                if action.nargs == 0:
+                    value, expected = [], action.const
+                elif action.choices:
+                    value, expected = [action.choices[0]], action.choices[0]
+                else:
+                    value, expected = ["1"], action.type("1") if action.type else "1"
+                if action.nargs == "+":
+                    expected = [expected]
+                args = _build_parser().parse_args([*REQUIRED_ARGV[name], flag, *value])
+                assert getattr(args, action.dest) == expected, (name, flag)

@@ -6,6 +6,7 @@ types, wrong shapes, bad bytes and huge, tiny or non-finite numbers, and
 flag values at and beyond their ranges.  ``bench`` and ``gen`` read no
 files; they get tiny grids and instances with flag values at and beyond
 their ranges, condition targets ``nan``, ``inf`` and ``na`` among them.
+Each subcommand draws only the shared options that its parser takes.
 ``cli.main`` runs in-process.  Whatever the input, the run must
 
 * return an exit code in {0, 1, 2, 3} and raise nothing;
@@ -34,7 +35,7 @@ from hypothesis import strategies as st
 from conftest import relative_residual
 from framekit import INSTANCE_KINDS, load_frame, load_operator, load_vector
 from framekit.bench import CSV_COLUMNS
-from framekit.cli import main
+from framekit.cli import _build_parser, main
 
 FUZZ = settings(derandomize=True, deadline=None, max_examples=120)
 
@@ -115,11 +116,24 @@ def flags(*choices):
     return st.sampled_from([[]] * (3 * len(choices)) + [list(choice) for choice in choices])
 
 
-SHARED_FLAGS = flags(
-    ("--tol-rel", "1e-6"), ("--tol-rel", "0"), ("--tol-rel", "1"), ("--tol-rel", "nan"),
-    ("--tol-psd", "1e-300"), ("--tol-psd", "-1"), ("--rank-rel", "1e-3"), ("--rank-rel", "2"),
-    ("--seed", "5"), ("--seed", "-1"), ("--deterministic",),
-)
+# Values of each shared option at and beyond its range.
+SHARED_VALUES = {
+    "--tol-rel": ["1e-6", "0", "1", "nan"],
+    "--tol-psd": ["1e-300", "-1"],
+    "--rank-rel": ["1e-3", "2"],
+    "--seed": ["5", "-1"],
+}
+
+
+def shared_flags(command):
+    """:func:`flags` over the options of ``command``'s "shared options"
+    group in ``_build_parser()``, each with its ``SHARED_VALUES``, and
+    ``--deterministic``; ``--json`` is drawn on its own."""
+    (commands,) = (a.choices for a in _build_parser()._actions if a.dest == "command")
+    (group,) = (g for g in commands[command]._action_groups if g.title == "shared options")
+    options = [flag for action in group._group_actions for flag in action.option_strings]
+    assert set(options) <= set(SHARED_VALUES) | {"--json", "--deterministic"}, options
+    return flags(*[(flag, value) for flag in options for value in SHARED_VALUES.get(flag, [])], ("--deterministic",))
 
 
 @st.composite
@@ -253,30 +267,30 @@ def _run_contract(run, as_json, shared, oracle=None):
 
 
 @FUZZ
-@given(check_runs(), st.booleans(), SHARED_FLAGS)
+@given(check_runs(), st.booleans(), shared_flags("check"))
 def test_check_keeps_the_contract(run, as_json, shared):
     _run_contract(run, as_json, shared)
 
 
 @FUZZ
-@given(dual_runs(), st.booleans(), SHARED_FLAGS)
+@given(dual_runs(), st.booleans(), shared_flags("dual"))
 def test_dual_keeps_the_contract(run, as_json, shared):
     _run_contract(run, as_json, shared)
 
 
 @FUZZ
-@given(solve_runs(), st.booleans(), SHARED_FLAGS)
+@given(solve_runs(), st.booleans(), shared_flags("solve"))
 def test_solve_keeps_the_contract(run, as_json, shared):
     _run_contract(run, as_json, shared, oracle=_solve_meets_its_tolerance)
 
 
 @FUZZ
-@given(bench_runs(), st.booleans(), SHARED_FLAGS)
+@given(bench_runs(), st.booleans(), shared_flags("bench"))
 def test_bench_keeps_the_contract(run, as_json, shared):
     _run_contract(run, as_json, shared)
 
 
 @FUZZ
-@given(gen_runs(), st.booleans(), SHARED_FLAGS)
+@given(gen_runs(), st.booleans(), shared_flags("gen"))
 def test_gen_keeps_the_contract(run, as_json, shared):
     _run_contract(run, as_json, shared)

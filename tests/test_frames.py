@@ -11,9 +11,10 @@ from framekit import (
     frame_operator,
     identity_controller,
     kframe_check,
+    make_controller,
     synthesis,
 )
-from framekit.instances import haar_unitary, parseval_frame, random_frame
+from framekit.instances import haar_unitary, parseval_frame, random_frame, random_positive_operator
 
 
 def mercedes_benz():
@@ -151,3 +152,37 @@ def test_frame_operator_scales_back_a_scaled_operator_that_stays_in_range():
 def test_parseval_frame_operator_is_identity():
     frame = parseval_frame(np.random.default_rng(15), 4, 10)
     np.testing.assert_allclose(frame_operator(frame), np.eye(4), atol=1e-12)
+
+
+def _operands(n):
+    """A frame of ``C^4`` whose ``S`` is ``2^n`` times a moderate one, and a
+    controller at ``2^n`` times a moderate one."""
+    rng = np.random.default_rng(90)
+    frame = random_frame(rng, 4, 8)
+    return FrameSequence(2.0**(n // 2) * frame.matrix), make_controller(2.0**n * random_positive_operator(rng, 4))
+
+
+CACHED_ARRAYS = {
+    "frame.matrix": lambda frame, ctrl: frame.matrix,
+    "frame._scaled_matrix": lambda frame, ctrl: frame._scaled_matrix[0],
+    "frame._scaled": lambda frame, ctrl: frame._scaled[0],
+    "frame._eigh": lambda frame, ctrl: frame._eigh,
+    "frame_operator": lambda frame, ctrl: frame_operator(frame),
+    "ctrl.matrix": lambda frame, ctrl: ctrl.matrix,
+    "ctrl._scaled": lambda frame, ctrl: ctrl._scaled[0],
+    "ctrl._eigh": lambda frame, ctrl: ctrl._eigh,
+    "witness": lambda frame, ctrl: kframe_check(frame, np.eye(4)).witness,
+}
+
+
+@pytest.mark.parametrize("n", [0, 600, -600])
+@pytest.mark.parametrize("name", CACHED_ARRAYS)
+def test_every_cached_array_is_read_only(name, n):
+    # Off scale 1 the scaled matrices and S are new arrays, not the frozen matrix.
+    frame, ctrl = _operands(n)
+    assert (frame._scaled_matrix[0] is frame.matrix) == (ctrl._scaled[0] is ctrl.matrix) == (n == 0)
+    arrays = CACHED_ARRAYS[name](frame, ctrl)
+    for array in arrays if isinstance(arrays, tuple) else (arrays,):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0] = 0.0

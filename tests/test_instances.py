@@ -33,6 +33,13 @@ def test_haar_unitary_is_unitary():
         np.testing.assert_allclose(U.conj().T @ U, np.eye(d), atol=1e-12)
 
 
+def test_commuting_triple_reads_the_eigenpairs_its_frame_caches():
+    frame, _, _ = commuting_triple(np.random.default_rng(77), 6, 12)
+    assert "_eigh" in frame.__dict__  # S is decomposed once, by the frame
+    w, U = np.linalg.eigh(frame._scaled[0])
+    assert np.array_equal(frame._eigh[0], w) and np.array_equal(frame._eigh[1], U)
+
+
 def test_frame_with_spectrum_prescribes_singular_values():
     rng = np.random.default_rng(71)
     spec = np.array([3.0, 2.0, 0.5, 0.25])

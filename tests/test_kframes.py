@@ -500,33 +500,28 @@ def test_verdict_margin_respects_custom_slack():
     assert not loose.is_kframe
 
 
-def _count_decompositions_of(monkeypatch, target):
-    """Calls of ``np.linalg.eigh`` and ``np.linalg.eigvalsh`` on ``target``."""
-    calls = []
-    for name in ("eigh", "eigvalsh"):
-        def counted(a, *args, _original=getattr(np.linalg, name), **kwargs):
-            if np.shape(a) == target.shape and np.allclose(a, target, rtol=0.0, atol=1e-12):
-                calls.append(1)
-            return _original(a, *args, **kwargs)
-        monkeypatch.setattr(np.linalg, name, counted)
-    return calls
+def _same(a, b):
+    return np.shape(a) == np.shape(b) and np.allclose(a, b, rtol=0.0, atol=1e-12)
 
 
-def test_frame_bounds_and_kframe_check_decompose_s_once(monkeypatch):
+def test_frame_bounds_and_kframe_check_decompose_s_once(linalg_calls):
     frame, K, _ = commuting_triple(np.random.default_rng(77), 6, 12)
+    frame = FrameSequence(frame.matrix)  # cold: commuting_triple decomposed S already
     S = frame.matrix @ frame.matrix.conj().T
-    calls_on_s = _count_decompositions_of(monkeypatch, S)
+    calls = linalg_calls("eigh", "eigvalsh")
     bounds = frame_bounds(frame)
     report = kframe_check(frame, K)
+    calls_on_s = [name for name, a in calls if _same(a, S)]
     assert len(calls_on_s) == 1
     assert report.upper_opt == bounds.upper
 
 
-def test_controlled_kframe_check_decomposes_cs_once(monkeypatch):
+def test_controlled_kframe_check_decomposes_cs_once(linalg_calls):
     frame, K, ctrl = commuting_triple(np.random.default_rng(78), 6, 12)
     CS = ctrl.matrix @ frame.matrix @ frame.matrix.conj().T
-    calls_on_cs = _count_decompositions_of(monkeypatch, CS)
+    calls = linalg_calls("eigh", "eigvalsh")
     report = controlled_kframe_check(frame, K, ctrl)
+    calls_on_cs = [name for name, a in calls if _same(a, CS)]
     assert len(calls_on_cs) == 1
     assert report.is_controlled_kframe
 
@@ -536,36 +531,12 @@ def test_controlled_kframe_check_decomposes_cs_once(monkeypatch):
 # same (frame, K) reuses the plain report
 
 
-def _record_decompositions(monkeypatch):
-    """``(name, argument)`` of every ``np.linalg`` svd, eigh and eigvalsh call."""
-    calls = []
-    for name in ("svd", "eigh", "eigvalsh"):
-        def recorded(a, *args, _name=name, _original=getattr(np.linalg, name), **kwargs):
-            calls.append((_name, np.array(a)))
-            return _original(a, *args, **kwargs)
-        monkeypatch.setattr(np.linalg, name, recorded)
-    return calls
-
-
-def _record_spectral_norms(monkeypatch, calls):
-    """Add ``("norm2", argument)`` to ``calls`` for every SVD-backed ``np.linalg.norm``."""
-    def norm(x, ord=None, *args, _original=np.linalg.norm, **kwargs):
-        if ord in (2, -2, "nuc"):
-            calls.append(("norm2", np.array(x)))
-        return _original(x, ord, *args, **kwargs)
-    monkeypatch.setattr(np.linalg, "norm", norm)
-    return calls
-
-
-def _same(a, b):
-    return np.shape(a) == np.shape(b) and np.allclose(a, b, rtol=0.0, atol=1e-12)
-
-
-def test_plain_then_controlled_check_decomposes_k_and_the_gram_matrix_once(monkeypatch):
+def test_plain_then_controlled_check_decomposes_k_and_the_gram_matrix_once(linalg_calls):
     frame, K, ctrl = commuting_triple(np.random.default_rng(79), 8, 16, zero_k=2)
+    frame = FrameSequence(frame.matrix)  # cold: commuting_triple decomposed S already
     S = frame.matrix @ frame.matrix.conj().T
     CS = ctrl.matrix @ S
-    calls = _record_decompositions(monkeypatch)
+    calls = linalg_calls()
     plain = kframe_check(frame, K)
     controlled = controlled_kframe_check(frame, K, ctrl)
     assert controlled.lower_opt == plain.lower_opt
@@ -577,7 +548,7 @@ def test_plain_then_controlled_check_decomposes_k_and_the_gram_matrix_once(monke
     assert gram == ["eigvalsh"]
 
 
-def test_reports_are_plain_values(tmp_path, monkeypatch, capsys):
+def test_reports_are_plain_values(tmp_path, linalg_calls, capsys):
     frame, K, ctrl = commuting_triple(np.random.default_rng(86), 8, 16, zero_k=3)
     paths = [str(tmp_path / name) for name in ("f.json", "k.json", "c.json")]
     save_frame(frame, paths[0])
@@ -597,7 +568,7 @@ def test_reports_are_plain_values(tmp_path, monkeypatch, capsys):
     assert report.lower_opt == controlled.lower_opt and not report.vacuous
 
     # the CLI reports the rank of K from one SVD, shared by both JSON objects
-    calls = _record_decompositions(monkeypatch)
+    calls = linalg_calls()
     assert main(["check", paths[0], "--k", paths[1], "--c", paths[2], "--json", "--deterministic"]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["kframe"]["rank_k"] == out["controlled"]["rank_k"] == 5
@@ -758,19 +729,19 @@ def test_cross_coupled_frame_operator_gives_the_global_optimum():
     np.testing.assert_allclose(controlled.lower_opt, 0.19, rtol=1e-9)
 
 
-def test_restricted_inequalities_decompose_k_once(monkeypatch):
+def test_restricted_inequalities_decompose_k_once(linalg_calls):
     frame, K, _ = commuting_triple(np.random.default_rng(83), 8, 16, zero_k=3)
     kframe_check(frame, K)  # memoised, so the call below adds no rank SVD of K
-    calls = _record_spectral_norms(monkeypatch, _record_decompositions(monkeypatch))
+    calls = linalg_calls("svd", "eigh", "eigvalsh", "norm2")
     assert restricted_operator_inequalities(frame, K)
     assert [name for name, a in calls if _same(a, K)] == ["svd"]
     assert [name for name, _ in calls] == ["svd"] * 3  # K, then S Q and K* Q
 
 
-def test_atomic_constant_decomposes_the_family_once(monkeypatch):
+def test_atomic_constant_decomposes_the_family_once(linalg_calls):
     frame, K, _ = commuting_triple(np.random.default_rng(84), 6, 12, zero_k=2)
     expected = np.linalg.norm(np.linalg.pinv(frame.matrix) @ K, 2)
-    calls = _record_spectral_norms(monkeypatch, _record_decompositions(monkeypatch))
+    calls = linalg_calls("svd", "eigh", "eigvalsh", "norm2")
     report = atomic_system_constant(frame, K)
     np.testing.assert_allclose(report.constant, expected, rtol=1e-12)
     assert [name for name, a in calls if _same(a, frame.matrix)] == ["svd"]
