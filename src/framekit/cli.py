@@ -19,10 +19,11 @@ Every JSON report embeds a run manifest: command, inputs, the seed (``bench``
 and ``gen`` only), the effective tolerances, outputs and exit code.  Each
 subcommand takes only the shared options it reads.  Reports carry a wall-clock
 timestamp unless ``--deterministic`` is given, in which case reruns are
-byte-identical.  ``--json`` output is strict JSON: a number that is not finite
-(a bound beyond the largest float, a diverged residual, a ``nan`` flag value)
-is written as ``null``.  Input validation never produces a stack trace —
-errors come back as ``file: position: message`` diagnostics on stderr.
+byte-identical.  ``main`` prints each report as ``serialize`` writes it, in
+strict JSON: a number that is not finite (a bound beyond the largest float, a
+diverged residual, a ``nan`` flag value) is written as ``null``.  Input
+validation never produces a stack trace — errors come back as
+``file: position: message`` diagnostics on stderr.
 """
 
 from __future__ import annotations
@@ -50,8 +51,6 @@ from .kframes import construct_kframe, interchange_dual, kframe_check
 from .operators import DEFAULT_TOL, Tolerances, _pow2_scaled, numerical_rank, range_basis
 from .serialize import (
     _dumps,
-    _Rendered,
-    dump_json,
     frame_to_obj,
     load_frame,
     load_operator,
@@ -93,17 +92,6 @@ def _manifest(args, tol: Tolerances, inputs: dict, outputs: list, exit_code: int
     if not args.deterministic:
         manifest["timestamp"] = datetime.now(timezone.utc).isoformat()
     return manifest
-
-
-def _nulled(obj):
-    """``obj`` with each non-finite float replaced by ``None``: strict JSON has no NaN."""
-    if isinstance(obj, float):
-        return obj if math.isfinite(obj) else None
-    if isinstance(obj, list):
-        return [_nulled(v) for v in obj]
-    if isinstance(obj, dict):
-        return {k: _nulled(v) for k, v in obj.items()}
-    return obj
 
 
 def _fields_obj(report, rank_k: int) -> dict:
@@ -189,11 +177,8 @@ def cmd_dual(args, tol: Tolerances):
     worst_dual_side = worst(frame_f.matrix, dual.matrix)
     worst_frame_side = worst(dual.matrix, frame_f.matrix)
 
-    # One layout of the dual serves the file and the report.
-    dual_json = _Rendered(_dumps(frame_to_obj(dual)))
-    dump_json(dual_json, args.out)
     report = {
-        "dual": dual_json,
+        "dual": save_frame(dual, args.out),  # one layout serves the file and the report
         "reconstruction": {
             "max_rel_residual_coefficients_in_dual": worst_dual_side,
             "max_rel_residual_coefficients_in_frame": worst_frame_side,
@@ -227,10 +212,8 @@ def cmd_solve(args, tol: Tolerances):
         **{f.name: getattr(trace, f.name) for f in dataclasses.fields(trace)},
         "final_residual": trace.residuals[-1] if trace.residuals else 0.0,
     }
-    if not (
-        np.isfinite(f).all() and np.isfinite(trace.residuals).all() and np.isfinite(trace.empirical_rate)
-    ):
-        # No solution is written.
+    if not math.isfinite(trace_obj["final_residual"]):
+        # Diverged (see ConvergenceTrace): no solution is written.
         print(
             f"framekit solve: the iteration diverged: an iterate or residual is not finite after "
             f"{trace.iterations} iterations, so the relaxation does not contract; no solution written",
@@ -480,7 +463,7 @@ def main(argv=None) -> int:
             raise InvalidParametersError(f"the seed must be an integer >= 0, got {args.seed}")
         report, lines, exit_code, inputs, outputs = args.func(args, tol)
         report["manifest"] = _manifest(args, tol, inputs, outputs, exit_code)
-        print(_dumps(_nulled(report)) if args.json else "\n".join(lines))
+        print(_dumps(report) if args.json else "\n".join(lines))
         return exit_code
     except (ParseError, OSError) as exc:
         print(f"framekit {args.command}: {exc}", file=sys.stderr)

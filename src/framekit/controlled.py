@@ -160,9 +160,9 @@ class ControlledReport:
     Mirrors the uncontrolled report: ``lower_opt`` is the minimal quotient
     ``<C S f, f> / ||C^{1/2} K* f||^2`` over every ``f`` with ``K* f != 0``;
     ``upper_opt`` is ``lambda_max(C S)``.  ``vacuous`` marks rank-zero ``K``.
-    ``witness`` is a unit vector attaining ``lower_opt``: the plain K-frame
-    witness pulled back through ``C^{-1/2}`` (``None`` when vacuous).  No
-    field records the hypotheses ``C K = K C`` and ``C S`` Hermitian: when
+    ``witness`` is a read-only unit vector attaining ``lower_opt``: the plain
+    K-frame witness pulled back through ``C^{-1/2}`` (``None`` when vacuous).
+    No field records the hypotheses ``C K = K C`` and ``C S`` Hermitian: when
     one fails, :func:`controlled_kframe_check` raises instead.
     """
 
@@ -222,7 +222,7 @@ def controlled_kframe_check(frame: FrameSequence, K, ctrl: Controller, tol: Tole
         witness, _ = _pow2_scaled(Q @ ((Q.conj().T @ witness) / np.sqrt(w)))
         witness /= np.linalg.norm(witness)
     return ControlledReport(is_controlled_kframe=plain.is_kframe, lower_opt=plain.lower_opt,
-                            upper_opt=upper, vacuous=plain.vacuous, witness=witness)
+                            upper_opt=upper, vacuous=plain.vacuous, witness=_read_only(witness))
 
 
 def controlled_operator_inequality(frame: FrameSequence, K, ctrl: Controller, A: float, tol: Tolerances = DEFAULT_TOL) -> bool:

@@ -8,8 +8,10 @@ Schemas (all entries are ``[re, im]`` pairs of finite floats):
 
 Floats are written with Python's shortest round-trip representation, which
 preserves every bit of a double (it never needs more than 17 significant
-digits); loading therefore reproduces the original arrays exactly.  Files are
-laid out exactly as ``json.dumps(obj, indent=2, sort_keys=True)`` lays them out.
+digits); loading therefore reproduces the original arrays exactly.  Files and
+reports are laid out exactly as ``json.dumps(obj, indent=2, sort_keys=True)``
+lays them out, with two rules of strict JSON: every key is a string, and a
+float that is not finite is written as ``null``.
 """
 
 from __future__ import annotations
@@ -153,11 +155,6 @@ def load_json(path) -> object:
         raise ParseError(exc.msg, path=str(path), where=f"line {exc.lineno} column {exc.colno}")
 
 
-def _key(key) -> str:
-    """A dict key as JSON writes it: strings quoted, numbers, bools and None as text."""
-    return json.dumps(key) if isinstance(key, str) else json.dumps({key: None})[1:-7]
-
-
 class _Rendered(str):
     """JSON text laid out by :func:`_dumps` at the top level.
 
@@ -168,13 +165,22 @@ class _Rendered(str):
     """
 
 
+def _strict(text: str) -> str:
+    """C-encoder text of numbers, ``true``, ``false`` and ``null`` with each
+    non-finite float written as ``null``."""
+    return text.replace("-Infinity", "null").replace("Infinity", "null").replace("NaN", "null")
+
+
 def _dumps(obj, indent: str = "") -> str:
-    """``json.dumps(obj, indent=2, sort_keys=True)``, byte for byte.
+    """``json.dumps(obj, indent=2, sort_keys=True)``, byte for byte, as strict
+    JSON: each float that is not finite is written as ``null``.  Every dict
+    key must be a string.
 
     Dicts and mixed lists are laid out here.  A list of scalars, or of
     nonempty scalar lists such as ``[re, im]`` pairs, is written by one pass
     of the C encoder, whose ``", "`` and ``"], ["`` separators are then
-    rewritten into the indented layout; no string can contain them there.
+    rewritten into the indented layout; no string can contain them there,
+    and its ``NaN`` and ``Infinity`` tokens become ``null``.
     A :class:`_Rendered` text stands for the object it was rendered from.
     """
     if isinstance(obj, _Rendered):
@@ -183,31 +189,37 @@ def _dumps(obj, indent: str = "") -> str:
     if isinstance(obj, dict):
         if not obj:
             return "{}"
-        items = ",\n".join(f"{inner}{_key(k)}: {_dumps(v, inner)}" for k, v in sorted(obj.items()))
+        items = ",\n".join(f"{inner}{json.dumps(k)}: {_dumps(v, inner)}" for k, v in sorted(obj.items()))
         return f"{{\n{items}\n{indent}}}"
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
         types = set(map(type, obj))
         if types <= _SCALARS:
-            body = json.dumps(obj)[1:-1].replace(", ", ",\n" + inner)
+            body = _strict(json.dumps(obj)[1:-1]).replace(", ", ",\n" + inner)
             return f"[\n{inner}{body}\n{indent}]"
         if types == {list} and all(obj) and set(map(type, chain.from_iterable(obj))) <= _SCALARS:
             deep = inner + "  "
             body = (
-                json.dumps(obj)[2:-2]
+                _strict(json.dumps(obj)[2:-2])
                 .replace("], [", f"\n{inner}],\n{inner}[\n{deep}")
                 .replace(", ", ",\n" + deep)
             )
             return f"[\n{inner}[\n{deep}{body}\n{inner}]\n{indent}]"
         items = ",\n".join(inner + _dumps(x, inner) for x in obj)
         return f"[\n{items}\n{indent}]"
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return "null"
     return json.dumps(obj)
 
 
-def dump_json(obj, path) -> None:
+def dump_json(obj, path) -> str:
+    """Write ``obj`` to ``path`` laid out by :func:`_dumps`, and return that
+    text, which a report embeds as ``obj`` without laying it out again."""
+    text = _Rendered(_dumps(obj))
     with open(path, "w", encoding="utf-8") as handle:
-        handle.write(_dumps(obj) + "\n")
+        handle.write(text + "\n")
+    return text
 
 
 def load_vector(path) -> np.ndarray:
@@ -230,5 +242,5 @@ def save_operator(T, path) -> None:
     dump_json(operator_to_obj(T), path)
 
 
-def save_frame(frame: FrameSequence, path) -> None:
-    dump_json(frame_to_obj(frame), path)
+def save_frame(frame: FrameSequence, path) -> str:
+    return dump_json(frame_to_obj(frame), path)

@@ -93,9 +93,11 @@ class SolverConfig:
     """Iteration parameters.
 
     ``relaxation=None`` selects the optimal ``2 / (A + B)`` from the certified
-    bounds.  ``seed`` does not affect the iterations themselves (they start
-    from zero deterministically); it is the base seed harnesses use to draw
-    instances and right-hand sides.
+    bounds.  ``residual_tol`` lies in ``[2^-52, 1)``: a float64 relative
+    residual cannot be certified below the machine epsilon ``2^-52``.
+    ``seed`` does not affect the iterations themselves (they start from zero
+    deterministically); it is the base seed harnesses use to draw instances
+    and right-hand sides.
     """
 
     relaxation: float | None = None
@@ -106,8 +108,8 @@ class SolverConfig:
     def __post_init__(self):
         if self.relaxation is not None and not (np.isfinite(self.relaxation) and self.relaxation > 0):
             raise InvalidParametersError(f"relaxation must be positive, got {self.relaxation!r}")
-        if not (0.0 < self.residual_tol < 1.0):
-            raise InvalidParametersError(f"residual_tol must lie in (0, 1), got {self.residual_tol!r}")
+        if not (2.0**-52 <= self.residual_tol < 1.0):  # the float64 machine epsilon
+            raise InvalidParametersError(f"residual_tol must lie in [2^-52, 1), got {self.residual_tol!r}")
         if self.max_iter < 1:
             raise InvalidParametersError(f"max_iter must be at least 1, got {self.max_iter!r}")
 
@@ -117,13 +119,15 @@ class ConvergenceTrace:
     """Residual history of one solve.
 
     ``residuals[k]`` is the relative residual of the iterate after update
-    ``k + 1``, measured against the original system.  ``empirical_rate`` is
-    the geometric-mean contraction over the final (up to) ten iterations.
-    ``kappa_report`` discloses the worst-case factor by which a controlled
-    solve's stopping criterion could be off for the original system; it is
-    ``1.0`` for plain solves and ``cond(C)`` for controlled ones (the solver
-    stops on the original residual, so the achieved residual never uses the
-    allowance — the factor is reported, not spent).
+    ``k + 1``, measured against the original system.  The iteration stops at
+    its first non-finite residual, so a solve diverged exactly when its last
+    residual is not finite.  ``empirical_rate`` is the geometric-mean
+    contraction over the final (up to) ten iterations.  ``kappa_report``
+    discloses the worst-case factor by which a controlled solve's stopping
+    criterion could be off for the original system; it is ``1.0`` for plain
+    solves and ``cond(C)`` for controlled ones (the solver stops on the
+    original residual, so the achieved residual never uses the allowance —
+    the factor is reported, not spent).
     """
 
     iterations: int
@@ -308,7 +312,7 @@ def _solve_one(S, rhs, lam: float, config: SolverConfig, C=None, kappa: float = 
         S[None], scaled[None], np.array([lam]), config, None if C is None else C[None]
     )
     f = _times_pow2(f[0], j - x)
-    if rhs.any() and np.isfinite(history).all() and not _is_normal(np.abs(f.view(np.float64)).max()):
+    if rhs.any() and np.isfinite(history[-1]) and not _is_normal(np.abs(f.view(np.float64)).max()):
         raise InvalidParametersError("the solution lies outside the float range")
     residuals = history.tolist()
     return f, ConvergenceTrace(

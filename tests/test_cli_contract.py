@@ -294,3 +294,23 @@ def test_bench_keeps_the_contract(run, as_json, shared):
 @given(gen_runs(), st.booleans(), shared_flags("gen"))
 def test_gen_keeps_the_contract(run, as_json, shared):
     _run_contract(run, as_json, shared)
+
+
+def test_solve_refuses_a_residual_tolerance_it_cannot_certify():
+    # Found by the fuzz at seed 20261023: at --residual-tol 1e-300 this solve
+    # of a frame of C^1 exited 0 with final_residual 0.0, while the oracle's
+    # residual of its solution read 1.39e-16.  The tolerance floor is 2^-52.
+    files = {
+        "frame.json": json.dumps({"dim": 1, "vectors": [[[0.1257302210933933, -0.1321048632913019]]]}).encode(),
+        "g.json": json.dumps({"dim": 1, "entries": [[0.345584192064786, 0.8216181435011584]]}).encode(),
+    }
+    codes = []
+
+    def oracle(argv, code, work):
+        codes.append(code)
+        _solve_meets_its_tolerance(argv, code, work)
+
+    for tol in ("1e-300", repr(2.0**-52)):
+        argv = ["solve", "frame.json", "--g", "g.json", "--out", "out.json", "--residual-tol", tol]
+        _run_contract((files, argv, {"out.json": load_vector}), True, ["--deterministic"], oracle)
+    assert codes == [1, 0]

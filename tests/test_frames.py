@@ -172,6 +172,10 @@ CACHED_ARRAYS = {
     "ctrl._scaled": lambda frame, ctrl: ctrl._scaled[0],
     "ctrl._eigh": lambda frame, ctrl: ctrl._eigh,
     "witness": lambda frame, ctrl: kframe_check(frame, np.eye(4)).witness,
+    # C = S commutes with S, so C S is Hermitian at every scale.
+    "controlled witness": lambda frame, ctrl: controlled_kframe_check(
+        frame, np.eye(4), make_controller(frame_operator(frame))
+    ).witness,
 }
 
 

@@ -1,9 +1,10 @@
 """Property tests for the JSON writer and the pair-list reader.
 
-The writer must lay out every JSON tree exactly as
-``json.dumps(obj, indent=2, sort_keys=True)`` does.  The reader must accept
-exactly the pair lists a per-entry scan accepts, bit for bit, and refuse the
-rest with the scan's message and position."""
+The writer must lay out every JSON tree with string keys exactly as
+``json.dumps(obj, indent=2, sort_keys=True)`` lays out the tree with each
+non-finite float replaced by ``None``.  The reader must accept exactly the
+pair lists a per-entry scan accepts, bit for bit, and refuse the rest with
+the scan's message and position."""
 
 import json
 import math
@@ -17,6 +18,22 @@ from framekit import ParseError, vector_from_obj
 from framekit.serialize import _dumps, _Rendered
 
 PROPERTY = settings(derandomize=True, max_examples=150, deadline=None)
+
+
+def _nulled(obj):
+    """``obj`` with each non-finite float replaced by ``None``: strict JSON has no NaN."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, (list, tuple)):
+        return [_nulled(v) for v in obj]
+    if isinstance(obj, dict):
+        return {k: _nulled(v) for k, v in obj.items()}
+    return obj
+
+
+def _strict_reference(obj):
+    return json.dumps(_nulled(obj), indent=2, sort_keys=True)
+
 
 SPECIAL_FLOATS = st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 1e308, math.nan, math.inf, -math.inf])
 NUMBERS = st.one_of(
@@ -47,7 +64,7 @@ TREES = st.recursive(
 @PROPERTY
 @given(TREES)
 def test_dumps_matches_the_indenting_encoder(obj):
-    assert _dumps(obj) == json.dumps(obj, indent=2, sort_keys=True)
+    assert _dumps(obj) == _strict_reference(obj)
 
 
 @PROPERTY
@@ -57,7 +74,7 @@ def test_a_rendered_text_embeds_as_the_object_it_was_rendered_from(obj, key):
     assert _dumps(text) == _dumps(obj)
     nested = {key: text, "list": [text, 1.0], "dict": {"deeper": [{"x": text}]}}
     expected = {key: obj, "list": [obj, 1.0], "dict": {"deeper": [{"x": obj}]}}
-    assert _dumps(nested) == json.dumps(expected, indent=2, sort_keys=True)
+    assert _dumps(nested) == _strict_reference(expected)
 
 
 @pytest.mark.parametrize("obj", [
@@ -65,11 +82,11 @@ def test_a_rendered_text_embeds_as_the_object_it_was_rendered_from(obj, key):
     [[1.0, -0.0], [5e-324, math.nan]], [[math.inf, -math.inf], [True, None]],
     [[[1.0, 2.0], [3.0, 4.0]], [[5.0, 6.0]]], [1, 2.5, True, None], [", ", "], ["],
     {"é": [[1.0, 2.0]], ", ": 1, "], [": [2]}, [1, [2, 3], {"k": [[4, 5]]}],
-    {2: [1.0], 0.5: {}, -1: "x", math.inf: None}, {None: 1}, {True: [[1, 2]]}, {False: 0},
     (1.0, 2.0), [(1.0, 2.0), (3.0, 4.0)], {"t": ((1, 2), [3, 4])},
+    -math.inf, [math.nan, "NaN", {"Infinity": -math.inf}],
 ])
 def test_dumps_matches_the_indenting_encoder_on_edge_cases(obj):
-    assert _dumps(obj) == json.dumps(obj, indent=2, sort_keys=True)
+    assert _dumps(obj) == _strict_reference(obj)
 
 
 def _reference(entries):

@@ -54,6 +54,14 @@ def test_solver_config_validation():
         SolverConfig(max_iter=0)
 
 
+def test_a_residual_tolerance_below_the_machine_epsilon_is_refused():
+    # A float64 relative residual cannot be certified below 2^-52.
+    assert SolverConfig(residual_tol=2.0**-52).residual_tol == np.finfo(np.float64).eps
+    for tol_value in (2.0**-53, 1e-300, 5e-324):
+        with pytest.raises(InvalidParametersError, match=r"residual_tol must lie in \[2\^-52, 1\)"):
+            SolverConfig(residual_tol=tol_value)
+
+
 def test_richardson_exact_iteration_count_on_diagonal_system():
     Op = np.diag([1.0, 3.0]).astype(complex)
     g = np.array([1.0, 1.0], dtype=complex)
@@ -430,7 +438,8 @@ def test_counts_equal_those_of_the_loop_that_takes_every_true_residual(controlle
 @st.composite
 def _solves(draw):
     """A system, a controller (none, Jacobi or ``S^{-1/2}``), a tolerance and
-    a relaxation: the optimal one, a slower one, or one that diverges."""
+    a relaxation: the optimal one, a slower one, one that diverges, or one
+    that overflows at once."""
     d = draw(st.integers(2, 12))
     cond = draw(st.sampled_from([2.0, 10.0, 100.0]))
     seed = draw(st.integers(0, 2**32 - 1))
@@ -445,7 +454,7 @@ def _solves(draw):
         "inverse-sqrt": spectral_function(S, lambda w: 1.0 / np.sqrt(w)),
     }[controller]
     w = np.linalg.eigvals(S if C is None else C @ S).real
-    factor = draw(st.sampled_from([1.0, 0.5, 1e3]))
+    factor = draw(st.sampled_from([1.0, 0.5, 1e3, 1e300]))
     lam = factor * 2.0 / (w.min() + w.max())
     tol_value = 10.0 ** -draw(st.integers(4, 12))
     g = rng.normal(size=d) + 1j * rng.normal(size=d)
@@ -458,6 +467,8 @@ def test_a_converged_trace_ends_on_the_true_residual_of_its_iterate(solve):
     S, g, lam, C, tol_value = solve
     config = SolverConfig(residual_tol=tol_value, max_iter=20_000)
     f, trace = _solve_one(S, g, lam, config, C=C)
+    # the divergence rule: only the last residual may be non-finite
+    assert np.isfinite(trace.residuals[:-1]).all()
     if trace.converged:
         assert trace.residuals[-1] == np.linalg.norm(g - S @ f) / np.linalg.norm(g)
         assert trace.residuals[-1] <= tol_value
