@@ -40,11 +40,12 @@ import numpy as np
 
 from .controlled import Controller, identity_controller
 from .errors import InvalidParametersError, NotPositiveDefiniteError, ToolkitError
-from .instances import generate_instance
+from .instances import INSTANCE_KINDS, generate_instance
 from .operators import (
     DEFAULT_TOL,
     Tolerances,
     _apply_spectrum,
+    _checked_integer,
     _spectrum_bounds,
     hermitian_part,
 )
@@ -172,16 +173,21 @@ def _row(cell, prepared, counts) -> BenchRow:
     )
 
 
-def _check_grid(dims, cond_targets) -> None:
-    """Refuse a grid no cell of which could be generated, before any cell runs."""
+def _check_grid(kinds, dims, cond_targets, trials, controller) -> None:
+    """Refuse a grid whose cells could not all be generated and solved, before any cell runs."""
+    for i, kind in enumerate(kinds):
+        if kind not in INSTANCE_KINDS:
+            raise InvalidParametersError(f"kinds[{i}] must be one of {INSTANCE_KINDS}, got {kind!r}")
     for i, dim in enumerate(dims):
-        if isinstance(dim, bool) or not isinstance(dim, numbers.Integral) or dim < 1:
-            raise InvalidParametersError(f"dims[{i}] must be an integer >= 1, got {dim!r}")
+        _checked_integer(f"dims[{i}]", dim, 1)
     for i, cond in enumerate(cond_targets):
         if cond is not None and not (isinstance(cond, numbers.Real) and math.isfinite(cond) and cond >= 1):
             raise InvalidParametersError(
                 f"cond_targets[{i}] must be a finite number >= 1 or None, got {cond!r}"
             )
+    _checked_integer("trials", trials, 1)
+    if controller not in CONTROLLER_STRATEGIES:
+        raise InvalidParametersError(f"controller must be one of {CONTROLLER_STRATEGIES}, got {controller!r}")
 
 
 def run_benchmark(
@@ -196,18 +202,16 @@ def run_benchmark(
     """Run the full grid ``kinds x dims x cond_targets x trials``.
 
     Deterministic for a fixed ``config.seed`` (see the module docstring).  A
-    grid with a dim below 1, a cond target that is not a finite number >= 1
-    (or ``None``), or fewer than one trial raises ``InvalidParametersError``
-    before any cell runs; a cell whose instance is unusable becomes a NaN
-    row.
+    grid with a kind not in ``INSTANCE_KINDS``, a dim that is not an integer
+    >= 1, a cond target that is not a finite number >= 1 (or ``None``), a
+    trial count that is not an integer >= 1, or a controller not in
+    ``CONTROLLER_STRATEGIES`` raises ``InvalidParametersError`` before any
+    cell runs (a bool is not an integer here); a cell whose instance is
+    unusable becomes a NaN row.
     """
-    kinds = list(kinds)
-    dims = list(dims)
-    cond_targets = list(cond_targets)
-    _check_grid(dims, cond_targets)
+    kinds, dims, cond_targets = list(kinds), list(dims), list(cond_targets)
+    _check_grid(kinds, dims, cond_targets, trials, controller)
     dims = [int(d) for d in dims]
-    if trials < 1:
-        raise InvalidParametersError(f"trials must be at least 1, got {trials}")
     cells = list(product(kinds, dims, cond_targets, range(trials)))
     prepared = [
         _prepare_cell(index, kind, dim, cond, controller, config, tol)

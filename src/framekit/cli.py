@@ -16,8 +16,12 @@ values (no solution is written then); 3 the solver hit its iteration cap
 (outputs are still written).
 
 Every JSON report embeds a run manifest: command, inputs, the seed (``bench``
-and ``gen`` only), the effective tolerances, outputs and exit code.  Each
-subcommand takes only the shared options it reads.  Reports carry a wall-clock
+and ``gen`` only), the effective tolerances, outputs and exit code.  The
+inputs are read off the parsed arguments: every argument the subcommand
+defines, under its ``dest`` name, an absent optional one as ``null``; only
+``--json``, ``--deterministic`` and the shared options are left out.  Each
+subcommand takes only the shared options it reads; the library, not the CLI,
+refuses a seed that is not an integer ``>= 0``.  Reports carry a wall-clock
 timestamp unless ``--deterministic`` is given, in which case reruns are
 byte-identical.  ``main`` prints each report as ``serialize`` writes it, in
 strict JSON: a number that is not finite (a bound beyond the largest float, a
@@ -80,10 +84,15 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_INPUT)
 
 
-def _manifest(args, tol: Tolerances, inputs: dict, outputs: list, exit_code: int) -> dict:
+# Namespace entries that are not inputs: the subcommand, its function, the
+# output switches, and the shared options, recorded as ``tolerances`` and ``seed``.
+_NOT_INPUTS = {"command", "func", "json", "deterministic", "tol_rel", "tol_psd", "rank_rel", "seed"}
+
+
+def _manifest(args, tol: Tolerances, outputs: list, exit_code: int) -> dict:
     manifest = {
         "command": args.command,
-        "inputs": inputs,
+        "inputs": {dest: value for dest, value in vars(args).items() if dest not in _NOT_INPUTS},
         **({"seed": args.seed} if "seed" in args else {}),
         "tolerances": dataclasses.asdict(tol),
         "outputs": list(outputs),
@@ -106,15 +115,13 @@ def _fields_obj(report, rank_k: int) -> dict:
 # subcommands
 #
 # Each takes the parsed arguments and the tolerances and returns
-# ``(report, lines, exit_code, inputs, outputs)``: the JSON report without
-# its manifest, the text output, and what the manifest records.  ``main``
+# ``(report, lines, exit_code, outputs)``: the JSON report without its
+# manifest, the text output, the exit code and the files written.  ``main``
 # attaches the manifest and prints the report or the lines.
 
 
 def cmd_check(args, tol: Tolerances):
     frame = load_frame(args.frame)
-    inputs = {"frame": args.frame}
-
     fb = frame_bounds(frame, tol)
     report = {"frame": {"lower": fb.lower, "upper": fb.upper, "is_frame": fb.is_frame}}
     lines = [
@@ -127,7 +134,6 @@ def cmd_check(args, tol: Tolerances):
     K, rank = np.eye(frame.dim, dtype=np.complex128), frame.dim
     if args.k is not None:
         K = load_operator(args.k)
-        inputs["k"] = args.k
         krep = kframe_check(frame, K, tol)
         rank = numerical_rank(K, tol)  # one SVD of K serves both reports
         report["kframe"] = _fields_obj(krep, rank)
@@ -141,7 +147,6 @@ def cmd_check(args, tol: Tolerances):
 
     if args.c is not None:
         ctrl = make_controller(load_operator(args.c), tol)
-        inputs["c"] = args.c
         crep = controlled_kframe_check(frame, K, ctrl, tol)
         report["controlled"] = _fields_obj(crep, rank)
         verdict = "controlled K-frame" if crep.is_controlled_kframe else "not a controlled K-frame"
@@ -150,16 +155,14 @@ def cmd_check(args, tol: Tolerances):
         )
         holds = crep.is_controlled_kframe
 
-    return report, lines, EXIT_OK if holds else EXIT_PROPERTY, inputs, []
+    return report, lines, EXIT_OK if holds else EXIT_PROPERTY, []
 
 
 def cmd_dual(args, tol: Tolerances):
     frame_g = load_frame(args.g)
     K = load_operator(args.k)
-    inputs = {"g": args.g, "k": args.k}
     if args.f is not None:
         frame_f = load_frame(args.f)
-        inputs["f"] = args.f
     else:
         frame_f, _ = construct_kframe(frame_g, K)  # {K g_n}
     dual = interchange_dual(frame_g, K, tol, frame_f=frame_f)
@@ -189,13 +192,12 @@ def cmd_dual(args, tol: Tolerances):
         f"max relative reconstruction residual (coefficients in dual):  {worst_dual_side:.3e}",
         f"max relative reconstruction residual (coefficients in frame): {worst_frame_side:.3e}",
     ]
-    return report, lines, EXIT_OK, inputs, [args.out]
+    return report, lines, EXIT_OK, [args.out]
 
 
 def cmd_solve(args, tol: Tolerances):
     frame = load_frame(args.frame)
     g = load_vector(args.g)
-    inputs = {"frame": args.frame, "g": args.g}
 
     if not frame_bounds(frame, tol).is_frame:
         raise NotPositiveDefiniteError(
@@ -206,7 +208,6 @@ def cmd_solve(args, tol: Tolerances):
     ctrl = None
     if args.c is not None:
         ctrl = make_controller(load_operator(args.c), tol)
-        inputs["c"] = args.c
     f, trace = controlled_richardson_solve(frame, ctrl, g, config, tol=tol)
     trace_obj = {
         **{f.name: getattr(trace, f.name) for f in dataclasses.fields(trace)},
@@ -221,7 +222,7 @@ def cmd_solve(args, tol: Tolerances):
         )
         report = {"solution": None, "trace": trace_obj}
         lines = [f"diverged after {trace.iterations} iterations; no solution written"]
-        return report, lines, EXIT_PROPERTY, inputs, []
+        return report, lines, EXIT_PROPERTY, []
     save_vector(f, args.out)
     status = "converged" if trace.converged else "hit the iteration cap"
     lines = [
@@ -231,15 +232,13 @@ def cmd_solve(args, tol: Tolerances):
         f"solution written to {args.out}",
     ]
     report = {"solution": vector_to_obj(f), "trace": trace_obj}
-    return report, lines, EXIT_OK if trace.converged else EXIT_NOT_CONVERGED, inputs, [args.out]
+    return report, lines, EXIT_OK if trace.converged else EXIT_NOT_CONVERGED, [args.out]
 
 
 def cmd_bench(args, tol: Tolerances):
-    inputs = {"kinds": list(args.kinds), "dims": list(args.dims),
-              "cond_targets": args.cond_targets,
-              "trials": args.trials, "controller": args.controller}
     config = SolverConfig(residual_tol=args.residual_tol, max_iter=args.max_iter, seed=args.seed)
-    rows = run_benchmark(**inputs, config=config, tol=tol)
+    rows = run_benchmark(args.kinds, args.dims, args.cond_targets, args.trials, config=config,
+                         controller=args.controller, tol=tol)
     with open(args.out, "w", encoding="utf-8") as handle:
         handle.write(rows_to_csv(rows))
 
@@ -256,7 +255,7 @@ def cmd_bench(args, tol: Tolerances):
         f"{len(rows)} rows written to {args.out} "
         f"({converged} fully converged, median speedup {median:.3g})",
     ]
-    return report, lines, EXIT_OK, inputs, [args.out]  # non-converged rows are data, not failures
+    return report, lines, EXIT_OK, [args.out]  # non-converged rows are data, not failures
 
 
 def cmd_paper_example(args, tol: Tolerances):
@@ -307,13 +306,12 @@ def cmd_paper_example(args, tol: Tolerances):
         f"-> {'as expected (1, 2)' if bounds_ok else 'UNEXPECTED'}",
         f"verdict: {'all assertions hold' if all_ok else 'ASSERTION FAILURE'}",
     ]
-    return report, lines, EXIT_OK if all_ok else EXIT_PROPERTY, {}, []
+    return report, lines, EXIT_OK if all_ok else EXIT_PROPERTY, []
 
 
 def cmd_gen(args, tol: Tolerances):
-    inputs = {"kind": args.kind, "dim": args.dim, "count": args.count,
-              "cond_target": args.cond_target}
-    frame, K, ctrl = generate_instance(**inputs, seed=args.seed, tol=tol)
+    frame, K, ctrl = generate_instance(args.kind, args.dim, args.count, args.cond_target,
+                                       seed=args.seed, tol=tol)
     frame_path = f"{args.out_prefix}-frame.json"
     k_path = f"{args.out_prefix}-k.json"
     c_path = f"{args.out_prefix}-c.json"
@@ -328,7 +326,7 @@ def cmd_gen(args, tol: Tolerances):
         "files": {"frame": frame_path, "k": k_path, "c": c_path},
     }
     lines = [f"wrote {frame_path}, {k_path}, {c_path}"]
-    return report, lines, EXIT_OK, inputs, [frame_path, k_path, c_path]
+    return report, lines, EXIT_OK, [frame_path, k_path, c_path]
 
 
 # ---------------------------------------------------------------------------
@@ -459,10 +457,8 @@ def main(argv=None) -> int:
     )
     try:
         tol = Tolerances(rel_eq=args.tol_rel, psd_slack=args.tol_psd, rank_rel=args.rank_rel)
-        if "seed" in args and args.seed < 0:
-            raise InvalidParametersError(f"the seed must be an integer >= 0, got {args.seed}")
-        report, lines, exit_code, inputs, outputs = args.func(args, tol)
-        report["manifest"] = _manifest(args, tol, inputs, outputs, exit_code)
+        report, lines, exit_code, outputs = args.func(args, tol)
+        report["manifest"] = _manifest(args, tol, outputs, exit_code)
         print(_dumps(report) if args.json else "\n".join(lines))
         return exit_code
     except (ParseError, OSError) as exc:

@@ -25,7 +25,7 @@ import numpy as np
 from .controlled import Controller, identity_controller, make_controller
 from .errors import InvalidParametersError
 from .frames import FrameSequence
-from .operators import DEFAULT_TOL, Tolerances, hermitian_part
+from .operators import DEFAULT_TOL, Tolerances, _checked_integer, hermitian_part
 
 __all__ = [
     "INSTANCE_KINDS",
@@ -182,7 +182,12 @@ def generate_instance(
         Random frame with ``K`` and ``C`` spectral functions of ``S``.
     ``paper-c3``
         The fixed worked example on C^3 (``dim``/``count`` must be 3 or omitted).
+
+    ``seed`` must be an integer ``>= 0`` (a bool is not one); it is checked
+    before the other arguments, for every kind.  Invalid arguments raise
+    ``InvalidParametersError``.
     """
+    _checked_integer("the seed", seed, 0)
     if kind not in INSTANCE_KINDS:
         raise InvalidParametersError(f"unknown instance kind {kind!r}; expected one of {INSTANCE_KINDS}")
     rng = np.random.default_rng(seed)

@@ -39,6 +39,7 @@ each operand derived from it once, on first use, read-only
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -164,6 +165,13 @@ def as_operator(T, dim: int | None = None) -> np.ndarray:
     if dim is not None and M.shape[0] != dim:
         raise DimensionMismatchError(f"expected a {dim} x {dim} operator, got {M.shape[0]} x {M.shape[1]}")
     return M
+
+
+def _checked_integer(name: str, value, minimum: int) -> None:
+    """Refuse ``value`` unless it is an integer ``>= minimum`` (a bool is not
+    one): the package's one integer-parameter check."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
+        raise InvalidParametersError(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
 def _read_only(value):

@@ -70,6 +70,7 @@ from .operators import (
     DEFAULT_TOL,
     OperatorBounds,
     Tolerances,
+    _checked_integer,
     _is_normal,
     _pow2_scaled,
     _scaled_back,
@@ -95,9 +96,11 @@ class SolverConfig:
     ``relaxation=None`` selects the optimal ``2 / (A + B)`` from the certified
     bounds.  ``residual_tol`` lies in ``[2^-52, 1)``: a float64 relative
     residual cannot be certified below the machine epsilon ``2^-52``.
-    ``seed`` does not affect the iterations themselves (they start from zero
+    ``max_iter`` is an integer ``>= 1``.  ``seed``, an integer ``>= 0``, does
+    not affect the iterations themselves (they start from zero
     deterministically); it is the base seed harnesses use to draw instances
-    and right-hand sides.
+    and right-hand sides.  Any other value raises ``InvalidParametersError``
+    (a bool is not an integer here).
     """
 
     relaxation: float | None = None
@@ -106,12 +109,12 @@ class SolverConfig:
     seed: int = 0
 
     def __post_init__(self):
+        _checked_integer("the seed", self.seed, 0)
         if self.relaxation is not None and not (np.isfinite(self.relaxation) and self.relaxation > 0):
             raise InvalidParametersError(f"relaxation must be positive, got {self.relaxation!r}")
         if not (2.0**-52 <= self.residual_tol < 1.0):  # the float64 machine epsilon
             raise InvalidParametersError(f"residual_tol must lie in [2^-52, 1), got {self.residual_tol!r}")
-        if self.max_iter < 1:
-            raise InvalidParametersError(f"max_iter must be at least 1, got {self.max_iter!r}")
+        _checked_integer("max_iter", self.max_iter, 1)
 
 
 @dataclass(frozen=True)

@@ -181,9 +181,10 @@ def test_run_benchmark_validation():
 
 
 def test_failed_cells_become_nan_rows_not_crashes():
+    # An ill-conditioned instance needs a cond target: each cell is unusable.
     rows = run_benchmark(
-        kinds=["random-frame"], dims=[4], cond_targets=[None],
-        trials=2, config=SolverConfig(seed=8), controller="not-a-strategy",
+        kinds=["ill-conditioned"], dims=[4], cond_targets=[None],
+        trials=2, config=SolverConfig(seed=8),
     )
     assert len(rows) == 2
     for row in rows:
@@ -218,7 +219,7 @@ def test_csv_rows_round_trip_floats():
 def test_csv_lines_are_the_fields_of_bench_row_in_order():
     assert len(fields(BenchRow)) == len(CSV_COLUMNS)
     (converged,) = run_benchmark(["ill-conditioned"], [4], [25.0], 1, config=SolverConfig(seed=31))
-    (unusable,) = run_benchmark(["random-frame"], [4], [None], 1, controller="not-a-strategy")
+    (unusable,) = run_benchmark(["ill-conditioned"], [4], [None], 1)
     assert converged.converged_plain and converged.converged_controlled
     assert np.isnan([unusable.cond_s, unusable.cond_precond, unusable.speedup]).all()
     lines = [",".join(CSV_COLUMNS)] + [
@@ -315,25 +316,31 @@ def test_run_benchmark_matches_cell_by_cell_public_solves():
 
 
 @pytest.mark.parametrize("kind", ["ill-conditioned", "random-frame", "commuting-family"])
-@pytest.mark.parametrize("dims, conds, where", [
-    ([0], [10.0], "dims[0]"),
-    ([4, -3], [10.0], "dims[1]"),
-    ([4.0], [10.0], "dims[0]"),
-    ([True], [10.0], "dims[0]"),
-    ([4], [0.5], "cond_targets[0]"),
-    ([4], [None, float("nan")], "cond_targets[1]"),
-    ([4], [float("inf")], "cond_targets[0]"),
-    ([4], ["1e4"], "cond_targets[0]"),
+@pytest.mark.parametrize("grid, where", [
+    ({"dims": [0]}, "dims[0]"),
+    ({"dims": [4, -3]}, "dims[1]"),
+    ({"dims": [4.0]}, "dims[0]"),
+    ({"dims": [True]}, "dims[0]"),
+    ({"cond_targets": [0.5]}, "cond_targets[0]"),
+    ({"cond_targets": [None, float("nan")]}, "cond_targets[1]"),
+    ({"cond_targets": [float("inf")]}, "cond_targets[0]"),
+    ({"cond_targets": ["1e4"]}, "cond_targets[0]"),
+    ({"kinds": ["random-frame", "nope"]}, "kinds[1]"),
+    ({"trials": 0}, "trials"),
+    ({"trials": 2.0}, "trials"),
+    ({"trials": True}, "trials"),
+    ({"controller": "newton"}, "controller"),
 ])
-def test_an_invalid_grid_is_refused_before_any_cell_runs(monkeypatch, kind, dims, conds, where):
+def test_an_invalid_grid_is_refused_before_any_cell_runs(monkeypatch, kind, grid, where):
     import framekit.bench
 
     def no_cell(*args, **kwargs):
         raise AssertionError("a cell ran")
 
     monkeypatch.setattr(framekit.bench, "generate_instance", no_cell)
+    grid = {"kinds": [kind], "dims": [4], "cond_targets": [10.0], "trials": 1, "controller": "jacobi", **grid}
     with pytest.raises(InvalidParametersError, match=rf"^{re.escape(where)} must be"):
-        run_benchmark([kind], dims, conds, trials=1)
+        run_benchmark(**grid)
 
 
 def test_grid_bounds_themselves_are_valid():

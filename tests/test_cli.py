@@ -118,7 +118,7 @@ def test_check_json_manifest_fields(tmp_path, capsys):
     assert code == 0
     manifest = report["manifest"]
     assert manifest["command"] == "check"
-    assert manifest["inputs"] == {"frame": path}
+    assert manifest["inputs"] == {"frame": path, "k": None, "c": None}
     assert "seed" not in manifest
     assert manifest["exit_code"] == 0
     assert set(manifest["tolerances"]) == {"rel_eq", "psd_slack", "rank_rel"}
@@ -807,7 +807,7 @@ def test_the_cached_parser_keeps_no_state_between_calls(tmp_path, capsys):
     assert main(["--help"]) == 0
     assert "paper-example" in capsys.readouterr().out
     assert main(["check", path, "--json", "--deterministic"]) == 0
-    assert _json_report(capsys)["manifest"]["inputs"] == {"frame": path}
+    assert _json_report(capsys)["manifest"]["inputs"] == {"frame": path, "k": None, "c": None}
 
 
 # ---------------------------------------------------------------------------
@@ -849,6 +849,33 @@ def test_the_manifest_names_the_command_its_exit_code_and_the_files_written(
     assert manifest["exit_code"] == code
     written = set(os.listdir(tmp_path)) - before
     assert sorted(manifest["outputs"]) == sorted(written)
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "frame.json", "--k", "k.json"],
+    ["dual", "--g", "onb.json", "--k", "k.json", "--out", "dual-out.json"],
+    ["solve", "frame.json", "--g", "g.json", "--max-iter", "3", "--residual-tol", "1e-3",
+     "--relaxation", "0.5", "--out", "x.json"],
+    ["bench", "--dims", "4", "--cond-targets", "10", "--trials", "1", "--max-iter", "7", "--out", "b.csv"],
+    ["paper-example"],
+    ["gen", "--kind", "random-frame", "--dim", "3", "--out-prefix", "inst"],
+], ids=lambda argv: argv[0])
+def test_the_manifest_inputs_are_every_argument_of_the_subcommand(argv, tmp_path, monkeypatch, capsys):
+    from framekit.cli import _build_parser
+
+    # Every argument but the shared options, read off the parser, so a new
+    # option cannot be left out; an absent optional one is null.
+    (commands,) = (a.choices for a in _build_parser()._actions if a.dest == "command")
+    sub = commands[argv[0]]
+    (shared,) = (g._group_actions for g in sub._action_groups if g.title == "shared options")
+    own = [a.dest for a in sub._actions if a not in shared and a.dest != "help"]
+    parsed = vars(_build_parser().parse_args(argv))
+    monkeypatch.chdir(tmp_path)
+    _runner_inputs()
+    main([*argv, "--json", "--deterministic"])
+    inputs = _json_report(capsys)["manifest"]["inputs"]
+    assert set(inputs) == set(own)
+    assert inputs == {dest: parsed[dest] for dest in own}
 
 
 def test_a_negative_seed_is_an_input_error(tmp_path, capsys):

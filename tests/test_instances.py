@@ -167,3 +167,12 @@ def test_generate_instance_validation():
         generate_instance("ill-conditioned", 1, cond_target=10.0)
     with pytest.raises(InvalidParametersError):
         generate_instance("paper-c3", dim=4)
+
+
+@pytest.mark.parametrize("kind", [*INSTANCE_KINDS, "no-such-kind"])
+@pytest.mark.parametrize("seed", [-1, 2.0, True, None])
+def test_generate_instance_refuses_a_seed_before_its_other_checks(kind, seed):
+    with pytest.raises(InvalidParametersError, match=rf"^the seed must be an integer >= 0, got {seed!r}$"):
+        generate_instance(kind, 4, cond_target=10.0, seed=seed)
+    with pytest.raises(InvalidParametersError, match="^the seed must be"):
+        generate_instance(kind, seed=seed)

@@ -5,6 +5,7 @@ exactly 1/2 per step, so the iteration count for a relative tolerance of
 ``1e-8`` is exactly ``ceil(log2(1e8)) = 27``; several tests pin such closed
 forms."""
 
+import re
 import warnings
 from dataclasses import replace
 from itertools import product
@@ -60,6 +61,23 @@ def test_a_residual_tolerance_below_the_machine_epsilon_is_refused():
     for tol_value in (2.0**-53, 1e-300, 5e-324):
         with pytest.raises(InvalidParametersError, match=r"residual_tol must lie in \[2\^-52, 1\)"):
             SolverConfig(residual_tol=tol_value)
+
+
+@pytest.mark.parametrize("max_iter", [0, -3, 2.5, 10.0, True, "10", None])
+def test_an_iteration_cap_that_is_not_an_integer_of_at_least_one_is_refused(max_iter):
+    # 2.5 used to pass and end the solve in a bare TypeError.
+    with pytest.raises(InvalidParametersError, match=rf"^max_iter must be an integer >= 1, got {re.escape(repr(max_iter))}$"):
+        SolverConfig(max_iter=max_iter)
+    assert SolverConfig(max_iter=np.int64(7)).max_iter == 7
+
+
+@pytest.mark.parametrize("seed", [-1, 1.0, True, "3", None])
+def test_a_seed_that_is_not_a_nonnegative_integer_is_refused(seed):
+    with pytest.raises(InvalidParametersError, match=rf"^the seed must be an integer >= 0, got {re.escape(repr(seed))}$"):
+        SolverConfig(seed=seed)
+    # the seed is checked first, so its message is the same whatever else is wrong
+    with pytest.raises(InvalidParametersError, match="^the seed must be"):
+        SolverConfig(max_iter=0, residual_tol=2.0, seed=seed)
 
 
 def test_richardson_exact_iteration_count_on_diagonal_system():

@@ -13,7 +13,9 @@ writes keep their names, and the exit codes go to ``exit_codes.json``.
 ``SHA256SUMS`` then lists every file in the format of ``sha256sum``.  The
 commands cover the ``bench --deterministic`` CSVs of acceptance criterion 10
 and of a grid over two instance kinds, four dims, two condition targets and
-all three controllers; ``solve --json --deterministic`` plain, controlled,
+all three controllers, and one small ``bench`` and one ``gen`` run as
+``--json --deterministic``, whose manifests record the seed, the grid and
+every option; ``solve --json --deterministic`` plain, controlled,
 capped and divergent, and controlled on the frame ``1e-30 I`` of ``C^3``
 with ``C = 1e-300 diag(1, 2, 3)``, whose product ``C S`` underflows;
 ``check --k --c`` at d=8 as JSON and as text, and on the 3x3 identity
@@ -107,6 +109,8 @@ COMMANDS = [
                   "--seed", "3", "--out-prefix", "ill8"]),
     ("gen-fam8", ["gen", "--kind", "commuting-family", "--dim", "8", "--seed", "5",
                   "--out-prefix", "fam8"]),
+    ("gen-json", ["gen", "--kind", "random-frame", "--dim", "3", "--count", "5", "--seed", "2",
+                  "--json", "--deterministic", "--out-prefix", "gen-json"]),
     ("solve-plain", [*_SOLVE, "--out", "solve-plain.json"]),
     ("solve-controlled", ["solve", "fam8-frame.json", "--g", "rhs8.json", "--c", "fam8-c.json",
                           "--json", "--deterministic", "--out", "solve-controlled.json"]),
@@ -130,6 +134,10 @@ COMMANDS = [
     ("bench-criterion10", ["bench", "--kinds", "ill-conditioned", "--dims", "4", "8",
                            "--cond-targets", "10", "100", "--trials", "2", "--seed", "42",
                            "--deterministic", "--out", "bench-criterion10.csv"]),
+    ("bench-json", ["bench", "--kinds", "ill-conditioned", "--dims", "4", "--cond-targets", "10",
+                    "--trials", "2", "--controller", "identity", "--residual-tol", "1e-6",
+                    "--max-iter", "500", "--seed", "7", "--json", "--deterministic",
+                    "--out", "bench-json.csv"]),
     *(
         (f"bench-grid-{ctrl}", ["bench", *_GRID, "--controller", ctrl, "--deterministic",
                                 "--out", f"bench-grid-{ctrl}.csv"])
