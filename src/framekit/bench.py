@@ -32,7 +32,6 @@ order, so the CSV is byte-identical for a fixed seed.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import astuple, dataclass
 from itertools import product
 
@@ -46,6 +45,7 @@ from .operators import (
     Tolerances,
     _apply_spectrum,
     _checked_integer,
+    _checked_real,
     _spectrum_bounds,
     hermitian_part,
 )
@@ -181,10 +181,8 @@ def _check_grid(kinds, dims, cond_targets, trials, controller) -> None:
     for i, dim in enumerate(dims):
         _checked_integer(f"dims[{i}]", dim, 1)
     for i, cond in enumerate(cond_targets):
-        if cond is not None and not (isinstance(cond, numbers.Real) and math.isfinite(cond) and cond >= 1):
-            raise InvalidParametersError(
-                f"cond_targets[{i}] must be a finite number >= 1 or None, got {cond!r}"
-            )
+        if cond is not None:
+            _checked_real(f"cond_targets[{i}]", cond, "be a finite number >= 1 or None", lambda x: 1 <= x < math.inf)
     _checked_integer("trials", trials, 1)
     if controller not in CONTROLLER_STRATEGIES:
         raise InvalidParametersError(f"controller must be one of {CONTROLLER_STRATEGIES}, got {controller!r}")

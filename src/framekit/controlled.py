@@ -3,9 +3,23 @@
 
 The controlled operator is the one-sided product ``L = C S`` — deliberately
 not symmetrized.  When ``C`` commutes with ``S`` the product is Hermitian and
-the form is real; when it does not, the Hermiticity check fails loudly rather
-than silently averaging away the defect.  The lower inequality compares the
+the form is real; when it does not, the check fails loudly rather than
+silently averaging away the defect.  The lower inequality compares the
 form against ``||C^{1/2} K* f||^2``, i.e. ``A K C K* <= C S``.
+
+Commutation
+-----------
+One rule decides whether ``C`` commutes with an operator ``X``:
+``||C X - X C||_F <= rel_eq ||C||_F ||X||_F``, decided on ``C~`` and
+``X~`` (:func:`_commutation_slack` states the slack).  For Hermitian ``C``
+and ``S``, ``L - L* = C S - S C``, so "``C S`` is Hermitian" is the same
+test with ``X = S``, made on the product ``L = C~ S~`` that
+:func:`_require_real_product` forms anyway.  Every check of the hypothesis
+(:func:`commutes`, :func:`controlled_form`, the controlled verdict and
+solve, the two Loewner checks and the interchange identity) uses this
+slack.  It is relative to ``||C|| ||S||``, not to ``||C S||``: for the
+ideal controller ``C = S^{-1}`` the rounding defect of ``C S`` is about
+``u ||C|| ||S||``, which is ``cond(S)`` times ``u ||C S||``.
 
 Equivalence theorem: controlled K-frames are K-frames.  Under the checked
 hypotheses ``C K = K C`` and ``C S`` Hermitian (so ``C S = S C``),
@@ -16,9 +30,9 @@ controlled lower constant is the plain Douglas optimum, and the controlled
 minimiser is the plain witness pulled back through ``C^{-1/2}``.  The
 controlled verdict *is* the plain verdict: it reuses the frame's K-frame
 report and adds only ``lambda_max(C S)``, so rescaling ``C`` never changes
-it.  The hypotheses are checked to ``rel_eq``, so for a controller that
-commutes only to within that tolerance the true controlled optimum may
-differ from the plain one at the ``rel_eq`` level.
+it.  The hypotheses are checked to the commutation slack, so for a
+controller that commutes only to within it the true controlled optimum
+may differ from the plain one at that level.
 """
 
 from __future__ import annotations
@@ -122,33 +136,40 @@ def identity_controller(dim: int) -> Controller:
     return Controller(np.eye(dim, dtype=np.complex128))
 
 
+def _commutation_slack(C, X, tol: Tolerances) -> float:
+    """``rel_eq ||C~||_F ||X~||_F``: the slack of the module's one commutation
+    rule, for the scaled operands ``C~`` and ``X~``."""
+    return tol.rel_eq * float(np.linalg.norm(C)) * float(np.linalg.norm(X))
+
+
 def commutes(ctrl: Controller, K, tol: Tolerances = DEFAULT_TOL) -> bool:
     """Whether ``||C K - K C||_F <= rel_eq * ||C||_F * ||K||_F``, decided
     on ``C~`` and ``K~``."""
     C = ctrl._scaled[0]
     Kop, _ = _pow2_scaled(as_operator(K, dim=ctrl.dim))
-    defect = np.linalg.norm(C @ Kop - Kop @ C)
-    return bool(defect <= tol.rel_eq * np.linalg.norm(C) * np.linalg.norm(Kop))
+    return bool(np.linalg.norm(C @ Kop - Kop @ C) <= _commutation_slack(C, Kop, tol))
 
 
 def controlled_form(frame: FrameSequence, ctrl: Controller, f, tol: Tolerances = DEFAULT_TOL) -> float:
     """The quadratic form ``<C S f, f>``, required to be real.
 
     Equals the coefficient pairing ``sum_n <f, f_n> conj(<f, C f_n>)``.  The
-    imaginary part must stay below ``rel_eq * ||C|| * ||S|| * ||f||^2``;
-    a larger one means ``C S`` is materially non-Hermitian and the controlled
-    theory does not apply to the pair.  Decided on ``C~``, ``S~`` and
-    ``f~ = 2^-b f``; the real part is scaled back by ``2^(c + s + 2b)``.
+    imaginary part must stay below the commutation slack (module docstring)
+    times ``||f||^2``; a larger one means ``C S`` is materially non-Hermitian
+    and the controlled theory does not apply to the pair.  Since
+    ``|Im <C S f, f>| <= ||C S - S C||_2 ||f||^2 / 2``, a pair that
+    :func:`_require_real_product` accepts is never refused here.  Decided on
+    ``C~``, ``S~`` and ``f~ = 2^-b f``; the real part is scaled back by
+    ``2^(c + s + 2b)``.
     """
     v, b = _pow2_scaled(as_vector(f, dim=frame.dim))
     (C, c), (S, s) = ctrl._scaled, frame._scaled
     value = complex(np.vdot(v, C @ (S @ v)))
-    norms = float(ctrl._eigh[0][-1]) * float(frame._eigh[0][-1])
-    limit = tol.rel_eq * norms * float(np.vdot(v, v).real)
+    limit = _commutation_slack(C, S, tol) * float(np.vdot(v, v).real)
     if abs(value.imag) > limit:
         raise NonRealFormError(
             f"the form's imaginary part is {abs(value.imag) / limit:.3e} times the admissible "
-            "rel_eq * ||C|| * ||S|| * ||f||^2; C S is not Hermitian for this pair"
+            "rel_eq * ||C||_F * ||S||_F * ||f||^2; C S is not Hermitian for this pair"
         )
     return _scaled_back(value.real, c + s + 2 * b)
 
@@ -174,22 +195,22 @@ class ControlledReport:
 
 
 def _require_real_product(frame: FrameSequence, ctrl: Controller, tol: Tolerances) -> tuple[np.ndarray, int]:
-    """``(H, x)``: the Hermitian part ``H`` of ``C~ S~ = 2^-x C S``, with
-    ``x = c + s``, refused with :class:`NonRealFormError` unless the product
-    is Hermitian.
+    """``(H, x)``: the Hermitian part ``H`` of ``L = C~ S~ = 2^-x C S``, with
+    ``x = c + s``, refused with :class:`NonRealFormError` unless
+    ``||L - L*||_F``, which is ``||C~ S~ - S~ C~||_F`` for Hermitian
+    operands, is within the commutation slack of ``C~`` and ``S~``.
 
-    The one Hermiticity check on ``C S``: the controlled verdict, the
-    controlled solve, the benchmark cells and the interchange identity go
-    through it, and take the spectrum of ``C~ S~`` from ``H`` with
-    ``eigvalsh``.  The Loewner comparisons leave it to :func:`operator_leq`.
+    The one check of ``C S = S C``: the controlled verdict, the controlled
+    solve, the benchmark cells, the two Loewner checks and the interchange
+    identity go through it, and take ``C S`` as ``2^x H``.
     """
     (C, c), (S, s) = ctrl._scaled, frame._scaled
     L = C @ S
-    if not is_hermitian(L, tol):
-        defect = np.linalg.norm(L - L.conj().T) / np.linalg.norm(L)
+    defect, slack = float(np.linalg.norm(L - L.conj().T)), _commutation_slack(C, S, tol)
+    if not defect <= slack:
         raise NonRealFormError(
-            f"C S is not Hermitian (relative defect {defect:.3e}); "
-            "the controlled form would not be real-valued"
+            f"C S is not Hermitian (relative defect {tol.rel_eq * defect / slack:.3e} "
+            "against ||C||_F ||S||_F); the controlled form would not be real-valued"
         )
     return hermitian_part(L), c + s
 
@@ -228,14 +249,16 @@ def controlled_kframe_check(frame: FrameSequence, K, ctrl: Controller, tol: Tole
 def controlled_operator_inequality(frame: FrameSequence, K, ctrl: Controller, A: float, tol: Tolerances = DEFAULT_TOL) -> bool:
     """Operator-inequality verdict: ``A * C K K* <= C S`` in the Loewner order.
 
-    Both sides must be Hermitian — true whenever ``C`` commutes with ``K`` and
-    with ``S`` — otherwise :func:`operator_leq` refuses the comparison.
-    Decided on ``C~``, ``S~`` and ``K~`` with ``A`` moved by ``2^(2k - s)``
-    (see :func:`framekit.operators._scaled_leq`).
+    The ``C S`` side is the Hermitian part that :func:`_require_real_product`
+    returns, so a controller that does not commute with ``S`` raises
+    :class:`NonRealFormError`; a ``C K K*`` that is not Hermitian (``C``
+    does not commute with ``K K*``) makes :func:`operator_leq` refuse the
+    comparison.  Decided on ``C~``, ``S~`` and ``K~`` with ``A`` moved by
+    ``2^(2k - s)`` (see :func:`framekit.operators._scaled_leq`).
     """
     Kop, k = _pow2_scaled(as_operator(K, dim=frame.dim))
-    (C, _), (S, s) = ctrl._scaled, frame._scaled
-    return _scaled_leq(A, 2 * k - s, C @ Kop @ Kop.conj().T, C @ S, tol)
+    H, _ = _require_real_product(frame, ctrl, tol)
+    return _scaled_leq(A, 2 * k - frame._scaled[1], ctrl._scaled[0] @ Kop @ Kop.conj().T, H, tol)
 
 
 def sandwich_inequality_check(frame: FrameSequence, K, ctrl: Controller, A: float, B: float, tol: Tolerances = DEFAULT_TOL) -> bool:
@@ -245,19 +268,19 @@ def sandwich_inequality_check(frame: FrameSequence, K, ctrl: Controller, A: floa
     ``K C K*`` reproduces ``||C^{1/2} K* f||^2`` as a quadratic form.  With the
     certified optimal ``(A, B)`` from :func:`controlled_kframe_check` both
     comparisons hold with equality attained at the extremal directions.
-    Decided as :func:`controlled_operator_inequality` decides, with ``B``
-    moved by ``2^-(c + s)``; a moved ``B`` of ``inf`` bounds every operator.
-    A ``B`` that is not positive (``nan`` included) raises
-    :class:`InvalidParametersError`; ``inf`` is allowed.
+    Decided as :func:`controlled_operator_inequality` decides, on the same
+    ``C S`` side, with ``B`` moved by ``2^-(c + s)``; a moved ``B`` of
+    ``inf`` bounds every operator.  A ``B`` that is not positive (``nan``
+    included) raises :class:`InvalidParametersError`; ``inf`` is allowed.
     """
     if not B > 0:
         raise InvalidParametersError(f"the candidate upper bound must be positive, got {B!r}")
     Kop, k = _pow2_scaled(as_operator(K, dim=frame.dim))
-    (C, c), (S, s) = ctrl._scaled, frame._scaled
-    L = C @ S
-    lower_holds = _scaled_leq(A, 2 * k - s, hermitian_part(Kop @ C @ Kop.conj().T), L, tol)
-    upper = _scaled_back(B, -c - s)
-    return lower_holds and (upper == math.inf or operator_leq(L, upper * np.eye(frame.dim), tol))
+    H, x = _require_real_product(frame, ctrl, tol)
+    W = hermitian_part(Kop @ ctrl._scaled[0] @ Kop.conj().T)
+    lower_holds = _scaled_leq(A, 2 * k - frame._scaled[1], W, H, tol)
+    upper = _scaled_back(B, -x)
+    return lower_holds and (upper == math.inf or operator_leq(H, upper * np.eye(frame.dim), tol))
 
 
 def bounds_to_kframe(A: float, B: float, ctrl: Controller) -> tuple[float, float]:
@@ -297,11 +320,10 @@ def interchange_identity_check(frame: FrameSequence, ctrl: Controller, tol: Tole
 
     The two weighted synthesis sums are the actions of ``C S`` and ``S C``, so
     the identity is exactly commutation:
-    ``||C S - S C||_F <= rel_eq * ||C||_F * ||S||_F``, decided on ``S~``.
-    Requires the form to be real-valued in the first place (``C S``
-    Hermitian); a materially non-Hermitian product raises instead of
-    returning a verdict, because then neither sum defines a controlled frame
-    expression.
+    ``||C S - S C||_F <= rel_eq * ||C||_F * ||S||_F``, which is the test
+    :func:`_require_real_product` makes.  So this returns ``True`` or raises
+    :class:`NonRealFormError`: when the product is materially non-Hermitian
+    neither sum defines a controlled frame expression.
     """
     _require_real_product(frame, ctrl, tol)
-    return commutes(ctrl, frame._scaled[0], tol)
+    return True

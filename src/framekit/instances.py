@@ -20,12 +20,14 @@ Design notes baked into the families:
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .controlled import Controller, identity_controller, make_controller
 from .errors import InvalidParametersError
 from .frames import FrameSequence
-from .operators import DEFAULT_TOL, Tolerances, _checked_integer, hermitian_part
+from .operators import DEFAULT_TOL, Tolerances, _checked_integer, _checked_real, hermitian_part
 
 __all__ = [
     "INSTANCE_KINDS",
@@ -184,8 +186,10 @@ def generate_instance(
         The fixed worked example on C^3 (``dim``/``count`` must be 3 or omitted).
 
     ``seed`` must be an integer ``>= 0`` (a bool is not one); it is checked
-    before the other arguments, for every kind.  Invalid arguments raise
-    ``InvalidParametersError``.
+    before the other arguments, for every kind.  Outside ``paper-c3``,
+    ``dim`` must be an integer ``>= 1``, ``count`` (default ``2 * dim``) an
+    integer ``>= dim``, and an ``ill-conditioned`` ``cond_target`` a finite
+    number ``>= 1``.  Invalid arguments raise ``InvalidParametersError``.
     """
     _checked_integer("the seed", seed, 0)
     if kind not in INSTANCE_KINDS:
@@ -197,18 +201,15 @@ def generate_instance(
             raise InvalidParametersError("the built-in C^3 example has dim = count = 3")
         return c3_example()
 
-    if dim is None or dim < 1:
-        raise InvalidParametersError(f"dim must be a positive integer, got {dim!r}")
+    _checked_integer("dim", dim, 1)
     if count is None:
         count = 2 * dim
-    if count < dim:
-        raise InvalidParametersError(f"need count >= dim for a spanning family, got count={count}, dim={dim}")
+    _checked_integer("count", count, dim)  # a spanning family
 
     if kind == "commuting-family":
         return commuting_triple(rng, dim, count, tol=tol)
     if kind == "ill-conditioned":
-        if cond_target is None or cond_target < 1.0 or not np.isfinite(cond_target):
-            raise InvalidParametersError(f"cond_target must be >= 1, got {cond_target!r}")
+        _checked_real("cond_target", cond_target, "be a finite number >= 1", lambda x: 1 <= x < math.inf)
         if dim < 2 and cond_target > 1.0:
             raise InvalidParametersError("cond_target > 1 needs dim >= 2")
         sigma = np.geomspace(1.0, cond_target**-0.5, num=dim)

@@ -174,6 +174,14 @@ def _checked_integer(name: str, value, minimum: int) -> None:
         raise InvalidParametersError(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
+def _checked_real(name: str, value, rule: str, holds) -> None:
+    """Refuse ``value`` unless it is a real number (a bool is not one) for
+    which ``holds(value)`` is true: the package's one real-parameter check.
+    ``rule`` completes the message ``{name} must ...``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not holds(value):
+        raise InvalidParametersError(f"{name} must {rule}, got {value!r}")
+
+
 def _read_only(value):
     """``value``, an array or a tuple, with its arrays made read-only in place."""
     for a in value if isinstance(value, tuple) else (value,):

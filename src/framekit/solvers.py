@@ -59,6 +59,7 @@ compare it bit for bit with a per-column loop.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -71,6 +72,7 @@ from .operators import (
     OperatorBounds,
     Tolerances,
     _checked_integer,
+    _checked_real,
     _is_normal,
     _pow2_scaled,
     _scaled_back,
@@ -94,13 +96,14 @@ class SolverConfig:
     """Iteration parameters.
 
     ``relaxation=None`` selects the optimal ``2 / (A + B)`` from the certified
-    bounds.  ``residual_tol`` lies in ``[2^-52, 1)``: a float64 relative
+    bounds; any other relaxation is a finite positive number.
+    ``residual_tol`` is a number in ``[2^-52, 1)``: a float64 relative
     residual cannot be certified below the machine epsilon ``2^-52``.
     ``max_iter`` is an integer ``>= 1``.  ``seed``, an integer ``>= 0``, does
     not affect the iterations themselves (they start from zero
     deterministically); it is the base seed harnesses use to draw instances
     and right-hand sides.  Any other value raises ``InvalidParametersError``
-    (a bool is not an integer here).
+    (a bool is neither an integer nor a number here).
     """
 
     relaxation: float | None = None
@@ -110,10 +113,10 @@ class SolverConfig:
 
     def __post_init__(self):
         _checked_integer("the seed", self.seed, 0)
-        if self.relaxation is not None and not (np.isfinite(self.relaxation) and self.relaxation > 0):
-            raise InvalidParametersError(f"relaxation must be positive, got {self.relaxation!r}")
-        if not (2.0**-52 <= self.residual_tol < 1.0):  # the float64 machine epsilon
-            raise InvalidParametersError(f"residual_tol must lie in [2^-52, 1), got {self.residual_tol!r}")
+        if self.relaxation is not None:
+            _checked_real("relaxation", self.relaxation, "be positive", lambda x: 0 < x < math.inf)
+        # 2^-52 is the float64 machine epsilon.
+        _checked_real("residual_tol", self.residual_tol, "lie in [2^-52, 1)", lambda x: 2.0**-52 <= x < 1.0)
         _checked_integer("max_iter", self.max_iter, 1)
 
 
@@ -336,6 +339,12 @@ def _controlled_relaxation(frame: FrameSequence, ctrl: Controller | None, config
     :func:`framekit.controlled._require_real_product`).  ``ctrl=None`` is
     the plain iteration: the bounds of ``S~`` from the frame's cached
     eigenvalues, and ``x = s``.
+
+    The bounds are those of ``H``, the Hermitian part of ``L = C~ S~``, which
+    the gate lets differ from ``L`` by up to its commutation slack.  By
+    Bendixson's theorem every eigenvalue of ``L`` has its real part in
+    ``[lambda_min(H), lambda_max(H)]``, so the relaxation stays matched to
+    ``L``; convergence is still confirmed on the true residual of ``S f = g``.
     """
     if ctrl is None:
         w, x = frame._eigh[0], frame._scaled[1]

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 import framekit.controlled
-import framekit.operators
 
 from framekit import (
     CSV_COLUMNS,
@@ -234,17 +233,17 @@ def test_csv_lines_are_the_fields_of_bench_row_in_order():
 
 
 def _hermiticity_tests_of(monkeypatch, operands):
-    """Patch ``is_hermitian`` where ``controlled`` and ``operators`` call it;
-    the returned list gains the index of each of ``operands`` tested."""
-    original = framekit.operators.is_hermitian
+    """Patch the commutation slack that every check of ``C S = S C`` reads;
+    the returned list gains the index of each ``(C, S)`` of ``operands``
+    whose slack is taken."""
+    original = framekit.controlled._commutation_slack
     hits = []
 
-    def counted(T, *args):
-        hits.extend(i for i, P in enumerate(operands) if np.array_equal(T, P))
-        return original(T, *args)
+    def counted(C, X, *args):
+        hits.extend(i for i, (P, Q) in enumerate(operands) if np.array_equal(C, P) and np.array_equal(X, Q))
+        return original(C, X, *args)
 
-    for module in (framekit.controlled, framekit.operators):
-        monkeypatch.setattr(module, "is_hermitian", counted)
+    monkeypatch.setattr(framekit.controlled, "_commutation_slack", counted)
     return hits
 
 
@@ -252,7 +251,7 @@ def test_a_controlled_solve_tests_c_s_for_hermiticity_once(monkeypatch):
     frame, _, _ = generate_instance("ill-conditioned", 6, cond_target=50.0, seed=1)
     S = frame_operator(frame)
     ctrl = controller_for("jacobi", S)
-    hits = _hermiticity_tests_of(monkeypatch, [ctrl.matrix @ S])
+    hits = _hermiticity_tests_of(monkeypatch, [(ctrl.matrix, S)])
     _, trace = controlled_richardson_solve(frame, ctrl, np.ones(6))
     assert trace.converged
     assert hits == [0]
@@ -265,7 +264,7 @@ def test_run_benchmark_tests_each_cells_c_s_for_hermiticity_once(monkeypatch):
     for index, (dim, cond) in enumerate((d, c) for d in dims for c in conds):
         frame, _, _ = generate_instance("ill-conditioned", dim, 2 * dim, cond, seed=config.seed + index)
         S = frame_operator(frame)
-        products.append(controller_for("jacobi", S).matrix @ S)
+        products.append((controller_for("jacobi", S).matrix, S))
     hits = _hermiticity_tests_of(monkeypatch, products)
     rows = run_benchmark(["ill-conditioned"], dims, conds, 1, config=config)
     assert all(row.converged_controlled for row in rows)

@@ -21,6 +21,7 @@ from framekit import (
     NonHermitianComparisonError,
     NonRealFormError,
     NotPositiveDefiniteError,
+    SolverConfig,
     analysis,
     bounds_to_controlled,
     bounds_to_kframe,
@@ -29,6 +30,7 @@ from framekit import (
     controlled_kframe_check,
     controlled_operator_inequality,
     controlled_richardson_solve,
+    controller_for,
     frame_operator,
     identity_controller,
     interchange_identity_check,
@@ -41,6 +43,7 @@ from framekit import (
 from framekit.instances import (
     c3_example,
     commuting_triple,
+    frame_with_spectrum,
     haar_unitary,
     random_frame,
     random_positive_operator,
@@ -297,8 +300,11 @@ def test_controlled_operator_inequality_refuses_non_hermitian_sides():
     rng = np.random.default_rng(51)
     frame = random_frame(rng, 4, 8)
     ctrl = make_controller(random_positive_operator(rng, 4))
-    with pytest.raises(NonHermitianComparisonError):
+    with pytest.raises(NonRealFormError):  # C S is not Hermitian
         controlled_operator_inequality(frame, np.eye(4), ctrl, 0.1)
+    frame, _, ctrl = commuting_triple(rng, 4, 8)
+    with pytest.raises(NonHermitianComparisonError):  # C S is, but C K K* is not
+        controlled_operator_inequality(frame, random_positive_operator(rng, 4), ctrl, 0.1)
 
 
 def test_sandwich_inequality_at_certified_bounds():
@@ -387,6 +393,73 @@ def test_interchange_identity_on_commuting_and_non_commuting_pairs():
     other = make_controller(random_positive_operator(rng, 5))
     with pytest.raises(NonRealFormError):
         interchange_identity_check(frame, other)
+
+
+def _ideal_controller(dim, seed):
+    """A frame with ``cond(S) = 1e8`` in a Haar basis, its exact-inverse
+    controller and the generator that drew them."""
+    rng = np.random.default_rng(seed)
+    frame = frame_with_spectrum(rng, dim, 2 * dim, np.geomspace(1.0, 1e-4, dim))
+    return frame, controller_for("exact-inverse", frame_operator(frame)), rng
+
+
+@pytest.mark.parametrize("dim", [16, 64])
+def test_the_exact_inverse_of_an_ill_conditioned_frame_operator_is_a_controller(dim):
+    # C = S^-1 rounds to a C S whose defect is about u ||C|| ||S||, which is
+    # cond(S) = 1e8 times u ||C S||: a slack relative to ||C S|| refused it
+    frame, ctrl, rng = _ideal_controller(dim, 60)
+    K = np.eye(dim)
+    report = controlled_kframe_check(frame, K, ctrl)
+    lower, upper = report.lower_opt, report.upper_opt
+    assert report.is_controlled_kframe and lower == kframe_check(frame, K).lower_opt
+    assert controlled_operator_inequality(frame, K, ctrl, 0.5 * lower)
+    assert not controlled_operator_inequality(frame, K, ctrl, 2.0 * lower)
+    assert sandwich_inequality_check(frame, K, ctrl, 0.5 * lower, 2.0 * upper)
+    assert not sandwich_inequality_check(frame, K, ctrl, 0.5 * lower, 0.5 * upper)
+    assert interchange_identity_check(frame, ctrl)
+    g = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    f, trace = controlled_richardson_solve(frame, ctrl, g)
+    reference = np.linalg.solve(frame_operator(frame), g)
+    assert trace.converged
+    assert np.linalg.norm(f - reference) <= SolverConfig().residual_tol * np.linalg.norm(reference)
+
+
+def _every_check_of_c_s(frame, ctrl):
+    K = np.eye(frame.dim)
+    return [
+        lambda: controlled_kframe_check(frame, K, ctrl),
+        lambda: controlled_operator_inequality(frame, K, ctrl, 0.1),
+        lambda: sandwich_inequality_check(frame, K, ctrl, 0.1, 10.0),
+        lambda: interchange_identity_check(frame, ctrl),
+        lambda: controlled_richardson_solve(frame, ctrl, np.ones(frame.dim)),
+    ]
+
+
+@pytest.mark.parametrize("scale", [2.0**-600, 1.0, 2.0**600], ids=["2^-600", "1", "2^600"])
+def test_a_controller_that_does_not_commute_with_s_is_refused_at_every_scale(scale):
+    rng = np.random.default_rng(61)
+    frame = random_frame(rng, 5, 10)
+    ctrl = make_controller(scale * random_positive_operator(rng, 5))
+    assert not commutes(ctrl, frame_operator(frame))
+    for check in _every_check_of_c_s(frame, ctrl):
+        with pytest.raises(NonRealFormError):
+            check()
+
+
+@pytest.mark.parametrize("size, refused", [(1e-6, True), (1e-8, True), (1e-11, False)])
+def test_the_exact_inverse_with_a_hermitian_perturbation(size, refused):
+    # A perturbation of relative size 1e-6 breaks positivity too, so C is
+    # wrapped uncertified: only commutation is under test.
+    frame, ideal, rng = _ideal_controller(16, 62)
+    E = hermitian_part(rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16)))
+    C = ideal.matrix + size * np.linalg.norm(ideal.matrix, 2) / np.linalg.norm(E, 2) * E
+    ctrl = Controller(C)
+    assert commutes(ctrl, frame_operator(frame)) is not refused
+    if refused:
+        with pytest.raises(NonRealFormError):
+            controlled_kframe_check(frame, np.eye(16), ctrl)
+    else:
+        assert controlled_kframe_check(frame, np.eye(16), ctrl).is_controlled_kframe
 
 
 def test_c3_controlled_with_identity_matches_plain_bounds():

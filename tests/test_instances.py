@@ -169,6 +169,23 @@ def test_generate_instance_validation():
         generate_instance("paper-c3", dim=4)
 
 
+@pytest.mark.parametrize("args, message", [
+    ((2.5,), "^dim must be an integer >= 1, got 2.5$"),
+    ((True,), "^dim must be an integer >= 1, got True$"),
+    ((3, 4.5), "^count must be an integer >= 3, got 4.5$"),
+], ids=["dim 2.5", "dim True", "count 4.5"])
+def test_generate_instance_refuses_a_dim_or_count_that_is_not_an_integer(args, message):
+    # each of these used to end in a bare TypeError from numpy
+    with pytest.raises(InvalidParametersError, match=message):
+        generate_instance("random-frame", *args)
+
+
+@pytest.mark.parametrize("cond_target", ["1e4", True, float("nan"), float("inf"), 0.5])
+def test_generate_instance_refuses_a_cond_target_that_is_not_a_finite_number_of_at_least_one(cond_target):
+    with pytest.raises(InvalidParametersError, match="^cond_target must be a finite number >= 1"):
+        generate_instance("ill-conditioned", 4, cond_target=cond_target)
+
+
 @pytest.mark.parametrize("kind", [*INSTANCE_KINDS, "no-such-kind"])
 @pytest.mark.parametrize("seed", [-1, 2.0, True, None])
 def test_generate_instance_refuses_a_seed_before_its_other_checks(kind, seed):

@@ -63,6 +63,20 @@ def test_a_residual_tolerance_below_the_machine_epsilon_is_refused():
             SolverConfig(residual_tol=tol_value)
 
 
+_REAL_RULES = {"residual_tol": r"must lie in \[2\^-52, 1\)", "relaxation": "must be positive"}
+
+
+@pytest.mark.parametrize("name, value", [
+    ("residual_tol", "1e-3"), ("residual_tol", None), ("residual_tol", True),
+    ("relaxation", "0.5"), ("relaxation", True), ("relaxation", float("nan")), ("relaxation", float("inf")),
+])
+def test_a_relaxation_or_residual_tolerance_that_is_not_a_real_number_in_range_is_refused(name, value):
+    # a string or None used to end in a bare TypeError, and True passed as a relaxation of 1
+    with pytest.raises(InvalidParametersError, match=rf"^{name} {_REAL_RULES[name]}, got {re.escape(repr(value))}$"):
+        SolverConfig(**{name: value})
+    assert SolverConfig(relaxation=np.float32(0.5), residual_tol=np.float64(1e-6)).relaxation == 0.5
+
+
 @pytest.mark.parametrize("max_iter", [0, -3, 2.5, 10.0, True, "10", None])
 def test_an_iteration_cap_that_is_not_an_integer_of_at_least_one_is_refused(max_iter):
     # 2.5 used to pass and end the solve in a bare TypeError.

@@ -32,6 +32,11 @@ so the frame operator does not leave ``range(K)`` invariant.  Properties:
   Rayleigh quotients up to ``4^(k - j)`` and the atomic constant up to
   ``2^(j - k)``; at ``1e+-160`` and ``2^+-600`` on one fixed triple they
   keep their verdicts, and their values to ``1e-12``;
+* the one check of ``C S = S C`` that every controlled entry point makes
+  accepts exactly the controllers that :func:`commutes` with ``S``, on an
+  exact inverse of ``S`` (``cond(S)`` in ``[1, 1e8]``) plus a Hermitian
+  perturbation of relative size ``10^[-14, -4]``, and then
+  ``controlled_form`` is real;
 * every other public function that takes a controller keeps its claim
   when ``C`` is rescaled by ``c`` anywhere in ``10^[-6, 6]``, each checked
   against the defining inequality evaluated here with ``eigvalsh``; a
@@ -49,16 +54,20 @@ from scipy.linalg import block_diag
 
 from conftest import moved as _moved
 from framekit import (
+    DEFAULT_TOL,
+    Controller,
     FrameSequence,
     NonRealFormError,
     SolverConfig,
     atomic_system_constant,
     bounds_to_controlled,
     bounds_to_kframe,
+    commutes,
     controlled_form,
     controlled_kframe_check,
     controlled_operator_inequality,
     controlled_richardson_solve,
+    controller_for,
     frame_bounds,
     frame_operator,
     interchange_identity_check,
@@ -70,7 +79,15 @@ from framekit import (
     restricted_operator_inequalities,
     sandwich_inequality_check,
 )
-from framekit.instances import commuting_triple, haar_unitary, random_frame, random_positive_operator
+from framekit.controlled import _require_real_product
+from framekit.instances import (
+    commuting_triple,
+    frame_with_spectrum,
+    haar_unitary,
+    random_frame,
+    random_positive_operator,
+)
+from framekit.operators import hermitian_part
 
 PROPERTIES = settings(derandomize=True, deadline=None, max_examples=200)
 EPS = 1e-6
@@ -438,6 +455,26 @@ def test_interchange_identity_is_commutation_at_every_controller_scale(triple, c
     other = random_positive_operator(np.random.default_rng(seed), frame.dim)
     with pytest.raises(NonRealFormError):
         interchange_identity_check(frame, make_controller(c * other))
+
+
+@PROPERTIES
+@given(st.integers(2, 8), st.floats(0.0, 8.0), st.floats(-14.0, -4.0), st.integers(0, 2**32 - 1))
+def test_the_check_of_c_s_accepts_exactly_the_controllers_that_commute_with_s(dim, cond_exp, size_exp, seed):
+    rng = np.random.default_rng(seed)
+    frame = frame_with_spectrum(rng, dim, 2 * dim, np.geomspace(1.0, 10.0 ** (-cond_exp / 2), dim))
+    S = frame_operator(frame)
+    ideal = controller_for("exact-inverse", S).matrix
+    E = hermitian_part(_gaussian(rng, dim, dim))
+    # Wrapped uncertified: a large perturbation may break positivity, which is not under test.
+    ctrl = Controller(ideal + 10.0**size_exp * np.linalg.norm(ideal, 2) / np.linalg.norm(E, 2) * E)
+    try:
+        _require_real_product(frame, ctrl, DEFAULT_TOL)
+        accepted = True
+    except NonRealFormError:
+        accepted = False
+    assert accepted == commutes(ctrl, S)
+    if accepted:
+        controlled_form(frame, ctrl, _gaussian(rng, dim, 1)[:, 0])  # raises unless real
 
 
 @settings(derandomize=True, deadline=None, max_examples=50)

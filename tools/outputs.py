@@ -23,7 +23,9 @@ frame with ``K = 1e-200 I``, whose optimal lower bound exceeds the largest
 float; ``check`` of the frames ``1e160 I`` as JSON and ``1e-170 I`` as text
 in ``C^3``, whose frame operators overflow and underflow, and ``check --c
 --json`` of the frame ``1e30 I`` with ``C = 1e250 diag(1, 2, 3)``, whose
-product ``C S`` overflows; ``dual`` (a factoring pair and a refused one) at
+product ``C S`` overflows; ``check --c --json`` of a 2x2 frame whose frame
+operator has condition ``1e8`` with its exact inverse as the controller,
+the ideal preconditioner; ``dual`` (a factoring pair and a refused one) at
 d=8; and ``paper-example`` as text and as JSON.
 
 ``--compare`` reads both manifests and prints one line for each file whose
@@ -50,6 +52,7 @@ import cmath
 import csv
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -71,12 +74,18 @@ def _diagonal_frame(value: float, dim: int) -> dict:
     return {"dim": dim, "vectors": [[[value * (i == j), 0.0] for i in range(dim)] for j in range(dim)]}
 
 
+_COS, _SIN = math.cos(0.5), math.sin(0.5)  # the rotation R = [[cos, -sin], [sin, cos]]
+
+
 # Inputs this tool writes itself: a right-hand side at d=8; a Parseval
 # family of 16 vectors in C^8 (the unit vectors and the Fourier basis, each
 # scaled by 1/sqrt(2)), which factors every K as K = (K G) G*; the
 # identity frame of C^3 with the operators 1e-200 I and I; the frames
 # 1e160 I, 1e-170 I, 1e30 I and 1e-30 I of C^3; the controllers
-# 1e250 diag(1, 2, 3) and 1e-300 diag(1, 2, 3); and a right-hand side at d=3.
+# 1e250 diag(1, 2, 3) and 1e-300 diag(1, 2, 3); a right-hand side at d=3;
+# and, with R the rotation by 0.5, the frame of the columns of
+# R diag(1, 1e-4), whose frame operator R diag(1, 1e-8) R^T has condition
+# 1e8, and its exact inverse R diag(1, 1e8) R^T as a controller.
 INPUTS = {
     "rhs8.json": {"dim": 8, "entries": [[1.0 + k, 0.5 * (-1) ** k] for k in range(8)]},
     "parseval8.json": {
@@ -97,6 +106,13 @@ INPUTS = {
     "huge3-c.json": {"dim": 3, "entries": _diagonal([1e250, 2e250, 3e250])},
     "tiny3-c.json": {"dim": 3, "entries": _diagonal([1e-300, 2e-300, 3e-300])},
     "rhs3.json": {"dim": 3, "entries": [[1.0, 0.0], [2.0, -0.5], [3.0, 0.5]]},
+    "ideal2-frame.json": {
+        "dim": 2, "vectors": [[[_COS, 0.0], [_SIN, 0.0]], [[-1e-4 * _SIN, 0.0], [1e-4 * _COS, 0.0]]],
+    },
+    "ideal2-c.json": {"dim": 2, "entries": [
+        [_COS**2 + 1e8 * _SIN**2, 0.0], [(1.0 - 1e8) * _COS * _SIN, 0.0],
+        [(1.0 - 1e8) * _COS * _SIN, 0.0], [_SIN**2 + 1e8 * _COS**2, 0.0],
+    ]},
 }
 
 _GRID = ["--kinds", "ill-conditioned", "random-frame", "--dims", "1", "4", "16", "64",
@@ -127,6 +143,8 @@ COMMANDS = [
     ("check-tiny-frame", ["check", "tiny3-frame.json", "--deterministic"]),
     ("check-huge-controller", ["check", "big3-frame.json", "--c", "huge3-c.json", "--json",
                                "--deterministic"]),
+    ("check-ideal-controller", ["check", "ideal2-frame.json", "--c", "ideal2-c.json", "--json",
+                                "--deterministic"]),
     ("dual", ["dual", "--g", "parseval8.json", "--k", "fam8-k.json", "--out", "dual-h.json",
               "--json", "--deterministic"]),
     ("dual-refused", ["dual", "--g", "fam8-frame.json", "--k", "fam8-k.json",
